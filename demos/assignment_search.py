@@ -48,7 +48,8 @@ def main():
         print(f"  {seed}    {table.global_max:9.3f}   {best_probe:20.3f}"
               f"   {single:13.3f}   {split_cost:10.3f} ({report.required_pilots})")
 
-    print("\nexhaustive enumerates (K!)^(L-1) assignment classes; "
+    print("\nexhaustive search: exact branch-and-bound over the "
+          "(K!)^(L-1) assignment classes; "
           f"here {math.factorial(CFG.K) ** (CFG.L - 1)}.")
 
 

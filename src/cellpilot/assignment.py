@@ -85,21 +85,62 @@ def apply_swap(assignment: PilotAssignment, action: SwapAction) -> PilotAssignme
     return PilotAssignment(out)
 
 
+def _expand(C, cheap, perms, d, users, partial, pending):
+    """Children of a search node that has cells 0..d-1 placed.
+
+    users (L, K) maps pilot -> user in the placed cells and is the identity
+    elsewhere. partial (d, K) is each placed user's cost from the other
+    placed cells, by pilot; pending (L-d, K, K) is the cost every user a of
+    an unplaced cell would take on pilot p from the placed cells. Child i
+    places cell d as perms[i]. Returns the children's users, partial and
+    pending arrays and a lower bound on every leaf below each child: the
+    max over placed users of partial cost plus each unplaced cell's
+    cheapest partner, and over unplaced users of the cheapest pilot's
+    pending cost plus the other unplaced cells' cheapest partners. At the
+    leaf level (d == L-1) the bound is the exact cost.
+
+    Terms are added in increasing cell order, as a full evaluation adds
+    them. Rounding is monotone, so the bound never exceeds a leaf's cost
+    and leaf costs are bit-identical to plain enumeration.
+    """
+    L, K = users.shape
+    n = len(perms)
+    ks = np.arange(K)
+    users_c = np.repeat(users[None], n, axis=0)
+    users_c[:, d] = perms
+    partial_c = np.empty((n, d + 1, K))
+    # C[j, users[j, k], d, b]: what user b of cell d costs each placed user
+    gain = C[np.arange(d)[:, None], users[:d], d]             # (d, K, K)
+    partial_c[:, :d] = partial + gain[:, ks, perms].transpose(1, 0, 2)
+    partial_c[:, d] = pending[0][perms, ks]
+    # C[j, a, d, perms[i, p]] for every unplaced cell j > d
+    pending_c = (pending[1:]
+                 + C[d + 1:, :, d][:, :, perms].transpose(2, 0, 1, 3))
+    lower = np.concatenate([partial_c, pending_c.min(axis=3)], axis=1)
+    tail = cheap[:, :, d + 1:][np.arange(L)[:, None], users_c]  # (n, L, K, L-d-1)
+    for i in range(L - d - 1):
+        lower += tail[..., i]
+    return users_c, partial_c, pending_c, lower.reshape(n, -1).max(axis=1)
+
+
 def exhaustive_search(
     bundle: ScenarioBundle,
     pairwise: np.ndarray | None = None,
     budget: int = 10**8,
     allow_long_run: bool = False,
-    block: int = 20000,
 ) -> tuple[PilotAssignment, CostTable]:
     """Minimize the worst-user cost over all distinct assignments.
 
     Relabeling every cell's pilots by one common permutation leaves co-pilot
     partnerships unchanged, so cell 0 is pinned to the identity and the
-    remaining (K!)^(L-1) candidates are enumerated. Ties go to the first
-    candidate in enumeration order, i.e. the lexicographically smallest
-    assignment. Candidate counts above the budget raise BudgetError unless
-    allow_long_run is set.
+    remaining (K!)^(L-1) candidates form the search space. An exact
+    depth-first branch-and-bound places cells 1..L-1 in order, expands
+    children in itertools.permutations order and skips every subtree whose
+    lower bound is not below the best cost found so far; it returns what
+    full enumeration returns, bit for bit. Ties go to the first candidate
+    in enumeration order, i.e. the lexicographically smallest assignment.
+    Candidate counts (the whole space, not the nodes visited) above the
+    budget raise BudgetError unless allow_long_run is set.
     """
     L, K = bundle.drop.shape
     n_candidates = math.factorial(K) ** (L - 1)
@@ -111,46 +152,30 @@ def exhaustive_search(
         )
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
     perms = np.array(list(itertools.permutations(range(K))), dtype=int)
-    n_perms = len(perms)
-    ks = np.arange(K)
+    # cheapest partner each cell can give every user; a cell never
+    # interferes with itself
+    cheap = C.min(axis=3)
+    cheap[np.arange(L), :, np.arange(L)] = 0.0
 
     best_val = np.inf
-    best_choice = None
-    buf = np.empty((block, L), dtype=int)
-    count = 0
-    offset = 0
+    best_rows = np.tile(np.arange(K), (L, 1))
 
-    def flush(n):
-        nonlocal best_val, best_choice
-        if n == 0:
+    def descend(d, users, partial, pending):
+        nonlocal best_val, best_rows
+        users_c, partial_c, pending_c, bound = _expand(
+            C, cheap, perms, d, users, partial, pending)
+        if d == L - 1:
+            i = int(np.argmin(bound))
+            if bound[i] < best_val:
+                best_val, best_rows = bound[i], users_c[i]
             return
-        rows = perms[buf[:n]]                      # (n, L, K) pilot -> user
-        worst = np.zeros(n)
-        for j in range(L):
-            cost_j = np.zeros((n, K))
-            uj = rows[:, j, :]                     # (n, K)
-            for l in range(L):
-                if l == j:
-                    continue
-                # C[j, uj[k], l, ul[k]] for every candidate and pilot k
-                cost_j += C[j][uj, l, rows[:, l, :]]
-            worst = np.maximum(worst, cost_j.max(axis=1))
-        idx = int(np.argmin(worst))
-        if worst[idx] < best_val:
-            best_val = float(worst[idx])
-            best_choice = buf[idx].copy()
+        for i in range(len(perms)):
+            if bound[i] < best_val:
+                descend(d + 1, users_c[i], partial_c[i], pending_c[i])
 
-    for combo in itertools.product(range(n_perms), repeat=L - 1):
-        buf[count, 0] = 0
-        buf[count, 1:] = combo
-        count += 1
-        if count == block:
-            flush(count)
-            offset += count
-            count = 0
-    flush(count)
-
-    best = PilotAssignment(perms[best_choice])
+    if L > 1:
+        descend(1, best_rows, np.zeros((1, K)), C[1:, :, 0, :])
+    best = PilotAssignment(best_rows)
     return best, total_costs(bundle, best.pilot_to_user, pairwise=C)
 
 
@@ -161,6 +186,12 @@ class ExtendedAssignment:
     user_to_pilot: np.ndarray  # (L, K) int, ids in [0, n_pilots)
     n_pilots: int
     edge_mask: np.ndarray      # (L, K) bool, True for cluster-edge users
+
+    def to_text(self) -> str:
+        """An "n_pilots N" line, then L lines of K pilot ids (row = cell)."""
+        return (f"n_pilots {self.n_pilots}\n"
+                + "\n".join(" ".join(str(p) for p in row)
+                            for row in self.user_to_pilot) + "\n")
 
 
 @dataclass

@@ -87,9 +87,7 @@ def cmd_baseline(args) -> None:
         ext, report = spr_like_assignment(world)
         _, g_max = extended_user_costs(world, ext.user_to_pilot)
         print(report)
-        text = (f"n_pilots {ext.n_pilots}\n"
-                + "\n".join(" ".join(str(p) for p in row)
-                            for row in ext.user_to_pilot) + "\n")
+        text = ext.to_text()
         name = "assignment_spr_like.txt"
         if out:
             (out / "overhead_spr_like.txt").write_text(str(report) + "\n")
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--long-run", action="store_true",
-                   help="allow exhaustive enumeration beyond the budget")
+                   help="allow exhaustive search beyond the candidate budget")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", help="score a stored assignment on a world")

@@ -16,7 +16,7 @@ class ConfigError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A compute budget (e.g. exhaustive enumeration) would be exceeded."""
+    """A compute budget (e.g. the exhaustive search space) would be exceeded."""
 
 
 class NumericError(RuntimeError):

@@ -71,9 +71,9 @@ def presets() -> dict:
 
     `desk` is sized so that every method, including the exhaustive search,
     runs in minutes on one core; it drives the acceptance suite. `full`
-    is the full-scale seven-cell scenario; its exhaustive search
-    enumerates (4!)^6 ~ 1.9e8 candidates and is gated behind the
-    long-run flag.
+    is the full-scale seven-cell scenario; its exhaustive search space
+    holds (4!)^6 ~ 1.9e8 candidates, over the search budget, so it is
+    gated behind the long-run flag.
     """
     desk = ExperimentPreset(
         name="desk",
@@ -194,10 +194,7 @@ def _run_baseline(name: str, preset: ExperimentPreset, master_seed: int,
             extended = ext
             overhead = report.required_pilots / report.base_pilots
             out.text_files["overhead_spr_like.txt"] = str(report) + "\n"
-            out.text_files["assignment_spr_like.txt"] = (
-                f"n_pilots {ext.n_pilots}\n"
-                + "\n".join(" ".join(str(p) for p in row)
-                            for row in ext.user_to_pilot) + "\n")
+            out.text_files["assignment_spr_like.txt"] = ext.to_text()
 
     if name in ("exhaustive", "spr_like"):
         solve()

@@ -384,7 +384,13 @@ def save_checkpoint(
     step: int,
     rng: np.random.Generator,
 ):
-    """Bit-exact container: weights, optimizer state, step counter, RNG state."""
+    """Weights, optimizer state, step counter and the state of one RNG.
+
+    `cellpilot train` passes env.rng. The action and replay streams, the
+    replay buffer, the target network and the environment state are not
+    stored, so resuming from this file does not reproduce an
+    uninterrupted run bit for bit.
+    """
     payload = {
         "version": np.array(CHECKPOINT_VERSION),
         "step": np.array(step),

@@ -45,9 +45,10 @@ def _draw_channels(
 ) -> np.ndarray:
     """(n_mc, L, L, K, M) channel draws for every (BS, user) link.
 
-    Path angles are uniform on each link's angular support, amplitudes are
-    unit-modulus random phases: per-link statistics match realize_channel
-    with the supplied (possibly power-controlled) link gains.
+    Path angles are uniform on each link's angular support, amplitudes
+    follow config.path_gain (unit-modulus random phases, or standard
+    complex normal): per-link statistics match realize_channel with the
+    supplied (possibly power-controlled) link gains.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
@@ -55,7 +56,11 @@ def _draw_channels(
     lows = (bundle.centers - bundle.half_widths)[..., None]
     widths = (2.0 * bundle.half_widths)[..., None]
     omegas = lows + widths * rng.random((n_mc, L, L, K, P))
-    alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
+    if cfg.path_gain == "phase":
+        alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
+    else:
+        re_im = rng.standard_normal((2, n_mc, L, L, K, P))
+        alphas = (re_im[0] + 1j * re_im[1]) / np.sqrt(2.0)
     phases = np.exp(
         -2j * np.pi * cfg.spacing
         * np.cos(omegas)[..., None] * np.arange(M))          # (..., P, M)

@@ -13,6 +13,7 @@ from cellpilot import (
     assignment_cost,
     exhaustive_search,
     extended_user_costs,
+    pairwise_cost_matrix,
     random_assignment,
     spr_like_assignment,
     total_costs,
@@ -181,6 +182,54 @@ def test_exhaustive_beats_random_probes():
             probe = random_assignment(3, 3, rng)
             assert table.global_max <= total_costs(
                 world, probe.pilot_to_user).global_max + 1e-12
+
+
+def _enumerate(world, pairwise):
+    """Reference optimum: every candidate through total_costs, first one wins."""
+    L, K = world.drop.shape
+    perms = list(itertools.permutations(range(K)))
+    best, best_val = None, np.inf
+    for combo in itertools.product(perms, repeat=L - 1):
+        p2u = np.array([tuple(range(K)), *combo])
+        val = total_costs(world, p2u, pairwise=pairwise).global_max
+        if val < best_val:
+            best, best_val = p2u, val
+    return best, best_val
+
+
+def _pairwise_variant(C, kind, rng):
+    if kind == "world":
+        return C
+    if kind == "constant":          # every candidate ties
+        return np.full_like(C, 0.5)
+    if kind == "dominant_row":      # one user's constant cost decides: the
+        C = C.copy()                # optimum equals the root bound
+        C[-1, -1] = 10.0 * C.max() + 1.0
+        return C
+    return rng.integers(0, 4, size=C.shape) / 4.0   # "quantized": many ties
+
+
+@pytest.mark.parametrize("L,K,kind", [
+    (1, 3, "world"), (1, 2, "constant"),
+    (2, 2, "world"), (2, 3, "world"), (2, 4, "dominant_row"), (2, 3, "quantized"),
+    (3, 3, "world"), (3, 3, "constant"), (3, 4, "world"), (3, 3, "quantized"),
+    (3, 4, "dominant_row"),
+    (4, 3, "world"), (4, 3, "quantized"), (4, 4, "world"), (4, 2, "constant"),
+    (5, 2, "world"), (5, 3, "world"), (5, 3, "quantized"), (5, 3, "dominant_row"),
+    (5, 2, "quantized"),
+])
+def test_exhaustive_matches_plain_enumeration(L, K, kind):
+    seed = 100 * L + 10 * K + len(kind)
+    world = make_world(small_config(L=L, K=K, M=32), seed=seed)
+    pw = _pairwise_variant(pairwise_cost_matrix(world), kind,
+                           np.random.default_rng(seed))
+    ref, ref_val = _enumerate(world, pw)
+    best, table = exhaustive_search(world, pairwise=pw)
+    assert np.array_equal(best.pilot_to_user, ref)
+    assert table.global_max == ref_val
+    if kind in ("constant", "dominant_row"):
+        # every candidate ties, so the first one (identity rows) wins
+        assert np.array_equal(best.pilot_to_user, np.tile(np.arange(K), (L, 1)))
 
 
 # ------------------------------------------------------------ reuse splitting

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from cellpilot import RateOptions, extended_user_costs, min_rate, moving_average
+from cellpilot import (
+    RateOptions,
+    covariance,
+    extended_user_costs,
+    min_rate,
+    moving_average,
+)
+from cellpilot.rate import _draw_channels
 from conftest import make_world, small_config
 
 
@@ -35,6 +42,41 @@ def test_moving_average_constant_series():
 def test_moving_average_rejects_bad_window():
     with pytest.raises(ValueError):
         moving_average(np.arange(4.0), 0)
+
+
+# ---------------------------------------------------------- channel draws
+
+def test_complex_normal_draws_match_covariance():
+    # every link's sample covariance over 2e4 benchmark draws against the
+    # quadrature covariance, with complex-normal path amplitudes
+    cfg = small_config(L=2, K=1, M=8, path_gain="complex_normal")
+    world = make_world(cfg, seed=3)
+    unit = np.ones((2, 2, 1))
+    rng = np.random.default_rng(11)
+    acc = np.zeros((2, 2, 1, 8, 8), dtype=complex)
+    n = 0
+    for _ in range(10):
+        g = _draw_channels(world, 50, rng, 2000, unit)
+        acc += np.einsum("njlkm,njlkq->jlkmq", g, g.conj())
+        n += len(g)
+    for j in range(2):
+        for l in range(2):
+            R = covariance(world.interval(j, l, 0), 1.0, cfg.M, cfg.spacing)
+            err = np.linalg.norm(acc[j, l, 0] / n - R) / np.linalg.norm(R)
+            assert err < 0.02
+
+
+def test_draws_follow_path_gain_mode():
+    # a single path has constant power under unit-modulus phases and
+    # unit-mean exponential power under complex-normal amplitudes
+    unit = np.ones((2, 2, 1))
+    var = {}
+    for mode in ("phase", "complex_normal"):
+        world = make_world(small_config(L=2, K=1, M=8, path_gain=mode), seed=3)
+        g = _draw_channels(world, 1, np.random.default_rng(0), 2000, unit)
+        var[mode] = ((np.abs(g) ** 2).mean(axis=-1)).var()
+    assert var["phase"] < 1e-20
+    assert 0.8 < var["complex_normal"] < 1.2
 
 
 # --------------------------------------------------------------- rate: API
