@@ -44,7 +44,7 @@ def main():
             pairwise=pairwise).global_max
         ext, report = spr_like_assignment(world)
         _, split_cost = extended_user_costs(world, ext.user_to_pilot,
-                                            pairwise=None)
+                                            pairwise=pairwise)
         print(f"  {seed}    {table.global_max:9.3f}   {best_probe:20.3f}"
               f"   {single:13.3f}   {split_cost:10.3f} ({report.required_pilots})")
 

@@ -146,9 +146,10 @@ def exhaustive_search(
     n_candidates = math.factorial(K) ** (L - 1)
     if n_candidates > budget and not allow_long_run:
         raise BudgetError(
-            f"exhaustive search needs {n_candidates} evaluations, over the "
-            f"budget of {budget}; pass allow_long_run (CLI: --long-run) to "
-            "proceed, or use the random-assignment baseline for a cheap bound"
+            f"exhaustive branch-and-bound search space holds {n_candidates} "
+            f"candidates, over the budget of {budget}; pass allow_long_run "
+            "(CLI: --long-run) to proceed, or use the random-assignment "
+            "baseline for a cheap bound"
         )
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
     perms = np.array(list(itertools.permutations(range(K))), dtype=int)
@@ -285,3 +286,29 @@ def assignment_cost(
     """Worst-user envelope cost of an extended assignment."""
     _, worst = extended_user_costs(bundle, ext.user_to_pilot, pairwise=pairwise)
     return worst
+
+
+def baseline_assignment(
+    name: str,
+    bundle: ScenarioBundle,
+    rng: np.random.Generator,
+    pairwise: np.ndarray | None = None,
+    allow_long_run: bool = False,
+) -> tuple[np.ndarray, int, str, OverheadReport | None]:
+    """(user_to_pilot, n_pilots, text, report) of a non-learned method.
+
+    name is "random" (a fresh draw from rng), "exhaustive" (the min-max
+    optimum; allow_long_run lifts its budget) or "spr_like" (the reuse
+    split, the only one with an OverheadReport; text is the file format).
+    """
+    if name == "spr_like":
+        ext, report = spr_like_assignment(bundle)
+        return ext.user_to_pilot, ext.n_pilots, ext.to_text(), report
+    if name == "random":
+        assign = random_assignment(*bundle.drop.shape, rng)
+    elif name == "exhaustive":
+        assign, _ = exhaustive_search(bundle, pairwise,
+                                      allow_long_run=allow_long_run)
+    else:
+        raise ValueError(f"unknown baseline {name!r}")
+    return assign.user_to_pilot(), assign.shape[1], assign.to_text(), None

@@ -7,12 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .assignment import (
-    PilotAssignment,
-    exhaustive_search,
-    random_assignment,
-    spr_like_assignment,
-)
+from .assignment import PilotAssignment, baseline_assignment
 from .config import (
     BudgetError,
     ConfigError,
@@ -24,7 +19,7 @@ from .config import (
     load_config_overrides,
     substream,
 )
-from .contamination import extended_user_costs, total_costs
+from .contamination import extended_user_costs, pairwise_cost_matrix, total_costs
 from .env import make_env, write_trajectory_csv
 from .harness import emit_plot_data, presets, run_experiment
 from .qnn import save_checkpoint, train, write_training_log_csv
@@ -73,27 +68,20 @@ def cmd_baseline(args) -> None:
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    if args.method == "random":
-        assign = random_assignment(cfg.L, cfg.K, substream(seed, "baseline", "random"))
-        g_max = total_costs(world, assign.pilot_to_user).global_max
-        text = assign.to_text()
-        name = "assignment_random.txt"
-    elif args.method == "exhaustive":
-        assign, table = exhaustive_search(world, allow_long_run=args.long_run)
-        g_max = table.global_max
-        text = assign.to_text()
-        name = "assignment_exhaustive.txt"
-    else:  # spr
-        ext, report = spr_like_assignment(world)
-        _, g_max = extended_user_costs(world, ext.user_to_pilot)
+    method = "spr_like" if args.method == "spr" else args.method
+    pairwise = pairwise_cost_matrix(world)
+    u2p, _, text, report = baseline_assignment(
+        method, world, substream(seed, "baseline", method), pairwise,
+        allow_long_run=args.long_run)
+    _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
+    if report is not None:
         print(report)
-        text = ext.to_text()
-        name = "assignment_spr_like.txt"
-        if out:
-            (out / "overhead_spr_like.txt").write_text(str(report) + "\n")
     print(f"{args.method} baseline (seed {seed}): worst-user cost {g_max:.6g}")
     if out:
+        name = f"assignment_{method}.txt"
         (out / name).write_text(text)
+        if report is not None:
+            (out / "overhead_spr_like.txt").write_text(str(report) + "\n")
         print(f"assignment written to {out / name}")
 
 

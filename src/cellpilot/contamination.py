@@ -5,6 +5,11 @@ how much the interferer's arrival directions excite the array response
 over the target's own angular support. The exact criterion is an integral
 of the squared response kernel; a cheap piecewise-linear envelope of that
 kernel drives the assignment search.
+
+Two kernels compute every cost: _envelope, one broadcasting trapezoid
+behind approx_gain and pairwise_cost_matrix (all pairs in one pass), and
+_copilot_costs, the sum of that matrix over co-pilot partners behind
+total_costs, extended_user_costs and the batched threshold calibration.
 """
 
 from __future__ import annotations
@@ -71,19 +76,26 @@ def interference_integral(
 def cosine_support(interval: AoAInterval) -> tuple[float, float]:
     """Range of direction cosines covered by an angular support.
 
-    Returns (lo, hi). The support is shorter than pi, so it contains at
-    most one extremum of cos; endpoints decide otherwise.
+    Returns (lo, hi), elementwise for an interval of arrays. The support is
+    shorter than pi, so it contains at most one extremum of cos; endpoints
+    decide otherwise.
     """
     low, high = interval.low, interval.high
     c_low, c_high = np.cos(low), np.cos(high)
-    lo, hi = float(min(c_low, c_high)), float(max(c_low, c_high))
+    lo, hi = np.minimum(c_low, c_high), np.maximum(c_low, c_high)
     # does the support cross a peak (cos = 1 at even multiples of pi)?
-    if np.ceil(low / (2 * np.pi)) * 2 * np.pi <= high:
-        hi = 1.0
+    hi = np.where(np.ceil(low / (2 * np.pi)) * 2 * np.pi <= high, 1.0, hi)
     # or a trough (cos = -1 at odd multiples of pi)?
-    if np.ceil((low - np.pi) / (2 * np.pi)) * 2 * np.pi + np.pi <= high:
-        lo = -1.0
-    return lo, hi
+    lo = np.where(np.ceil((low - np.pi) / (2 * np.pi)) * 2 * np.pi + np.pi <= high,
+                  -1.0, lo)
+    return lo[()], hi[()]
+
+
+def _zero_range(base, M: int, spacing: float):
+    """Integers n with base + n/(M*spacing) inside [-1, 1]: (n_lo, n_hi)."""
+    step = 1.0 / (M * spacing)
+    return (np.ceil((-1.0 - base) / step - 1e-12),
+            np.floor((1.0 - base) / step + 1e-12))
 
 
 def kernel_zeros(omega: float, M: int, spacing: float = 0.5) -> np.ndarray:
@@ -95,8 +107,7 @@ def kernel_zeros(omega: float, M: int, spacing: float = 0.5) -> np.ndarray:
     """
     step = 1.0 / (M * spacing)
     base = np.cos(omega)
-    n_lo = int(np.ceil((-1.0 - base) / step - 1e-12))
-    n_hi = int(np.floor((1.0 - base) / step + 1e-12))
+    n_lo, n_hi = map(int, _zero_range(base, M, spacing))
     ns = np.array([n for n in range(n_lo, n_hi + 1) if n % M != 0], dtype=float)
     if ns.size == 0:
         return np.empty(0)
@@ -126,26 +137,47 @@ def first_null_bounds(interval: AoAInterval, M: int, spacing: float = 0.5) -> Nu
     kernel has no zeros at all (M*spacing too small to form any null);
     callers should then fall back to the saturated wide-band cost.
     """
-    if M < 2:
-        raise NullBoundsError("a single-antenna kernel has no nulls")
-    lo, hi = cosine_support(interval)
+    low, high, saturated = _first_nulls(*cosine_support(interval), M, spacing)
+    if saturated:
+        raise NullBoundsError(
+            "an edge-seeded kernel has no zeros (M < 2 or M*spacing too "
+            "small); envelope cost saturates to its wide-band value"
+        )
+    return NullBounds(low=float(low), high=float(high))
+
+
+def _first_nulls(lo, hi, M: int, spacing: float):
+    """first_null_bounds of cosine supports [lo, hi]: (low, high, saturated).
+
+    Saturated: M < 2, or kernel_zeros is empty at an edge. Its integer
+    range always holds 0 (a multiple of M) and, for M >= 2, a non-multiple
+    as soon as it holds two integers: it is empty when the range is {0}.
+    """
+    saturated = np.full(np.shape(lo), M < 2)
     for edge in (lo, hi):
-        if kernel_zeros(float(np.arccos(edge)), M, spacing).size == 0:
-            raise NullBoundsError(
-                "an edge-seeded kernel has no zeros (M*spacing too small); "
-                "envelope cost saturates to its wide-band value"
-            )
+        n_lo, n_hi = _zero_range(np.cos(np.arccos(edge)), M, spacing)
+        saturated |= n_lo == n_hi
     step = 1.0 / (M * spacing)
-    east = min(hi + step, 1.0)
-    west = max(lo - step, -1.0)
-    return NullBounds(low=float(np.arccos(east)), high=float(np.arccos(west)))
+    low = np.arccos(np.minimum(hi + step, 1.0))
+    high = np.arccos(np.maximum(lo - step, -1.0))
+    return low, high, saturated
 
 
-def _envelope(u: np.ndarray, lo: float, hi: float, west: float, east: float) -> np.ndarray:
-    """Trapezoid in cosine space: 1 on [lo, hi], linear to 0 at west/east."""
-    xp = np.array([west, lo, hi, east])
-    fp = np.array([0.0, 1.0, 1.0, 0.0])
-    return np.interp(u, xp, fp, left=0.0, right=0.0)
+def _envelope(u, lo, hi, west, east):
+    """max(t(u), t(-u)) for the trapezoid t: 1 on [lo, hi], 0 at west/east.
+
+    t is np.interp over the knots (west, lo, hi, east) -> (0, 1, 1, 0), bit
+    for bit: ramps are ((f1 - f0) / (x1 - x0)) * (u - x0) + f0 and u == east
+    is 0 even when east == hi. The knots broadcast against u.
+    """
+    u = np.stack([u, -u])
+    # a zero-width ramp divides by zero, but the selection never picks it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rise = np.divide(1.0 - 0.0, lo - west) * (u - west) + 0.0
+        fall = np.divide(0.0 - 1.0, east - hi) * (u - hi) + 1.0
+    t = np.where(u < lo, np.where(u < west, 0.0, rise),
+                 np.where(u < hi, 1.0, np.where(u < east, fall, 0.0)))
+    return np.maximum(t[0], t[1])
 
 
 def approx_gain(
@@ -160,19 +192,15 @@ def approx_gain(
     support (the template is symmetric in the cosine, mirroring the
     support), ramping linearly to zero at the first kernel nulls, zero in
     the dead zone between the ramps. nulls=None selects the saturated
-    wide-band template, sqrt(target_gain) everywhere.
+    wide-band template, sqrt(target_gain) everywhere. The template is
+    _envelope, which pairwise_cost_matrix evaluates for every pair at once.
     """
     u = np.cos(np.asarray(phi, dtype=float))
     root = np.sqrt(target_gain)
     if nulls is None:
-        out = np.broadcast_to(root, u.shape).copy() if u.ndim else root
-        return out
+        return np.broadcast_to(root, u.shape).copy() if u.ndim else root
     lo, hi = cosine_support(target)
-    east = np.cos(nulls.low)
-    west = np.cos(nulls.high)
-    val = np.maximum(_envelope(u, lo, hi, west, east),
-                     _envelope(-u, lo, hi, west, east))
-    out = root * val
+    out = root * _envelope(u, lo, hi, np.cos(nulls.high), np.cos(nulls.low))
     return out if out.ndim else float(out)
 
 
@@ -202,33 +230,41 @@ def pairwise_cost_matrix(bundle: ScenarioBundle) -> np.ndarray:
     Entry [j, a, l, b]: cost user b of cell l would inflict on user a of
     cell j (at BS j) if they shared a pilot. Zero on the diagonal l == j.
     Assignment-independent, so one evaluation serves any pilot pattern on
-    the same drop.
+    the same drop. Each off-diagonal entry is pair_cost's value, up to
+    rounding; all pairs are computed in one array pass.
     """
-    L, K = bundle.drop.shape
-    cfg = bundle.config
-    lows = bundle.centers - bundle.half_widths
-    highs = bundle.centers + bundle.half_widths
-    cos_lo, cos_hi = np.cos(lows), np.cos(highs)   # (L, L, K)
-    C = np.zeros((L, K, L, K))
-    for j in range(L):
-        for a in range(K):
-            target = bundle.interval(j, j, a)
-            root = np.sqrt(bundle.gains[j, j, a])
-            try:
-                nulls = first_null_bounds(target, cfg.M, cfg.spacing)
-            except NullBoundsError:
-                C[j, a] = 2.0 * root
-                C[j, a, j, :] = 0.0
-                continue
-            lo, hi = cosine_support(target)
-            east, west = np.cos(nulls.low), np.cos(nulls.high)
-            total = np.zeros((L, K))
-            for u in (cos_lo[j], cos_hi[j]):
-                total += np.maximum(_envelope(u, lo, hi, west, east),
-                                    _envelope(-u, lo, hi, west, east))
-            C[j, a] = root * total
-            C[j, a, j, :] = 0.0
+    cells = np.arange(bundle.drop.shape[0])
+    # targets (j, a) at their own BS, broadcast against interferers (l, b)
+    lo, hi = cosine_support(AoAInterval(bundle.centers[cells, cells],
+                                        bundle.half_widths[cells, cells]))
+    low, high, saturated = _first_nulls(lo, hi, bundle.config.M,
+                                        bundle.config.spacing)
+    knots = [x[:, :, None, None] for x in (lo, hi, np.cos(high), np.cos(low))]
+    # both support endpoints of every interferer, as [endpoint, j, 1, l, b]
+    edges = [bundle.centers - bundle.half_widths,
+             bundle.centers + bundle.half_widths]
+    gain = _envelope(np.cos(edges)[:, :, None], *knots)
+    root = np.sqrt(bundle.gains[cells, cells])[:, :, None, None]
+    C = root * np.where(saturated[:, :, None, None], 2.0, gain[0] + gain[1])
+    C[cells, :, cells, :] = 0.0
     return C
+
+
+def _copilot_costs(C: np.ndarray, user_to_pilot: np.ndarray):
+    """Every user's cost from the users on its pilot in the other cells.
+
+    C (L, K, L, K) and user_to_pilot (L, K) may carry leading batch axes,
+    which broadcast. Returns (split, costs): split[..., j, a, l] sums
+    C[..., j, a, l, b] over users b of cell l != j on user (j, a)'s pilot;
+    costs[..., j, a] adds split over l in increasing cell order (numpy sums
+    fewer than 8 terms one by one).
+    """
+    L = user_to_pilot.shape[-2]
+    shared = (user_to_pilot[..., :, :, None, None]
+              == user_to_pilot[..., None, None, :, :])
+    shared &= ~np.eye(L, dtype=bool)[:, None, :, None]
+    split = np.where(shared, C, 0.0).sum(axis=-1)
+    return split, split.sum(axis=-1)
 
 
 @dataclass
@@ -250,28 +286,20 @@ def total_costs(
 ) -> CostTable:
     """Aggregate envelope costs for a pilot assignment.
 
-    pilot_to_user is (L, K): user index holding pilot k in cell l. The
-    worst (cell, pilot) is the row-major argmax, so ties resolve to the
-    lowest cell index, then the lowest pilot index.
+    pilot_to_user is (L, K): user index holding pilot k in cell l, one
+    permutation per cell. The worst (cell, pilot) is the row-major argmax,
+    so ties resolve to the lowest cell index, then the lowest pilot index.
     """
     L, K = pilot_to_user.shape
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
-    pair = np.zeros((L, K, L))
-    ks = np.arange(K)
-    for j in range(L):
-        rows = C[j, pilot_to_user[j]]          # (K, L, K)
-        for l in range(L):
-            if l == j:
-                continue
-            pair[j, :, l] = rows[ks, l, pilot_to_user[l]]
-    user_costs = pair.sum(axis=2)
-    cell_max = user_costs.max(axis=1)
-    flat = int(np.argmax(user_costs))
-    worst_cell, worst_pilot = divmod(flat, K)
+    split, costs = _copilot_costs(C, np.argsort(pilot_to_user, axis=1))
+    cells = np.arange(L)[:, None]
+    user_costs = costs[cells, pilot_to_user]
+    worst_cell, worst_pilot = divmod(int(np.argmax(user_costs)), K)
     return CostTable(
         user_costs=user_costs,
-        pair_costs=pair,
-        cell_max=cell_max,
+        pair_costs=split[cells, pilot_to_user],
+        cell_max=user_costs.max(axis=1),
         global_max=float(user_costs[worst_cell, worst_pilot]),
         worst_cell=worst_cell,
         worst_pilot=worst_pilot,
@@ -288,15 +316,6 @@ def extended_user_costs(
     user_to_pilot is (L, K): pilot id of user k in cell l, ids unrestricted.
     Returns costs indexed by user and the global maximum.
     """
-    L, K = user_to_pilot.shape
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
-    costs = np.zeros((L, K))
-    for j in range(L):
-        for a in range(K):
-            p = user_to_pilot[j, a]
-            for l in range(L):
-                if l == j:
-                    continue
-                mask = user_to_pilot[l] == p
-                costs[j, a] += C[j, a, l, mask].sum()
+    _, costs = _copilot_costs(C, np.asarray(user_to_pilot))
     return costs, float(costs.max())

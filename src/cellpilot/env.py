@@ -9,8 +9,8 @@ import numpy as np
 
 from .assignment import PilotAssignment, SwapAction, apply_swap, random_assignment
 from .config import EnvOptions, SystemConfig, substream
-from .contamination import CostTable, pairwise_cost_matrix, total_costs
-from .scenario import CellLayout, ScenarioBundle, build_layout, drop_users
+from .contamination import CostTable, _copilot_costs, pairwise_cost_matrix, total_costs
+from .scenario import CellLayout, ScenarioBundle, build_layout, drop_users, fresh_world
 
 
 @dataclass
@@ -66,34 +66,30 @@ def calibrate_thresholds(
     opts: EnvOptions,
     rng: np.random.Generator,
     world: ScenarioBundle | None = None,
-    pairwise: np.ndarray | None = None,
 ) -> RewardThresholds:
     """Empirical quantiles of the worst-user cost under random assignments.
 
     Each sample scores a fresh random assignment; the world is redrawn per
     sample when the evolution mode redraws positions, otherwise the given
     (or one freshly built) world is reused, matching what the run will see.
+    On a reused world all samples are scored in one batched call.
     Degenerate quantiles are widened by 5% so the middle band is never empty.
     """
     layout = build_layout(config.L, config.R)
-    samples = np.zeros(opts.threshold_samples)
-    fixed = None
-    fixed_pairwise = None
-    if opts.redraw != "positions":
-        fixed = world if world is not None else ScenarioBundle.build(
-            config, layout, drop_users(layout, config.K, config.exclusion_radius, rng))
-        fixed_pairwise = pairwise if (world is not None and pairwise is not None) \
-            else pairwise_cost_matrix(fixed)
-    for i in range(opts.threshold_samples):
-        if fixed is None:
-            bundle = ScenarioBundle.build(
-                config, layout,
-                drop_users(layout, config.K, config.exclusion_radius, rng))
-            pw = None
-        else:
-            bundle, pw = fixed, fixed_pairwise
-        assign = random_assignment(config.L, config.K, rng)
-        samples[i] = total_costs(bundle, assign.pilot_to_user, pairwise=pw).global_max
+    n = opts.threshold_samples
+
+    def random_map():
+        return random_assignment(config.L, config.K, rng).user_to_pilot()
+
+    if opts.redraw == "positions":
+        # one world at a time: a stack of n pair-cost matrices is large
+        samples = np.array([_copilot_costs(
+            pairwise_cost_matrix(fresh_world(config, rng, layout)),
+            random_map())[1].max() for _ in range(n)])
+    else:
+        C = pairwise_cost_matrix(world or fresh_world(config, rng, layout))
+        maps = np.stack([random_map() for _ in range(n)])
+        samples = _copilot_costs(C, maps)[1].max(axis=(1, 2))
     g1 = float(np.quantile(samples, opts.q_low))
     g2 = float(np.quantile(samples, opts.q_high))
     # Cost landscapes with heavy ties can pull the quantiles down onto the

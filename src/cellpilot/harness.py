@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import exhaustive_search, random_assignment, spr_like_assignment
+from .assignment import baseline_assignment
 from .config import (
     PACKAGE_VERSION,
     ConfigError,
@@ -26,11 +26,11 @@ from .config import (
     TrainingSchedule,
     substream,
 )
-from .contamination import extended_user_costs, pairwise_cost_matrix, total_costs
+from .contamination import extended_user_costs, pairwise_cost_matrix
 from .env import make_env, write_trajectory_csv
 from .qnn import train, write_training_log_csv
 from .rate import min_rate, moving_average
-from .scenario import ScenarioBundle, build_layout, drop_users
+from .scenario import build_layout, fresh_world
 
 METHODS = ("drl", "random", "exhaustive", "spr_like")
 
@@ -172,71 +172,37 @@ def _run_baseline(name: str, preset: ExperimentPreset, master_seed: int,
     eval_at = _eval_steps(preset.total_steps, preset.rate.eval_every)
     world_rng = substream(master_seed, "world")
     layout = build_layout(cfg.L, cfg.R)
-    world = ScenarioBundle.build(
-        cfg, layout, drop_users(layout, cfg.K, cfg.exclusion_radius, world_rng))
+    redraw = opts.redraw == "positions"
+    world = fresh_world(cfg, world_rng, layout)
     digests = [world.digest()]
-    pairwise = pairwise_cost_matrix(world)
     out = MethodResult(name=name)
     rng_assign = substream(master_seed, "baseline", name)
 
-    assignment = None          # PilotAssignment for random/exhaustive
-    extended = None            # ExtendedAssignment for spr_like
-    overhead = 1.0
-
-    def solve():
-        """(Re)compute the method's assignment for the current world."""
-        nonlocal assignment, extended, overhead
-        if name == "exhaustive":
-            assignment, _ = exhaustive_search(world, pairwise=pairwise,
-                                              allow_long_run=long_run)
-        elif name == "spr_like":
-            ext, report = spr_like_assignment(world)
-            extended = ext
-            overhead = report.required_pilots / report.base_pilots
-            out.text_files["overhead_spr_like.txt"] = str(report) + "\n"
-            out.text_files["assignment_spr_like.txt"] = ext.to_text()
-
-    if name in ("exhaustive", "spr_like"):
-        solve()
-
     for t in range(preset.total_steps):
-        if opts.redraw == "positions":
-            world = ScenarioBundle.build(
-                cfg, layout,
-                drop_users(layout, cfg.K, cfg.exclusion_radius, world_rng))
-            pairwise = pairwise_cost_matrix(world)
-            if name in ("exhaustive", "spr_like"):
-                solve()
+        if redraw:
+            world = fresh_world(cfg, world_rng, layout)
         digests.append(world.digest())
-        if name == "random":
-            assignment = random_assignment(cfg.L, cfg.K, rng_assign)
-        if extended is not None:
-            _, g_max = extended_user_costs(world, extended.user_to_pilot,
-                                           pairwise=pairwise)
-            u2p, n_pilots = extended.user_to_pilot, extended.n_pilots
-        else:
-            g_max = total_costs(world, assignment.pilot_to_user,
-                                pairwise=pairwise).global_max
-            u2p, n_pilots = assignment.user_to_pilot(), cfg.K
+        if t == 0 or redraw:
+            pairwise = pairwise_cost_matrix(world)
+        # exhaustive and spr_like solve each world once; random draws anew
+        if t == 0 or redraw or name == "random":
+            u2p, n_pilots, text, report = baseline_assignment(
+                name, world, rng_assign, pairwise, allow_long_run=long_run)
+        _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
         out.cost_rows.append((t, g_max))
         if t in eval_at:
+            overhead = n_pilots / cfg.K
             mr = _rate_eval(world, u2p, n_pilots, master_seed, t,
                             preset.rate, overhead)
             out.rate_rows.append((t, mr, overhead))
 
     out.world_digest = _digest_chain(digests)
     out.final_cost = float(out.cost_rows[-1][1])
-    if name == "exhaustive":
-        out.text_files["assignment_exhaustive.txt"] = assignment.to_text()
+    if name != "random":
+        out.text_files[f"assignment_{name}.txt"] = text
+    if report is not None:
+        out.text_files["overhead_spr_like.txt"] = str(report) + "\n"
     return out
-
-
-_RUNNERS = {
-    "drl": lambda name, preset, seed, long_run: _run_drl(preset, seed),
-    "random": _run_baseline,
-    "exhaustive": _run_baseline,
-    "spr_like": _run_baseline,
-}
 
 
 def _config_dict(preset: ExperimentPreset) -> dict:
@@ -304,7 +270,8 @@ def run_experiment(
     cost_rows = []
     for name in preset.active_methods(long_run):
         try:
-            res = _RUNNERS[name](name, preset, master_seed, long_run)
+            res = (_run_drl(preset, master_seed) if name == "drl" else
+                   _run_baseline(name, preset, master_seed, long_run))
         except Exception as exc:  # record and continue with the other methods
             manifest["methods"][name] = {
                 "status": "error",
