@@ -66,13 +66,15 @@ def calibrate_thresholds(
     opts: EnvOptions,
     rng: np.random.Generator,
     world: ScenarioBundle | None = None,
+    pairwise: np.ndarray | None = None,
 ) -> RewardThresholds:
     """Empirical quantiles of the worst-user cost under random assignments.
 
     Each sample scores a fresh random assignment; the world is redrawn per
     sample when the evolution mode redraws positions, otherwise the given
     (or one freshly built) world is reused, matching what the run will see.
-    On a reused world all samples are scored in one batched call.
+    On a reused world all samples are scored in one batched call, on
+    `pairwise` when the caller holds that world's pair-cost matrix.
     Degenerate quantiles are widened by 5% so the middle band is never empty.
     """
     layout = build_layout(config.L, config.R)
@@ -87,7 +89,8 @@ def calibrate_thresholds(
             pairwise_cost_matrix(fresh_world(config, rng, layout)),
             random_map())[1].max() for _ in range(n)])
     else:
-        C = pairwise_cost_matrix(world or fresh_world(config, rng, layout))
+        C = pairwise if pairwise is not None else \
+            pairwise_cost_matrix(world or fresh_world(config, rng, layout))
         maps = np.stack([random_map() for _ in range(n)])
         samples = _copilot_costs(C, maps)[1].max(axis=(1, 2))
     g1 = float(np.quantile(samples, opts.q_low))
@@ -174,6 +177,7 @@ class PilotEnv:
         layout: CellLayout | None = None,
         world: ScenarioBundle | None = None,
         assignment: PilotAssignment | None = None,
+        pairwise: np.ndarray | None = None,
     ):
         self.config = config
         self.opts = opts
@@ -183,7 +187,8 @@ class PilotEnv:
         self.world = world or ScenarioBundle.build(
             config, self.layout,
             drop_users(self.layout, config.K, config.exclusion_radius, rng))
-        self.pairwise = pairwise_cost_matrix(self.world)
+        # pairwise, when given, is the pair-cost matrix of `world`
+        self.pairwise = pairwise if pairwise is not None else pairwise_cost_matrix(self.world)
         self.assignment = assignment or random_assignment(config.L, config.K, rng)
         self.step_count = 0
         self.world_digests = [self.world.digest()]
@@ -267,13 +272,18 @@ def _fmt(v):
 
 
 def make_env(config: SystemConfig, opts: EnvOptions, seed: int) -> PilotEnv:
-    """Environment with thresholds calibrated from the same master seed."""
+    """Environment with thresholds calibrated from the same master seed.
+
+    The initial world's pair-cost matrix is built once and serves both the
+    calibration (unless it redraws positions per sample) and the env.
+    """
     world_rng = substream(seed, "world")
     layout = build_layout(config.L, config.R)
     world = ScenarioBundle.build(
         config, layout, drop_users(layout, config.K, config.exclusion_radius, world_rng))
+    pairwise = pairwise_cost_matrix(world)
     thresholds = calibrate_thresholds(
-        config, opts, substream(seed, "thresholds"),
-        world=world if opts.redraw != "positions" else None)
+        config, opts, substream(seed, "thresholds"), pairwise=pairwise)
     return PilotEnv(config, opts, thresholds, world_rng, layout=layout, world=world,
-                    assignment=random_assignment(config.L, config.K, substream(seed, "init")))
+                    assignment=random_assignment(config.L, config.K, substream(seed, "init")),
+                    pairwise=pairwise)

@@ -103,28 +103,55 @@ def drop_users(
 ) -> UserDrop:
     """Drop K users uniformly in each cell, outside the exclusion disk.
 
-    Rejection sampling from the bounding square of each hexagon; raises if
-    a user cannot be placed within max_attempts draws (only possible with
-    an exclusion disk nearly as large as the cell).
+    Rejection sampling from the bounding square of each hexagon, cell by
+    cell and user by user: each user takes `rng.uniform(-R, R, size=2)`
+    draws until one lands in the hexagon and outside the exclusion disk,
+    and a user that meets max_attempts consecutive rejections raises (only
+    possible with an exclusion disk nearly as large as the cell).
+
+    The candidates are drawn and tested in blocks: the generator's state is
+    saved, a block is drawn and tested in one batch, then the state is
+    restored and exactly the candidates that the per-draw loop consumes are
+    drawn again. So the positions and the generator's state afterwards are
+    those of the per-draw loop. A block starts at 2K + 8 candidates (the
+    hexagon covers 65% of its bounding square) and doubles on a shortfall.
     """
     L = layout.L
     R = layout.R
     positions = np.zeros((L, K, 2))
     for cell in range(L):
         center = layout.bs_positions[cell]
-        for k in range(K):
-            for _ in range(max_attempts):
-                p = center + rng.uniform(-R, R, size=2)
-                if not in_hexagon(p, center, R):
-                    continue
-                if np.hypot(*(p - center)) <= exclusion_radius:
-                    continue
-                positions[cell, k] = p
-                break
+        placed = 0
+        misses = 0  # rejections of the user being placed, from earlier blocks
+        n = 2 * K + 8
+        while placed < K:
+            state = rng.bit_generator.state
+            p = center + rng.uniform(-R, R, size=(n, 2))
+            rel = p - center
+            ok = in_hexagon(p, center, R) & (np.hypot(rel[:, 0], rel[:, 1]) > exclusion_radius)
+            hits = np.flatnonzero(ok)[:K - placed]
+            # first block index of each user's draws, and its rejections in
+            # this block; the last user is still unplaced unless all K are in
+            starts = np.append(-misses, hits + 1)
+            rejects = np.append(hits, n) - starts
+            done = placed + hits.size == K
+            failed = np.flatnonzero((rejects[:-1] if done else rejects) >= max_attempts)
+            if failed.size:
+                used = max(starts[failed[0]] + max_attempts, 0)
             else:
+                used = hits[-1] + 1 if done else n
+            if used < n:
+                rng.bit_generator.state = state
+                rng.uniform(-R, R, size=(used, 2))
+            if failed.size:
                 raise RuntimeError(
-                    f"could not place user {k} in cell {cell} after {max_attempts} draws"
+                    f"could not place user {placed + failed[0]} in cell {cell} "
+                    f"after {max_attempts} draws"
                 )
+            positions[cell, placed:placed + hits.size] = p[hits]
+            placed += hits.size
+            misses = rejects[-1]
+            n *= 2
     return UserDrop(positions=positions)
 
 
@@ -192,6 +219,14 @@ class ScenarioBundle:
 
     @classmethod
     def build(cls, config: SystemConfig, layout: CellLayout, drop: UserDrop) -> "ScenarioBundle":
+        """Gains and angular supports of every link of one drop.
+
+        One broadcast over [BS j, cell l, user k] gives, link for link, the
+        values of `large_scale` and `aoa_interval` (with config.clamp_aoa).
+        Raises aoa_interval's ValueError, naming the link, for the first
+        link in (j, l, k) order whose user sits on the BS or, without
+        clamp_aoa, inside its own scattering ring.
+        """
         L, K = drop.shape
         if L != layout.L:
             raise ConfigError("drop and layout disagree on the number of cells")
@@ -199,21 +234,25 @@ class ScenarioBundle:
             raise ConfigError(
                 f"drop shape {L}x{K} disagrees with the configured scenario "
                 f"({config.L} cells x {config.K} users)")
-        gains = np.zeros((L, L, K))
-        centers = np.zeros((L, L, K))
-        half_widths = np.zeros((L, L, K))
-        for j in range(L):
-            bs = layout.bs_positions[j]
-            for l in range(L):
-                for k in range(K):
-                    iv = aoa_interval(
-                        drop.positions[l, k], bs, config.scatter_radius,
-                        clamp=config.clamp_aoa,
-                    )
-                    d = np.hypot(*(drop.positions[l, k] - bs))
-                    gains[j, l, k] = large_scale(d, config)
-                    centers[j, l, k] = iv.center
-                    half_widths[j, l, k] = iv.half_width
+        # delta[j, l, k]: user (l, k) seen from BS j
+        delta = drop.positions[None] - layout.bs_positions[:, None, None]
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = config.scatter_radius / dist
+            half_widths = np.where(ratio >= 1.0, np.pi / 2 - 1e-9, np.arcsin(ratio))
+        bad = dist <= 0
+        if not config.clamp_aoa:
+            bad |= ratio >= 1.0
+        if bad.any():
+            # the scalar oracle words the error of the first offending link
+            j, l, k = np.argwhere(bad)[0]
+            try:
+                aoa_interval(drop.positions[l, k], layout.bs_positions[j],
+                             config.scatter_radius, clamp=config.clamp_aoa)
+            except ValueError as exc:
+                raise ValueError(f"user {k} of cell {l} seen from BS {j}: {exc}") from None
+        centers = np.arctan2(delta[..., 1], delta[..., 0])
+        gains = large_scale(dist, config)
         return cls(config=config, layout=layout, drop=drop, gains=gains,
                    centers=centers, half_widths=half_widths)
 

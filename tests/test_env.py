@@ -1,8 +1,11 @@
 """The swap MDP: thresholds, rewards, state encoding, transitions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import cellpilot.env
 from cellpilot import (
     EnvOptions,
     EnvState,
@@ -12,8 +15,11 @@ from cellpilot import (
     encode_state,
     encoded_size,
     make_env,
+    pairwise_cost_matrix,
+    presets,
     random_assignment,
     reward_components,
+    substream,
     total_costs,
 )
 from cellpilot.env import TRAJECTORY_FIELDS, write_trajectory_csv
@@ -299,6 +305,29 @@ def test_make_env_deterministic():
     assert (a.thresholds.g1, a.thresholds.g2) == (b.thresholds.g1, b.thresholds.g2)
     assert a.assignment == b.assignment
     assert np.array_equal(a.encode(), b.encode())
+
+
+@pytest.mark.parametrize("redraw", ["smallscale", "positions"])
+def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
+    full = presets()["full"]
+    opts = dataclasses.replace(full.env, redraw=redraw)
+    worlds = []
+
+    def counting(world):
+        worlds.append(world)
+        return pairwise_cost_matrix(world)
+
+    monkeypatch.setattr(cellpilot.env, "pairwise_cost_matrix", counting)
+    env = make_env(full.config, opts, 5)
+    assert sum(w is env.world for w in worlds) == 1
+    # the calibration of "positions" scores a fresh world per sample
+    per_sample = opts.threshold_samples if redraw == "positions" else 0
+    assert len(worlds) == 1 + per_sample
+    monkeypatch.undo()
+    assert np.array_equal(env.pairwise, pairwise_cost_matrix(env.world))
+    th = calibrate_thresholds(full.config, opts, substream(5, "thresholds"),
+                              world=env.world)
+    assert (env.thresholds.g1, env.thresholds.g2) == (th.g1, th.g2)
 
 
 def test_encode_matches_free_function():

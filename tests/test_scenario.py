@@ -92,6 +92,78 @@ def test_drop_users_symmetric_mean():
     assert np.hypot(*mean) < 0.02 * 500.0
 
 
+def _reference_drop(layout, K, exclusion_radius, rng, max_attempts=10000):
+    """The per-draw rejection loop that drop_users batches: the oracle."""
+    L = layout.L
+    R = layout.R
+    positions = np.zeros((L, K, 2))
+    for cell in range(L):
+        center = layout.bs_positions[cell]
+        for k in range(K):
+            for _ in range(max_attempts):
+                p = center + rng.uniform(-R, R, size=2)
+                if not in_hexagon(p, center, R):
+                    continue
+                if np.hypot(*(p - center)) <= exclusion_radius:
+                    continue
+                positions[cell, k] = p
+                break
+            else:
+                raise RuntimeError(
+                    f"could not place user {k} in cell {cell} after {max_attempts} draws"
+                )
+    return positions
+
+
+# (L, K, exclusion radius): the near-hexagon disk accepts about 7% of the
+# square, so a block runs short and doubles, often more than once
+_DROP_SETTINGS = ((1, 1, 0.0), (3, 3, 150.0), (7, 4, 50.0), (2, 5, 430.0), (4, 2, 300.0))
+
+
+def test_drop_users_matches_per_draw_loop():
+    for seed in range(2000):
+        L, K, excl = _DROP_SETTINGS[seed % len(_DROP_SETTINGS)]
+        layout = build_layout(L, 500.0)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_drop(layout, K, excl, ref_rng)
+        got = drop_users(layout, K, excl, rng)
+        assert np.array_equal(got.positions, expected), (seed, L, K, excl)
+        # the stream continues where the per-draw loop leaves it
+        assert rng.random() == ref_rng.random(), (seed, L, K, excl)
+
+
+def test_drop_users_matches_per_draw_loop_many_users():
+    layout = build_layout(2, 500.0)
+    for seed in range(3):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_drop(layout, 10000, 50.0, ref_rng)
+        assert np.array_equal(drop_users(layout, 10000, 50.0, rng).positions, expected)
+        assert rng.random() == ref_rng.random()
+
+
+def test_drop_users_attempt_cap_matches_per_draw_loop():
+    # caps of 20 and 60 also fail users whose misses span two blocks
+    outcomes = set()
+    for seed in range(600):
+        max_attempts = (1, 2, 3, 20, 60)[seed // 5 % 5]
+        L, K, excl = _DROP_SETTINGS[seed % len(_DROP_SETTINGS)]
+        layout = build_layout(L, 500.0)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = _reference_drop(layout, K, excl, ref_rng, max_attempts)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as got:
+                drop_users(layout, K, excl, rng, max_attempts)
+            assert str(got.value) == str(exc)
+            outcomes.add("raise")
+        else:
+            got = drop_users(layout, K, excl, rng, max_attempts)
+            assert np.array_equal(got.positions, expected)
+            outcomes.add("placed")
+        assert rng.random() == ref_rng.random(), seed
+    assert outcomes == {"raise", "placed"}
+
+
 def test_drop_users_impossible_exclusion():
     layout = build_layout(1, 500.0)
     with pytest.raises(RuntimeError):
@@ -176,6 +248,98 @@ def test_bundle_matches_direct_recompute():
                 got = world.interval(j, l, k)
                 assert got.center == world.centers[j, l, k]
                 assert got.half_width == world.half_widths[j, l, k]
+
+
+def _reference_build(config, layout, drop):
+    """The per-link loop that ScenarioBundle.build broadcasts: the oracle."""
+    L, K = drop.shape
+    gains = np.zeros((L, L, K))
+    centers = np.zeros((L, L, K))
+    half_widths = np.zeros((L, L, K))
+    for j in range(L):
+        bs = layout.bs_positions[j]
+        for l in range(L):
+            for k in range(K):
+                iv = aoa_interval(
+                    drop.positions[l, k], bs, config.scatter_radius,
+                    clamp=config.clamp_aoa,
+                )
+                d = np.hypot(*(drop.positions[l, k] - bs))
+                gains[j, l, k] = large_scale(d, config)
+                centers[j, l, k] = iv.center
+                half_widths[j, l, k] = iv.half_width
+    return gains, centers, half_widths
+
+
+def _random_drop(rng, L, K, config, inside_ring):
+    layout = build_layout(L, config.R)
+    drop = drop_users(layout, K, config.exclusion_radius, rng)
+    if inside_ring:
+        # pull some users inside their own BS's scattering ring, one of
+        # them onto the ring itself (distance == radius, ratio exactly 1)
+        for l, k in zip(rng.integers(0, L, size=K), rng.integers(0, K, size=K)):
+            r = rng.uniform(0.05, 1.0) * config.scatter_radius
+            theta = rng.uniform(-np.pi, np.pi)
+            drop.positions[l, k] = layout.bs_positions[l] + r * np.array(
+                [np.cos(theta), np.sin(theta)])
+        drop.positions[0, 0] = layout.bs_positions[0] + [config.scatter_radius, 0.0]
+    return layout, drop
+
+
+def test_bundle_matches_per_link_reference():
+    rng = np.random.default_rng(2024)
+    saturated = 0
+    for i in range(240):
+        L, K = 1 + i % 7, 1 + (i // 7) % 5
+        clamp = i % 3 == 0
+        cfg = SystemConfig(L=L, K=K, M=16, clamp_aoa=clamp,
+                           eta=rng.uniform(2.0, 4.0),
+                           scatter_radius=rng.uniform(5.0, 100.0),
+                           exclusion_radius=rng.uniform(100.0, 300.0))
+        layout, drop = _random_drop(rng, L, K, cfg, inside_ring=clamp)
+        world = ScenarioBundle.build(cfg, layout, drop)
+        gains, centers, half_widths = _reference_build(cfg, layout, drop)
+        assert np.array_equal(world.gains, gains)
+        assert np.array_equal(world.centers, centers)
+        assert np.array_equal(world.half_widths, half_widths)
+        saturated += int((half_widths == np.pi / 2 - 1e-9).sum())
+    assert saturated > 80
+
+
+def _first_link_error(cfg, layout, drop):
+    L, K = drop.shape
+    for j in range(L):
+        for l in range(L):
+            for k in range(K):
+                try:
+                    aoa_interval(drop.positions[l, k], layout.bs_positions[j],
+                                 cfg.scatter_radius, clamp=cfg.clamp_aoa)
+                except ValueError as exc:
+                    return f"user {k} of cell {l} seen from BS {j}: {exc}"
+    raise AssertionError("no link raises")
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_bundle_user_on_bs_raises(clamp):
+    cfg = small_config(L=3, K=2, clamp_aoa=clamp)
+    layout, drop = _random_drop(np.random.default_rng(1), 3, 2, cfg, inside_ring=False)
+    drop.positions[2, 1] = layout.bs_positions[1]
+    drop.positions[1, 0] = layout.bs_positions[2]
+    with pytest.raises(ValueError, match="coincide") as got:
+        ScenarioBundle.build(cfg, layout, drop)
+    # BS 1 sees user 1 of cell 2 before BS 2 sees user 0 of cell 1
+    assert str(got.value) == _first_link_error(cfg, layout, drop)
+    assert str(got.value).startswith("user 1 of cell 2 seen from BS 1: ")
+
+
+def test_bundle_user_inside_scatter_ring_raises():
+    rng = np.random.default_rng(7)
+    for i in range(30):
+        cfg = small_config(L=1 + i % 7, K=1 + i % 5, scatter_radius=60.0)
+        layout, drop = _random_drop(rng, cfg.L, cfg.K, cfg, inside_ring=True)
+        with pytest.raises(ValueError, match="scatter radius") as got:
+            ScenarioBundle.build(cfg, layout, drop)
+        assert str(got.value) == _first_link_error(cfg, layout, drop)
 
 
 def test_bundle_shape_mismatch():
