@@ -21,11 +21,11 @@ class PilotAssignment:
 
     def __post_init__(self):
         self.pilot_to_user = np.asarray(self.pilot_to_user, dtype=int)
-        L, K = self.pilot_to_user.shape
-        ref = np.arange(K)
-        for l in range(L):
-            if not np.array_equal(np.sort(self.pilot_to_user[l]), ref):
-                raise ValueError(f"row {l} is not a permutation of 0..{K - 1}")
+        _, K = self.pilot_to_user.shape
+        bad = np.flatnonzero(
+            (np.sort(self.pilot_to_user, axis=1) != np.arange(K)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} is not a permutation of 0..{K - 1}")
 
     @property
     def shape(self):

@@ -12,6 +12,9 @@ from .config import ConfigError, SystemConfig
 # Bearings from a cell center to its six neighbours, radians.
 _NEIGHBOR_BEARINGS = np.deg2rad(30.0 + 60.0 * np.arange(6))
 
+# Unit normals of the hexagon's three pairs of opposite sides, for in_hexagon.
+_HEX_AXES = tuple(np.array([np.cos(t), np.sin(t)]) for t in _NEIGHBOR_BEARINGS[:3])
+
 
 @dataclass
 class CellLayout:
@@ -88,8 +91,7 @@ def in_hexagon(points: np.ndarray, center: np.ndarray, R: float) -> np.ndarray:
     rel = np.atleast_2d(points) - center
     apothem = np.sqrt(3.0) / 2.0 * R
     ok = np.ones(rel.shape[0], dtype=bool)
-    for theta in _NEIGHBOR_BEARINGS[:3]:
-        axis = np.array([np.cos(theta), np.sin(theta)])
+    for axis in _HEX_AXES:
         ok &= np.abs(rel @ axis) <= apothem + 1e-12
     return ok if points.ndim > 1 else ok[0]
 

@@ -31,6 +31,12 @@ def test_assignment_validates_permutations():
         PilotAssignment(np.array([[0, 2], [1, 0]]))
 
 
+def test_assignment_error_names_first_bad_row():
+    bad = np.array([[2, 0, 1], [0, 0, 1], [1, 2, 0], [0, 1, 3]])
+    with pytest.raises(ValueError, match=r"^row 1 is not a permutation of 0\.\.2$"):
+        PilotAssignment(bad)
+
+
 def test_user_to_pilot_is_inverse():
     a = PilotAssignment(np.array([[2, 0, 1], [1, 2, 0]]))
     u2p = a.user_to_pilot()

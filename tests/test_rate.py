@@ -1,14 +1,21 @@
 """Uplink rate benchmark: moving average, SINR scaling, contamination effects."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cellpilot
 from cellpilot import (
     RateOptions,
     covariance,
     extended_user_costs,
     min_rate,
     moving_average,
+    rate,
 )
 from cellpilot.rate import _draw_channels
 from conftest import make_world, small_config
@@ -64,6 +71,90 @@ def test_complex_normal_draws_match_covariance():
             R = covariance(world.interval(j, l, 0), 1.0, cfg.M, cfg.spacing)
             err = np.linalg.norm(acc[j, l, 0] / n - R) / np.linalg.norm(R)
             assert err < 0.02
+
+
+def _reference_draw_channels(bundle, P, rng, n_mc, gains):
+    """_draw_channels as one exp per (path, antenna) and an einsum over paths.
+
+    The same draws in the same order; the phase tensor is built one
+    realization at a time only to bound its memory.
+    """
+    cfg = bundle.config
+    L, K = bundle.drop.shape
+    M = cfg.M
+    lows = (bundle.centers - bundle.half_widths)[..., None]
+    widths = (2.0 * bundle.half_widths)[..., None]
+    omegas = lows + widths * rng.random((n_mc, L, L, K, P))
+    if cfg.path_gain == "phase":
+        alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
+    else:
+        re_im = rng.standard_normal((2, n_mc, L, L, K, P))
+        alphas = (re_im[0] + 1j * re_im[1]) / np.sqrt(2.0)
+    g = np.stack([
+        np.einsum("jlkp,jlkpm->jlkm", a, np.exp(
+            -2j * np.pi * cfg.spacing * np.cos(o)[..., None] * np.arange(M)))
+        for o, a in zip(omegas, alphas)])
+    scale = np.sqrt(gains / P)[None, ..., None]
+    return scale * g
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 7, 16, 64, 100, 128])
+def test_draws_match_direct_exponential(M):
+    # power tables against one exp per (path, antenna), non-square M
+    # included (Q*R > M), with the generator left where the reference
+    # leaves it
+    for mode in ("phase", "complex_normal"):
+        for spacing in (0.1, 0.5, 1.0):
+            cfg = small_config(L=2, K=2, M=M, spacing=spacing, path_gain=mode)
+            world = make_world(cfg, seed=M)
+            gains = np.random.default_rng(M).uniform(0.1, 2.0, (2, 2, 2))
+            for P in (1, 25, 50):
+                rng_new, rng_ref = (np.random.default_rng(P + M) for _ in range(2))
+                g = _draw_channels(world, P, rng_new, 3, gains)
+                ref = _reference_draw_channels(world, P, rng_ref, 3, gains)
+                assert g.shape == ref.shape == (3, 2, 2, 2, M)
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert rng_new.random() == rng_ref.random()
+
+
+def test_min_rate_matches_direct_exponential_over_chunks(monkeypatch):
+    # full scale, 110 realizations: draws in chunks of 51, 51 and 8
+    cfg = small_config(L=7, K=4, M=100)
+    world = make_world(cfg, seed=5)
+    u2p = np.array([[0, 1, 2, 3]] * 7)
+    opts = RateOptions(n_mc=110, paths=50)
+    new = min_rate(world, u2p, 4, np.random.default_rng(9), opts).rates
+    monkeypatch.setattr(rate, "_draw_channels", _reference_draw_channels)
+    ref = min_rate(world, u2p, 4, np.random.default_rng(9), opts).rates
+    assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_RATES_SCRIPT = """
+import sys
+import numpy as np
+sys.path[:0] = sys.argv[1:]
+from cellpilot import RateOptions, min_rate
+from conftest import make_world, small_config
+world = make_world(small_config(L=3, K=3, M=64), seed=2)
+rep = min_rate(world, np.array([[0, 1, 2]] * 3), 3, np.random.default_rng(4),
+               RateOptions(n_mc=20, paths=50))
+print(rep.rates.tobytes().hex())
+"""
+
+
+def test_rates_independent_of_blas_threads():
+    # the stacked matmul and the combining must not depend on how many
+    # threads OpenBLAS splits them over
+    paths = [str(Path(cellpilot.__file__).parents[1]), str(Path(__file__).parent)]
+    out = {}
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out[threads] = subprocess.run(
+            [sys.executable, "-c", _RATES_SCRIPT, *paths], env=env,
+            capture_output=True, text=True, check=True, timeout=300).stdout
+    assert out[None] and out[None] == out["1"]
 
 
 def test_draws_follow_path_gain_mode():

@@ -63,6 +63,26 @@ def test_hexagon_membership():
     assert in_hexagon(center, center, R)
 
 
+def test_hexagon_membership_on_the_boundary():
+    # projections onto axes rebuilt per call, as the reference: points on
+    # the edges (vertices and their midpoints, scaled by 1 -+ 1e-15) sit
+    # within round-off of the apothem, where any change to them shows
+    center = np.array([10.0, -5.0])
+    R = 200.0
+    verts = hexagon_vertices(center, R)
+    edge = np.concatenate([verts, 0.5 * (verts + np.roll(verts, 1, axis=0))])
+    pts = np.concatenate([center + s * (edge - center)
+                          for s in np.linspace(1 - 1e-15, 1 + 1e-15, 9)])
+    pts = np.concatenate([pts, np.random.default_rng(0).uniform(-400, 400, (500, 2))])
+    rel = pts - center
+    ref = np.ones(len(pts), dtype=bool)
+    for theta in np.deg2rad([30.0, 90.0, 150.0]):
+        axis = np.array([np.cos(theta), np.sin(theta)])
+        ref &= np.abs(rel @ axis) <= np.sqrt(3.0) / 2.0 * R + 1e-12
+    assert np.array_equal(in_hexagon(pts, center, R), ref)
+    assert 0 < ref.sum() < len(pts)
+
+
 # ------------------------------------------------------------- user drops
 
 def test_drop_users_deterministic():
