@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# Kept in sync with pyproject.toml; recorded in run manifests and checkpoints.
+# Equal to [project].version in pyproject.toml (a test checks it); recorded
+# in run manifests and checkpoints.
 PACKAGE_VERSION = "0.1.0"
 
 
@@ -45,7 +46,6 @@ class SystemConfig:
     # behaviour switches not fixed by the model itself
     clamp_aoa: bool = False       # clamp degenerate AoA half-widths instead of raising
     path_gain: str = "phase"      # per-path amplitude: "phase" or "complex_normal"
-    paths: int = 200              # scattering paths per channel realization
 
     def __post_init__(self):
         if self.L < 1 or self.K < 1 or self.M < 1:
@@ -58,8 +58,6 @@ class SystemConfig:
             raise ConfigError("exclusion_radius must lie in [0, R)")
         if self.path_gain not in ("phase", "complex_normal"):
             raise ConfigError("path_gain must be 'phase' or 'complex_normal'")
-        if self.paths < 1:
-            raise ConfigError("paths must be >= 1")
 
     @property
     def cell_edge_snr(self) -> float:
@@ -97,14 +95,14 @@ class TrainingSchedule:
 class EnvOptions:
     """World-evolution and reward-threshold options."""
 
-    redraw: str = "positions"     # "none" | "smallscale" | "positions"
+    redraw: str = "positions"     # "smallscale" | "positions"
     threshold_samples: int = 200  # random assignments used for calibration
     q_low: float = 0.3            # quantile for the lower reward threshold
     q_high: float = 0.7           # quantile for the upper reward threshold
 
     def __post_init__(self):
-        if self.redraw not in ("none", "smallscale", "positions"):
-            raise ConfigError("redraw must be one of none|smallscale|positions")
+        if self.redraw not in ("smallscale", "positions"):
+            raise ConfigError("redraw must be smallscale or positions")
         if not 0 < self.q_low < self.q_high < 1:
             raise ConfigError("need 0 < q_low < q_high < 1")
         if self.threshold_samples < 2:
@@ -119,12 +117,12 @@ class RateOptions:
     pilot_snr_db: float | None = None  # defaults to gamma_snr_db
     eval_every: int = 10          # steps between rate evaluations in a run
     ergodic: bool = True          # mean log2(1+SINR); False: log2(1+mean SINR)
-    paths: int | None = None      # scattering paths per draw; None: scenario value
+    paths: int = 200              # scattering paths per channel draw
 
     def __post_init__(self):
         if self.n_mc < 1 or self.eval_every < 1:
             raise ConfigError("n_mc and eval_every must be >= 1")
-        if self.paths is not None and self.paths < 1:
+        if self.paths < 1:
             raise ConfigError("paths must be >= 1")
 
 
@@ -174,7 +172,7 @@ def load_config_overrides(path: str) -> dict:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             hint = known[key]
-            if hint in ("int", "int | None"):
+            if hint == "int":
                 kwargs[key] = _coerce(raw, int)
             elif hint in ("float", "float | None"):
                 kwargs[key] = _coerce(raw, float)

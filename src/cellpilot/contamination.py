@@ -10,6 +10,7 @@ Two kernels compute every cost: _envelope, one broadcasting trapezoid
 behind approx_gain and pairwise_cost_matrix (all pairs in one pass), and
 _copilot_costs, the sum of that matrix over co-pilot partners behind
 total_costs, extended_user_costs and the batched threshold calibration.
+Its partner mask, _copilot_mask, also picks the rate benchmark's co-users.
 """
 
 from __future__ import annotations
@@ -250,6 +251,15 @@ def pairwise_cost_matrix(bundle: ScenarioBundle) -> np.ndarray:
     return C
 
 
+def _copilot_mask(user_to_pilot: np.ndarray) -> np.ndarray:
+    """[..., j, a, l, b]: user b of cell l != j is on user (j, a)'s pilot."""
+    L = user_to_pilot.shape[-2]
+    shared = (user_to_pilot[..., :, :, None, None]
+              == user_to_pilot[..., None, None, :, :])
+    shared &= ~np.eye(L, dtype=bool)[:, None, :, None]
+    return shared
+
+
 def _copilot_costs(C: np.ndarray, user_to_pilot: np.ndarray):
     """Every user's cost from the users on its pilot in the other cells.
 
@@ -259,11 +269,7 @@ def _copilot_costs(C: np.ndarray, user_to_pilot: np.ndarray):
     costs[..., j, a] adds split over l in increasing cell order (numpy sums
     fewer than 8 terms one by one).
     """
-    L = user_to_pilot.shape[-2]
-    shared = (user_to_pilot[..., :, :, None, None]
-              == user_to_pilot[..., None, None, :, :])
-    shared &= ~np.eye(L, dtype=bool)[:, None, :, None]
-    split = np.where(shared, C, 0.0).sum(axis=-1)
+    split = np.where(_copilot_mask(user_to_pilot), C, 0.0).sum(axis=-1)
     return split, split.sum(axis=-1)
 
 

@@ -220,7 +220,7 @@ class PilotEnv:
             self.world = ScenarioBundle.build(self.config, self.layout, drop)
             self.pairwise = pairwise_cost_matrix(self.world)
         # "smallscale" keeps the geometry: only per-step channel draws differ,
-        # which the rate benchmark realizes from its own streams. "none" is static.
+        # which the rate benchmark realizes from its own streams.
         self.world_digests.append(self.world.digest())
 
     def step(self, action: int) -> StepOutcome:

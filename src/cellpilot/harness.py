@@ -134,12 +134,9 @@ class MethodResult:
     final_cost: float = float("nan")
 
 
-def _rate_eval(world, user_to_pilot, n_pilots, master_seed, step, rate_opts,
-               overhead_factor):
+def _rate_eval(world, user_to_pilot, n_pilots, master_seed, step, rate_opts):
     rng = substream(master_seed, "rate", step)
-    report = min_rate(world, user_to_pilot, n_pilots, rng,
-                      options=rate_opts, overhead_factor=overhead_factor)
-    return report.min_rate
+    return min_rate(world, user_to_pilot, n_pilots, rng, options=rate_opts).min_rate
 
 
 def _run_drl(preset: ExperimentPreset, master_seed: int) -> MethodResult:
@@ -151,7 +148,7 @@ def _run_drl(preset: ExperimentPreset, master_seed: int) -> MethodResult:
     def callback(t, env_):
         if t in eval_at:
             mr = _rate_eval(env_.world, env_.assignment.user_to_pilot(), cfg.K,
-                            master_seed, t, preset.rate, 1.0)
+                            master_seed, t, preset.rate)
             out.rate_rows.append((t, mr, 1.0))
 
     result = train(env, preset.schedule, preset.total_steps, master_seed,
@@ -192,8 +189,7 @@ def _run_baseline(name: str, preset: ExperimentPreset, master_seed: int,
         out.cost_rows.append((t, g_max))
         if t in eval_at:
             overhead = n_pilots / cfg.K
-            mr = _rate_eval(world, u2p, n_pilots, master_seed, t,
-                            preset.rate, overhead)
+            mr = _rate_eval(world, u2p, n_pilots, master_seed, t, preset.rate)
             out.rate_rows.append((t, mr, overhead))
 
     out.world_digest = _digest_chain(digests)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import covariance
-from .config import RateOptions, SystemConfig
+from .config import RateOptions
+from .contamination import _copilot_mask
 from .scenario import ScenarioBundle
 
 
@@ -18,9 +19,13 @@ class RateReport:
 
     rates: np.ndarray       # (L, K) per-user ergodic rate, bits/s/Hz
     min_rate: float
-    cell_min: np.ndarray    # (L,)
     n_mc: int
-    overhead_factor: float  # pilot block length relative to the K baseline
+
+
+# path-antenna products per _draw_channels call in min_rate. Each chunk draws
+# its angles, amplitudes and noise in turn, so this budget fixes which draws
+# land in which realization: changing it changes every rate.
+_DRAW_BUDGET = 5e7
 
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -97,7 +102,6 @@ def min_rate(
     n_pilots: int,
     rng: np.random.Generator,
     options: RateOptions | None = None,
-    overhead_factor: float = 1.0,
 ) -> RateReport:
     """Worst ergodic uplink rate under pilot-contaminated channel estimation.
 
@@ -112,37 +116,37 @@ def min_rate(
     remaining streams separated) plus noise. Rates are log2(1+SINR)
     averaged over realizations (or log of the mean SINR with
     ergodic=False); the report carries the minimum over all users.
+
+    One stacked pass, laid out (L, K, n, M), serves all users: one matmul
+    applies the filters, one einsum gives the numerators. A denominator is
+    the noise term plus, per interfering cell in increasing order, the term
+    of that cell's first user on the same pilot (masked where it has none),
+    so every sum rounds as a per-user loop over the co-users would.
     """
     options = options or RateOptions()
     cfg = bundle.config
     L, K = bundle.drop.shape
     pilot_snr = (10.0 ** (options.pilot_snr_db / 10.0)
                  if options.pilot_snr_db is not None else cfg.cell_edge_snr)
-    P = options.paths if options.paths is not None else cfg.paths
+    P = options.paths
     noise_var = 1.0 / pilot_snr
 
     # power control: normalize each user by its serving-BS gain
     serving = np.einsum("llu->lu", bundle.gains)             # (L, K)
     geff = bundle.gains / serving[None, :, :]                # (L, L, K)
-    # spatial filter per served user: unit-gain covariance of its own link
-    filt = np.empty((L, K, cfg.M, cfg.M), dtype=complex)
-    for j in range(L):
-        for k in range(K):
-            filt[j, k] = covariance(bundle.interval(j, j, k), 1.0,
-                                    cfg.M, cfg.spacing)
+    # spatial filter per served user: unit-gain covariance of its own link,
+    # transposed to right-multiply the (n, M) estimates
+    filt = np.stack([covariance(bundle.interval(j, j, k), 1.0, cfg.M, cfg.spacing)
+                     for j in range(L) for k in range(K)])
+    filt = filt.reshape(L, K, cfg.M, cfg.M).swapaxes(-1, -2)
     pilot_of = np.asarray(user_to_pilot)
-    cousers = [[[(l, int(np.flatnonzero(pilot_of[l] == pilot_of[j, k])[0]))
-                 for l in range(L)
-                 if l != j and np.any(pilot_of[l] == pilot_of[j, k])]
-                for k in range(K)] for j in range(L)]
+    cells = np.arange(L)
+    # co-user of (j, k) in cell l: the first user of l on its pilot, if any
+    shared = _copilot_mask(pilot_of)                          # (L, K, L, K)
+    has_couser, couser = shared.any(axis=-1), shared.argmax(axis=-1)
 
-    rates = np.zeros((L, K))
-    sinr_acc = np.zeros((L, K))
-    # realizations per _draw_channels call, a budget of 5e7 path-antenna
-    # products. Each chunk draws its angles, amplitudes and noise in turn,
-    # so this formula fixes which random numbers land in which
-    # realization: changing it changes every rate.
-    chunk = max(1, min(options.n_mc, int(5e7 // (L * L * K * P * cfg.M))))
+    acc = np.zeros((L, K))
+    chunk = max(1, min(options.n_mc, int(_DRAW_BUDGET // (L * L * K * P * cfg.M))))
     done = 0
     while done < options.n_mc:
         n = min(chunk, options.n_mc - done)
@@ -150,33 +154,25 @@ def min_rate(
         noise = (rng.standard_normal((n, L, n_pilots, cfg.M))
                  + 1j * rng.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
         est = np.sqrt(noise_var) * noise
+        # est[:, j, p] gains g[:, j, l, k] for each user (l, k) on pilot p, in
+        # (l, k) order: np.add.at is unbuffered, flat indices its fast path
+        flat = est.reshape(-1)
+        rows = np.arange(n * L)[:, None, None] * n_pilots * cfg.M + np.arange(cfg.M)
         for l in range(L):
-            for k in range(K):
-                est[:, :, pilot_of[l, k]] += g[:, :, l, k]
-        for j in range(L):
-            for k in range(K):
-                y = est[:, j, pilot_of[j, k]]        # (n, M)
-                v = y @ filt[j, k].T
-                own = g[:, j, j, k]
-                num = np.abs(np.einsum("nm,nm->n", v.conj(), own)) ** 2
-                den = noise_var * (np.abs(v) ** 2).sum(axis=1)
-                for l, u in cousers[j][k]:
-                    den = den + np.abs(
-                        np.einsum("nm,nm->n", v.conj(), g[:, j, l, u])) ** 2
-                sinr = num / den
-                if options.ergodic:
-                    rates[j, k] += np.log2(1.0 + sinr).sum()
-                else:
-                    sinr_acc[j, k] += sinr.sum()
+            at = rows + pilot_of[l][:, None] * cfg.M  # (n * L, K, M)
+            np.add.at(flat, at.ravel(), g[:, :, l].ravel())
+        v = np.moveaxis(est[:, cells[:, None], pilot_of], 0, 2) @ filt  # (L, K, n, M)
+        vc = v.conj()
+        own = np.moveaxis(g[:, cells, cells], 0, 2)
+        num = np.abs(np.einsum("...m,...m->...", vc, own)) ** 2
+        den = noise_var * (np.abs(v) ** 2).sum(axis=-1)
+        for l in range(L):
+            co = np.moveaxis(g[:, cells[:, None], l, couser[:, :, l]], 0, 2)
+            cross = np.abs(np.einsum("...m,...m->...", vc, co)) ** 2
+            den = den + np.where(has_couser[:, :, l, None], cross, 0.0)
+        sinr = num / den
+        acc += (np.log2(1.0 + sinr) if options.ergodic else sinr).sum(axis=-1)
         done += n
-    if options.ergodic:
-        rates /= options.n_mc
-    else:
-        rates = np.log2(1.0 + sinr_acc / options.n_mc)
-    return RateReport(
-        rates=rates,
-        min_rate=float(rates.min()),
-        cell_min=rates.min(axis=1),
-        n_mc=options.n_mc,
-        overhead_factor=overhead_factor,
-    )
+    rates = (acc / options.n_mc if options.ergodic
+             else np.log2(1.0 + acc / options.n_mc))
+    return RateReport(rates=rates, min_rate=float(rates.min()), n_mc=options.n_mc)

@@ -1,9 +1,13 @@
 """Configuration dataclasses, INI ingestion, and seed substreams."""
 
+import tomllib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cellpilot import (
+    PACKAGE_VERSION,
     ConfigError,
     EnvOptions,
     RateOptions,
@@ -34,7 +38,7 @@ def test_cell_edge_snr_linear():
     dict(eta=-1.0), dict(R=0.0), dict(sigma2=0.0), dict(spacing=0.0),
     dict(scatter_radius=0.0),
     dict(exclusion_radius=-1.0), dict(exclusion_radius=500.0),
-    dict(path_gain="rayleigh"), dict(paths=0),
+    dict(path_gain="rayleigh"),
 ])
 def test_system_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -54,7 +58,7 @@ def test_training_schedule_rejects(kw):
 @pytest.mark.parametrize("kw", [
     dict(redraw="always"),
     dict(q_low=0.0), dict(q_high=1.0), dict(q_low=0.7, q_high=0.3),
-    dict(threshold_samples=1),
+    dict(threshold_samples=1), dict(redraw="none"),
 ])
 def test_env_options_rejects(kw):
     with pytest.raises(ConfigError):
@@ -82,7 +86,7 @@ batch_size = 50
 replay_capacity = 100
 
 [env]
-redraw = none
+redraw = smallscale
 q_low = 0.1
 q_high = 0.5
 
@@ -102,7 +106,7 @@ def test_load_config_file_round_trip(tmp_path):
     assert cfg.clamp_aoa is True and cfg.path_gain == "complex_normal"
     assert cfg.eta == 2.5  # untouched fields keep their defaults
     assert opts["training"].eps_decay == 0.999
-    assert opts["env"].redraw == "none"
+    assert opts["env"].redraw == "smallscale"
     assert opts["rate"].n_mc == 7
     assert opts["rate"].pilot_snr_db == 10.0
     assert opts["rate"].ergodic is False
@@ -120,6 +124,7 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "[scenario]\nnot_a_key = 1\n",
     "[scenario]\nL = not_an_int\n",
     "[scenario]\nclamp_aoa = maybe\n",
+    "[scenario]\npaths = 50\n",
 ])
 def test_load_config_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.ini"
@@ -138,6 +143,12 @@ def test_config_file_values_reach_validation(tmp_path):
     path.write_text("[scenario]\nL = 0\n")
     with pytest.raises(ConfigError):
         load_config_file(str(path))
+
+
+def test_package_version_matches_pyproject():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == PACKAGE_VERSION
 
 
 def test_substream_deterministic_and_labelled():

@@ -348,7 +348,7 @@ def test_copilot_costs_ignore_own_cell_entries():
 
 # ------------------------------------------------------------- calibration
 
-@pytest.mark.parametrize("redraw", ["none", "positions"])
+@pytest.mark.parametrize("redraw", ["smallscale", "positions"])
 def test_calibration_matches_per_sample_loop(redraw):
     cfg = SystemConfig(L=3, K=3, M=32, scatter_radius=30.0, exclusion_radius=100.0)
     opts = EnvOptions(redraw=redraw, threshold_samples=60, q_low=0.2, q_high=0.7)

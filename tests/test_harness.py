@@ -134,7 +134,7 @@ def test_method_failure_is_isolated(tmp_path):
         name="gated",
         config=SystemConfig(L=7, K=4, M=8),
         schedule=TrainingSchedule(),
-        env=EnvOptions(redraw="none", threshold_samples=5),
+        env=EnvOptions(redraw="smallscale", threshold_samples=5),
         rate=RateOptions(n_mc=1, eval_every=10, paths=5),
         methods=("random", "exhaustive"),
         total_steps=3,

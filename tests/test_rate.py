@@ -15,7 +15,9 @@ from cellpilot import (
     extended_user_costs,
     min_rate,
     moving_average,
+    random_assignment,
     rate,
+    spr_like_assignment,
 )
 from cellpilot.rate import _draw_channels
 from conftest import make_world, small_config
@@ -180,13 +182,11 @@ def test_report_invariants():
     bundle = make_world(small_config(L=2, K=2, M=16), seed=0)
     rep = min_rate(bundle, _identity_pilots(2, 2), 2,
                    np.random.default_rng(0),
-                   RateOptions(n_mc=5, paths=10), overhead_factor=2.5)
+                   RateOptions(n_mc=5, paths=10))
     assert rep.rates.shape == (2, 2)
     assert np.all(np.isfinite(rep.rates)) and np.all(rep.rates > 0)
     assert rep.min_rate == rep.rates.min()
-    assert np.array_equal(rep.cell_min, rep.rates.min(axis=1))
     assert rep.n_mc == 5
-    assert rep.overhead_factor == 2.5
 
 
 def test_rate_determinism():
@@ -195,6 +195,107 @@ def test_rate_determinism():
                         np.random.default_rng(42), RateOptions(n_mc=8, paths=10))
                for _ in range(2)]
     assert np.array_equal(reports[0].rates, reports[1].rates)
+
+
+# -------------------------------------- rate: stacked pass against the loop
+
+def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options):
+    """min_rate's rates as a per-user loop over filters, estimates and SINRs.
+
+    The same draws in the same chunks, from rate._draw_channels; each
+    (cell, user) builds its own filter, and its co-users come from a list
+    of (cell, first user of that cell on the same pilot).
+    """
+    cfg = bundle.config
+    L, K = bundle.drop.shape
+    pilot_snr = (10.0 ** (options.pilot_snr_db / 10.0)
+                 if options.pilot_snr_db is not None else cfg.cell_edge_snr)
+    P = options.paths
+    noise_var = 1.0 / pilot_snr
+    serving = np.einsum("llu->lu", bundle.gains)
+    geff = bundle.gains / serving[None, :, :]
+    filt = np.empty((L, K, cfg.M, cfg.M), dtype=complex)
+    for j in range(L):
+        for k in range(K):
+            filt[j, k] = covariance(bundle.interval(j, j, k), 1.0,
+                                    cfg.M, cfg.spacing)
+    pilot_of = np.asarray(user_to_pilot)
+    cousers = [[[(l, int(np.flatnonzero(pilot_of[l] == pilot_of[j, k])[0]))
+                 for l in range(L)
+                 if l != j and np.any(pilot_of[l] == pilot_of[j, k])]
+                for k in range(K)] for j in range(L)]
+    rates = np.zeros((L, K))
+    sinr_acc = np.zeros((L, K))
+    chunk = max(1, min(options.n_mc,
+                       int(rate._DRAW_BUDGET // (L * L * K * P * cfg.M))))
+    done = 0
+    while done < options.n_mc:
+        n = min(chunk, options.n_mc - done)
+        g = rate._draw_channels(bundle, P, rng, n, geff)
+        noise = (rng.standard_normal((n, L, n_pilots, cfg.M))
+                 + 1j * rng.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
+        est = np.sqrt(noise_var) * noise
+        for l in range(L):
+            for k in range(K):
+                est[:, :, pilot_of[l, k]] += g[:, :, l, k]
+        for j in range(L):
+            for k in range(K):
+                v = est[:, j, pilot_of[j, k]] @ filt[j, k].T
+                num = np.abs(np.einsum("nm,nm->n", v.conj(), g[:, j, j, k])) ** 2
+                den = noise_var * (np.abs(v) ** 2).sum(axis=1)
+                for l, u in cousers[j][k]:
+                    den = den + np.abs(
+                        np.einsum("nm,nm->n", v.conj(), g[:, j, l, u])) ** 2
+                sinr = num / den
+                if options.ergodic:
+                    rates[j, k] += np.log2(1.0 + sinr).sum()
+                else:
+                    sinr_acc[j, k] += sinr.sum()
+        done += n
+    if options.ergodic:
+        return rates / options.n_mc
+    return np.log2(1.0 + sinr_acc / options.n_mc)
+
+
+def _assert_matches_loop(monkeypatch, bundle, u2p, n_pilots, opts, chunk=3):
+    # a budget of `chunk` realizations per draw, so n_mc spans several
+    L, K = bundle.drop.shape
+    monkeypatch.setattr(rate, "_DRAW_BUDGET",
+                        chunk * L * L * K * opts.paths * bundle.config.M)
+    new = min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts).rates
+    ref = _reference_min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts)
+    assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("M", [1, 8, 64, 100])
+@pytest.mark.parametrize("K", [1, 3, 4])
+@pytest.mark.parametrize("L", [1, 2, 3, 7])
+def test_stacked_pass_matches_per_user_loop(monkeypatch, L, K, M):
+    # bit for bit, over 7 realizations in chunks of 3, 3 and 1, for the
+    # identity, a random and the spr_like pilot map
+    bundle = make_world(small_config(L=L, K=K, M=M), seed=L * 100 + K * 10 + M)
+    opts = RateOptions(n_mc=7, paths=10)
+    ext, _ = spr_like_assignment(bundle)
+    random_map = random_assignment(L, K, np.random.default_rng(M)).user_to_pilot()
+    for u2p, n_pilots in ((_identity_pilots(L, K), K), (random_map, K),
+                          (ext.user_to_pilot, ext.n_pilots)):
+        _assert_matches_loop(monkeypatch, bundle, u2p, n_pilots, opts)
+
+
+@pytest.mark.parametrize("ergodic", [True, False])
+@pytest.mark.parametrize("u2p, n_pilots", [
+    # pilot 3 only in cell 1, pilot 2 unused there
+    ([[0, 1, 2], [0, 1, 3], [0, 1, 2]], 4),
+    # pilot 0 twice in cell 0 and pilot 2 twice in cell 1
+    ([[0, 0, 1], [1, 2, 2], [0, 1, 2]], 3),
+    # every user on one pilot
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1),
+])
+def test_stacked_pass_matches_loop_on_irregular_maps(monkeypatch, u2p, n_pilots,
+                                                     ergodic):
+    bundle = make_world(small_config(L=3, K=3, M=16), seed=8)
+    opts = RateOptions(n_mc=7, paths=10, ergodic=ergodic)
+    _assert_matches_loop(monkeypatch, bundle, np.array(u2p), n_pilots, opts)
 
 
 # ------------------------------------------------------------ rate: physics
