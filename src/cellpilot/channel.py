@@ -19,11 +19,10 @@ def steering(omega, M: int, spacing: float = 0.5) -> np.ndarray:
     return np.exp(phase)
 
 
-def _midpoints(interval: AoAInterval, n: int) -> tuple[np.ndarray, float]:
-    """Midpoint grid over the angular support and the per-node weight."""
-    width = 2.0 * interval.half_width
+def _midpoints(interval: AoAInterval, n: int) -> np.ndarray:
+    """Midpoint grid of n nodes over the angular support."""
     edges = np.linspace(interval.low, interval.high, n + 1)
-    return 0.5 * (edges[:-1] + edges[1:]), width / n
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
 def covariance(
@@ -43,8 +42,7 @@ def covariance(
     if interval.half_width <= 0:
         a = steering(interval.center, M, spacing)
         return gain * np.outer(a, a.conj())
-    nodes, _ = _midpoints(interval, quad_points)
-    A = steering(nodes, M, spacing)           # (n, M)
+    A = steering(_midpoints(interval, quad_points), M, spacing)  # (n, M)
     # uniform density 1/(2*half_width) times node weight gives 1/n per node
     R = gain * (A.T @ A.conj()) / quad_points
     return 0.5 * (R + R.conj().T)

@@ -16,26 +16,24 @@ from .config import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
-    load_config_overrides,
+    load_config_file,
     substream,
 )
 from .contamination import extended_user_costs, pairwise_cost_matrix, total_costs
-from .env import make_env, write_trajectory_csv
-from .harness import emit_plot_data, presets, run_experiment
-from .qnn import save_checkpoint, train, write_training_log_csv
+from .env import TRAJECTORY_FIELDS, make_env
+from .harness import emit_plot_data, presets, run_experiment, write_csv
+from .qnn import TRAINING_LOG_FIELDS, save_checkpoint, train
 from .rate import min_rate
 from .scenario import fresh_world
 
 
 def _build_options(config_path: str | None):
-    """Defaults, with any sections of the given config file laid on top."""
-    ov = load_config_overrides(config_path) if config_path else {}
-    return (
-        SystemConfig(**ov.get("scenario", {})),
-        TrainingSchedule(**ov.get("training", {})),
-        EnvOptions(**ov.get("env", {})),
-        RateOptions(**ov.get("rate", {})),
-    )
+    """Defaults, with the keys of the given config file laid on top."""
+    opts = {"scenario": SystemConfig(), "training": TrainingSchedule(),
+            "env": EnvOptions(), "rate": RateOptions()}
+    if config_path:
+        opts = load_config_file(config_path, opts)
+    return opts["scenario"], opts["training"], opts["env"], opts["rate"]
 
 
 def _seed(args, cfg: SystemConfig) -> int:
@@ -49,8 +47,8 @@ def cmd_train(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     env = make_env(cfg, env_opts, seed)
     result = train(env, schedule, args.steps, seed)
-    write_training_log_csv(result.log_rows, str(out / "training_log.csv"))
-    write_trajectory_csv(result.trajectory_rows, str(out / "trajectory.csv"))
+    write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.log_rows)
+    write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.trajectory_rows)
     save_checkpoint(str(out / "checkpoint.npz"), result.params,
                     result.opt_state, args.steps, env.rng)
     (out / "assignment.txt").write_text(env.assignment.to_text())
@@ -109,14 +107,12 @@ def cmd_evaluate(args) -> None:
 def cmd_experiment(args) -> None:
     preset = presets()[args.preset]
     if args.config:
-        ov = load_config_overrides(args.config)
+        opts = load_config_file(args.config, {
+            "scenario": preset.config, "training": preset.schedule,
+            "env": preset.env, "rate": preset.rate})
         preset = dataclasses.replace(
-            preset,
-            config=dataclasses.replace(preset.config, **ov.get("scenario", {})),
-            schedule=dataclasses.replace(preset.schedule, **ov.get("training", {})),
-            env=dataclasses.replace(preset.env, **ov.get("env", {})),
-            rate=dataclasses.replace(preset.rate, **ov.get("rate", {})),
-        )
+            preset, config=opts["scenario"], schedule=opts["training"],
+            env=opts["env"], rate=opts["rate"])
     out = run_experiment(preset, args.seed, args.out, long_run=args.long_run)
     print(f"experiment '{preset.name}' (seed {args.seed}) written to {out}")
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -184,18 +184,17 @@ def load_config_overrides(path: str) -> dict:
     return out
 
 
-def load_config_file(path: str) -> dict:
-    """Parse an INI-style config file into option dataclasses.
+def load_config_file(path: str, base: dict) -> dict:
+    """Lay an INI-style config file's keys over `base`.
 
-    Returns a dict with any of the keys scenario/training/env/rate that
-    appear in the file; unspecified fields take their defaults.
+    `base` maps each section (scenario/training/env/rate) to its option
+    dataclass, e.g. the defaults or a preset's options. Returns a new dict
+    of the same shape; fields the file does not name keep their base
+    values, and every replaced dataclass is validated again.
     """
-    out = {}
+    out = dict(base)
     for section, kwargs in load_config_overrides(path).items():
-        try:
-            out[section] = _SECTION_TYPES[section](**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        out[section] = replace(base[section], **kwargs)
     return out
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .assignment import PilotAssignment, SwapAction, apply_swap, random_assignment
 from .config import EnvOptions, SystemConfig, substream
 from .contamination import CostTable, _copilot_costs, pairwise_cost_matrix, total_costs
-from .scenario import CellLayout, ScenarioBundle, build_layout, drop_users, fresh_world
+from .scenario import CellLayout, ScenarioBundle, build_layout, fresh_world
 
 
 @dataclass
@@ -174,23 +173,19 @@ class PilotEnv:
         opts: EnvOptions,
         thresholds: RewardThresholds,
         rng: np.random.Generator,
-        layout: CellLayout | None = None,
-        world: ScenarioBundle | None = None,
-        assignment: PilotAssignment | None = None,
-        pairwise: np.ndarray | None = None,
+        layout: CellLayout,
+        world: ScenarioBundle,
+        assignment: PilotAssignment,
+        pairwise: np.ndarray,
     ):
         self.config = config
         self.opts = opts
         self.thresholds = thresholds
         self.rng = rng
-        self.layout = layout or build_layout(config.L, config.R)
-        self.world = world or ScenarioBundle.build(
-            config, self.layout,
-            drop_users(self.layout, config.K, config.exclusion_radius, rng))
-        # pairwise, when given, is the pair-cost matrix of `world`
-        self.pairwise = pairwise if pairwise is not None else pairwise_cost_matrix(self.world)
-        self.assignment = assignment or random_assignment(config.L, config.K, rng)
-        self.step_count = 0
+        self.layout = layout
+        self.world = world
+        self.pairwise = pairwise  # the pair-cost matrix of `world`
+        self.assignment = assignment
         self.world_digests = [self.world.digest()]
         self._refresh_state(last_pilot=0, last_cell=0)
 
@@ -215,9 +210,7 @@ class PilotEnv:
 
     def _evolve(self):
         if self.opts.redraw == "positions":
-            drop = drop_users(self.layout, self.config.K,
-                              self.config.exclusion_radius, self.rng)
-            self.world = ScenarioBundle.build(self.config, self.layout, drop)
+            self.world = fresh_world(self.config, self.rng, self.layout)
             self.pairwise = pairwise_cost_matrix(self.world)
         # "smallscale" keeps the geometry: only per-step channel draws differ,
         # which the rate benchmark realizes from its own streams.
@@ -238,7 +231,6 @@ class PilotEnv:
         g_next = float(self.state.cell_max[self.state.worst_cell])
         r1, r2, r3 = reward_components(
             g_prev, g_next, not swap.no_op, self.thresholds)
-        self.step_count += 1
         return StepOutcome(
             reward=r1 + r2 + r3, r1=r1, r2=r2, r3=r3,
             g_prev=g_prev, g_next=g_next,
@@ -254,23 +246,6 @@ TRAJECTORY_FIELDS = (
 )
 
 
-def write_trajectory_csv(rows: list[dict], path: str):
-    """Write one CSV row per environment step (fields TRAJECTORY_FIELDS)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRAJECTORY_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in TRAJECTORY_FIELDS})
-
-
-def _fmt(v):
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return v
-
-
 def make_env(config: SystemConfig, opts: EnvOptions, seed: int) -> PilotEnv:
     """Environment with thresholds calibrated from the same master seed.
 
@@ -279,8 +254,7 @@ def make_env(config: SystemConfig, opts: EnvOptions, seed: int) -> PilotEnv:
     """
     world_rng = substream(seed, "world")
     layout = build_layout(config.L, config.R)
-    world = ScenarioBundle.build(
-        config, layout, drop_users(layout, config.K, config.exclusion_radius, world_rng))
+    world = fresh_world(config, world_rng, layout)
     pairwise = pairwise_cost_matrix(world)
     thresholds = calibrate_thresholds(
         config, opts, substream(seed, "thresholds"), pairwise=pairwise)

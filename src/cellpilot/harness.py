@@ -8,6 +8,7 @@ fed straight into any plotting tool.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -27,8 +28,8 @@ from .config import (
     substream,
 )
 from .contamination import extended_user_costs, pairwise_cost_matrix
-from .env import make_env, write_trajectory_csv
-from .qnn import train, write_training_log_csv
+from .env import TRAJECTORY_FIELDS, make_env
+from .qnn import TRAINING_LOG_FIELDS, train
 from .rate import min_rate, moving_average
 from .scenario import build_layout, fresh_world
 
@@ -36,6 +37,11 @@ METHODS = ("drl", "random", "exhaustive", "spr_like")
 
 # Window, in environment steps, for the short-term moving averages.
 SHORT_TERM_STEPS = 50
+
+# Columns of results.csv, costs.csv and the plots/ tables.
+RESULTS_FIELDS = ("method", "seed", "step", "min_rate", "overhead_factor")
+COSTS_FIELDS = ("method", "seed", "step", "global_max")
+PLOT_FIELDS = ("step", "series", "value")
 
 
 @dataclass
@@ -111,7 +117,11 @@ def presets() -> dict:
 
 
 def _eval_steps(total_steps: int, every: int) -> frozenset:
-    """Steps at which the rate benchmark runs (last step always included)."""
+    """Steps at which the rate benchmark runs: every-1, 2*every-1, ...
+
+    A run shorter than `every` steps evaluates no rate at all, and the last
+    step is included only when `every` divides the step count.
+    """
     return frozenset(range(every - 1, total_steps, every))
 
 
@@ -218,15 +228,25 @@ def _config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode("ascii")).hexdigest()
 
 
-def _write_csv(path: Path, header: str, rows: list):
+def write_csv(path: str | Path, fields: tuple, rows: list):
+    """Write the dict rows as CSV: header `fields`, `\n` line ends, no quoting.
+
+    This is the one run-file format; every CSV a run or `cellpilot train`
+    writes goes through here, and csv.DictReader reads each back exactly.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(fields) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_fmt(row[f]) for f in fields) + "\n")
 
 
-def _f(x) -> str:
-    return f"{float(x):.17g}"
+def _fmt(v) -> str:
+    """bool as 0/1, float as .17g (round-trips exactly), None as empty."""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return "" if v is None else str(v)
 
 
 def run_experiment(
@@ -279,24 +299,23 @@ def run_experiment(
             "world_digest": res.world_digest,
             "final_cost": res.final_cost,
         }
-        for step, mr, ov in res.rate_rows:
-            results_rows.append((name, str(master_seed), str(step), _f(mr), _f(ov)))
-        for step, g in res.cost_rows:
-            cost_rows.append((name, str(master_seed), str(step), _f(g)))
+        results_rows += [{"method": name, "seed": master_seed, "step": step,
+                          "min_rate": mr, "overhead_factor": ov}
+                         for step, mr, ov in res.rate_rows]
+        cost_rows += [{"method": name, "seed": master_seed, "step": step,
+                       "global_max": g} for step, g in res.cost_rows]
         for fname, content in sorted(res.text_files.items()):
             (out_dir / fname).write_text(content)
             manifest["files"].append(fname)
         if res.log_rows is not None:
-            write_training_log_csv(res.log_rows, str(out_dir / "drl_training_log.csv"))
-            manifest["files"].append("drl_training_log.csv")
-        if res.trajectory_rows is not None:
-            write_trajectory_csv(res.trajectory_rows,
-                                 str(out_dir / "drl_trajectory.csv"))
-            manifest["files"].append("drl_trajectory.csv")
+            write_csv(out_dir / "drl_training_log.csv", TRAINING_LOG_FIELDS,
+                      res.log_rows)
+            write_csv(out_dir / "drl_trajectory.csv", TRAJECTORY_FIELDS,
+                      res.trajectory_rows)
+            manifest["files"] += ["drl_training_log.csv", "drl_trajectory.csv"]
 
-    _write_csv(out_dir / "results.csv",
-               "method,seed,step,min_rate,overhead_factor", results_rows)
-    _write_csv(out_dir / "costs.csv", "method,seed,step,global_max", cost_rows)
+    write_csv(out_dir / "results.csv", RESULTS_FIELDS, results_rows)
+    write_csv(out_dir / "costs.csv", COSTS_FIELDS, cost_rows)
     manifest["files"] += ["results.csv", "costs.csv"]
     manifest["files"].sort()
     with open(out_dir / "manifest.json", "w") as fh:
@@ -305,15 +324,9 @@ def run_experiment(
     return out_dir
 
 
-def _read_csv_columns(path: Path) -> dict:
+def _read_csv(path: Path) -> list:
     with open(path, newline="") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    cols = {h: [] for h in header}
-    for ln in lines[1:]:
-        for h, v in zip(header, ln.split(",")):
-            cols[h].append(v)
-    return cols
+        return list(csv.DictReader(fh))
 
 
 def emit_plot_data(run_dir: str | Path) -> Path:
@@ -341,29 +354,28 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     else:
         warnings.append("manifest.json missing; inferring eval spacing from steps")
 
-    cols = _read_csv_columns(results_path)
-    methods = sorted(set(cols["method"]))
+    results = _read_csv(results_path)
     rate_rows = []
-    for m in methods:
-        steps = np.array([int(s) for s, mm in zip(cols["step"], cols["method"])
-                          if mm == m])
-        vals = np.array([float(v) for v, mm in zip(cols["min_rate"], cols["method"])
-                         if mm == m])
+    for m in sorted({row["method"] for row in results}):
+        mine = [row for row in results if row["method"] == m]
+        steps = np.array([int(row["step"]) for row in mine])
+        vals = np.array([float(row["min_rate"]) for row in mine])
         order = np.argsort(steps, kind="stable")
         steps, vals = steps[order], vals[order]
         if eval_every is None:
             eval_every = int(np.diff(steps).min()) if steps.size > 1 else 1
         window = max(1, SHORT_TERM_STEPS // eval_every)
         ma = moving_average(vals, window)
-        rate_rows += [(str(t), m, _f(v)) for t, v in zip(steps, ma)]
-    _write_csv(plots / "min_rate.csv", "step,series,value", rate_rows)
+        rate_rows += [{"step": t, "series": m, "value": v}
+                      for t, v in zip(steps, ma)]
+    write_csv(plots / "min_rate.csv", PLOT_FIELDS, rate_rows)
     written = ["min_rate.csv"]
 
     log_path = run_dir / "drl_training_log.csv"
     if log_path.exists():
-        log = _read_csv_columns(log_path)
-        steps = np.array([int(s) for s in log["step"]])
-        reward = np.array([float(r) for r in log["reward"]])
+        log = _read_csv(log_path)
+        steps = np.array([int(row["step"]) for row in log])
+        reward = np.array([float(row["reward"]) for row in log])
         n = np.arange(1, reward.size + 1)
         series = {
             "reward": reward,
@@ -374,9 +386,9 @@ def emit_plot_data(run_dir: str | Path) -> Path:
         reward_rows = []
         for name in ("reward", "reward_short_term", "reward_long_term",
                      "negative_ratio"):
-            reward_rows += [(str(t), name, _f(v))
+            reward_rows += [{"step": t, "series": name, "value": v}
                             for t, v in zip(steps, series[name])]
-        _write_csv(plots / "reward.csv", "step,series,value", reward_rows)
+        write_csv(plots / "reward.csv", PLOT_FIELDS, reward_rows)
         written.append("reward.csv")
     else:
         warnings.append("drl_training_log.csv missing; reward series omitted")

@@ -212,7 +212,6 @@ class ReplayBuffer:
     """Fixed-capacity FIFO of (s, a, r, s') transitions, uniform sampling."""
 
     def __init__(self, capacity: int):
-        self.capacity = capacity
         self._store = collections.deque(maxlen=capacity)
 
     def __len__(self):
@@ -270,9 +269,7 @@ TRAINING_LOG_FIELDS = (
 @dataclass
 class TrainResult:
     params: NetworkParams
-    target_params: NetworkParams
     opt_state: RmsPropState
-    replay: ReplayBuffer
     log_rows: list
     trajectory_rows: list
     skipped_updates: int
@@ -354,24 +351,8 @@ def train(
         })
         if step_callback is not None:
             step_callback(t, env)
-    return TrainResult(params=params, target_params=target, opt_state=opt,
-                       replay=replay, log_rows=log_rows, trajectory_rows=traj_rows,
-                       skipped_updates=skipped)
-
-
-def write_training_log_csv(rows: list, path: str):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRAINING_LOG_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["epsilon"] = f"{row['epsilon']:.17g}"
-            out["loss"] = "" if row["loss"] is None else f"{row['loss']:.17g}"
-            out["g_max"] = f"{row['g_max']:.17g}"
-            out["synced"] = int(row["synced"])
-            writer.writerow(out)
+    return TrainResult(params=params, opt_state=opt, log_rows=log_rows,
+                       trajectory_rows=traj_rows, skipped_updates=skipped)
 
 
 CHECKPOINT_VERSION = 1

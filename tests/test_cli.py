@@ -1,12 +1,27 @@
 """Command-line interface: subcommands, config loading, exit codes."""
 
 import contextlib
+import csv
 import io
+import json
 
 import pytest
 
-from cellpilot import PilotAssignment, run_experiment
+from cellpilot import (
+    EnvOptions,
+    PilotAssignment,
+    RateOptions,
+    SystemConfig,
+    TrainingSchedule,
+    emit_plot_data,
+    load_config_file,
+    make_env,
+    run_experiment,
+    train,
+)
 from cellpilot.cli import main
+from cellpilot.env import TRAJECTORY_FIELDS
+from cellpilot.qnn import TRAINING_LOG_FIELDS
 from test_harness import _tiny_preset
 
 TINY_INI = """\
@@ -137,3 +152,78 @@ def test_plotdata_command(tmp_path):
     assert (run_dir / "plots" / "min_rate.csv").exists()
     code, _, stderr = _run(["plotdata", str(tmp_path / "empty")])
     assert code == 2
+
+
+def test_experiment_config_lays_keys_over_the_preset(tmp_path, monkeypatch):
+    monkeypatch.setattr("cellpilot.cli.presets",
+                        lambda: {"tiny": _tiny_preset(methods=("random",))})
+    path = tmp_path / "over.ini"
+    path.write_text("[rate]\nn_mc = 3\n")
+    code, _, _ = _run(["experiment", "--preset", "tiny", "--seed", "1",
+                       "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 0
+    config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+    assert config["rate"]["n_mc"] == 3
+    # every other field is the preset's, not the package default
+    assert config["rate"]["eval_every"] == 10 and config["scenario"]["L"] == 2
+
+
+# The one run-file format: each CSV's header and the floats they carry.
+CSV_FIELDS = {
+    "results.csv": ("method", "seed", "step", "min_rate", "overhead_factor"),
+    "costs.csv": ("method", "seed", "step", "global_max"),
+    "min_rate.csv": ("step", "series", "value"),
+    "reward.csv": ("step", "series", "value"),
+    "drl_training_log.csv": TRAINING_LOG_FIELDS,
+    "training_log.csv": TRAINING_LOG_FIELDS,
+    "drl_trajectory.csv": TRAJECTORY_FIELDS,
+    "trajectory.csv": TRAJECTORY_FIELDS,
+}
+FLOAT_COLUMNS = {"min_rate", "overhead_factor", "global_max", "value",
+                 "epsilon", "loss", "g_max", "g_prev", "g_next"}
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return tuple(reader.fieldnames), list(reader)
+
+
+def test_every_csv_shares_one_format(tmp_path, ini):
+    emit_plot_data(run_experiment(_tiny_preset(), master_seed=5,
+                                  out_dir=tmp_path / "run"))
+    code, _, _ = _run(["train", "--steps", "12", "--seed", "3",
+                       "--config", ini, "--out", str(tmp_path / "train")])
+    assert code == 0
+    paths = sorted(tmp_path.rglob("*.csv"))
+    assert sorted(p.name for p in paths) == sorted(CSV_FIELDS)
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path.name
+        fields, rows = _read(path)
+        assert fields == CSV_FIELDS[path.name], path.name
+        assert rows, path.name
+        for row in rows:
+            for name in FLOAT_COLUMNS & row.keys():
+                if row[name]:
+                    assert f"{float(row[name]):.17g}" == row[name], (path.name, name)
+
+    # the train output reads back as exactly the rows the same run holds
+    base = {"scenario": SystemConfig(), "training": TrainingSchedule(),
+            "env": EnvOptions(), "rate": RateOptions()}
+    opts = load_config_file(ini, base)
+    result = train(make_env(opts["scenario"], opts["env"], 3), opts["training"],
+                   12, 3)
+    for fname, fields, held in (
+            ("training_log.csv", TRAINING_LOG_FIELDS, result.log_rows),
+            ("trajectory.csv", TRAJECTORY_FIELDS, result.trajectory_rows)):
+        _, rows = _read(tmp_path / "train" / fname)
+        assert len(rows) == len(held) == 12
+        for row, want in zip(rows, held):
+            for name in fields:
+                v = want[name]
+                if v is None:
+                    assert row[name] == ""
+                elif isinstance(v, float):
+                    assert float(row[name]) == v, (fname, name)
+                else:
+                    assert int(row[name]) == v, (fname, name)

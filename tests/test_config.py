@@ -1,6 +1,5 @@
 """Configuration dataclasses, INI ingestion, and seed substreams."""
 
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +96,15 @@ ergodic = false
 """
 
 
+def _defaults():
+    return {"scenario": SystemConfig(), "training": TrainingSchedule(),
+            "env": EnvOptions(), "rate": RateOptions()}
+
+
 def test_load_config_file_round_trip(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(CONFIG_TEXT)
-    opts = load_config_file(str(path))
+    opts = load_config_file(str(path), _defaults())
     cfg = opts["scenario"]
     assert (cfg.L, cfg.K, cfg.M, cfg.R) == (3, 2, 32, 400.0)
     assert cfg.clamp_aoa is True and cfg.path_gain == "complex_normal"
@@ -110,6 +114,19 @@ def test_load_config_file_round_trip(tmp_path):
     assert opts["rate"].n_mc == 7
     assert opts["rate"].pilot_snr_db == 10.0
     assert opts["rate"].ergodic is False
+
+
+def test_load_config_file_lays_keys_over_base(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\nK = 2\n[rate]\nn_mc = 3\n")
+    base = _defaults()
+    base["scenario"] = SystemConfig(L=3, M=64)
+    base["rate"] = RateOptions(eval_every=50)
+    opts = load_config_file(str(path), base)
+    assert (opts["scenario"].L, opts["scenario"].K, opts["scenario"].M) == (3, 2, 64)
+    assert (opts["rate"].n_mc, opts["rate"].eval_every) == (3, 50)
+    assert opts["env"] is base["env"] and opts["training"] is base["training"]
+    assert base["scenario"].K == 4  # the base itself is left as it was
 
 
 def test_load_config_overrides_only_given_keys(tmp_path):
@@ -142,10 +159,11 @@ def test_config_file_values_reach_validation(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[scenario]\nL = 0\n")
     with pytest.raises(ConfigError):
-        load_config_file(str(path))
+        load_config_file(str(path), _defaults())
 
 
 def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == PACKAGE_VERSION

@@ -22,7 +22,8 @@ from cellpilot import (
     substream,
     total_costs,
 )
-from cellpilot.env import TRAJECTORY_FIELDS, write_trajectory_csv
+from cellpilot.env import TRAJECTORY_FIELDS
+from cellpilot.harness import write_csv
 from conftest import make_world, small_config
 
 
@@ -344,7 +345,7 @@ def test_trajectory_csv_format(tmp_path):
             "worst_pilot": pre.worst_pilot, "worst_cell": pre.worst_cell,
         })
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(rows, str(path))
+    write_csv(path, TRAJECTORY_FIELDS, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(TRAJECTORY_FIELDS)
     assert len(lines) == 4

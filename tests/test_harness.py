@@ -1,5 +1,7 @@
 """Experiment harness: presets, result files, reruns, plot-data tables."""
 
+import csv
+import dataclasses
 import json
 
 import pytest
@@ -125,6 +127,20 @@ def test_rerun_is_byte_identical(tiny_run, tmp_path):
                            out_dir=tmp_path / "again")
     for fname in RUN_FILES:
         assert (again / fname).read_bytes() == (tiny_run / fname).read_bytes(), fname
+
+
+def test_rate_cadence_is_every_eval_every_steps(tmp_path):
+    # steps every-1, 2*every-1, ...: a run shorter than eval_every rates nothing
+    rate = RateOptions(n_mc=2, eval_every=200, paths=5)
+    short = dataclasses.replace(_tiny_preset(methods=("random",), total_steps=50),
+                                rate=rate)
+    out = run_experiment(short, master_seed=1, out_dir=tmp_path / "short")
+    assert (out / "results.csv").read_text() == (
+        "method,seed,step,min_rate,overhead_factor\n")
+    long = dataclasses.replace(short, total_steps=400)
+    out = run_experiment(long, master_seed=1, out_dir=tmp_path / "long")
+    with open(out / "results.csv", newline="") as fh:
+        assert {int(row["step"]) for row in csv.DictReader(fh)} == {199, 399}
 
 
 def test_method_failure_is_isolated(tmp_path):

@@ -23,7 +23,8 @@ from cellpilot import (
     td_targets,
     train,
 )
-from cellpilot.qnn import write_training_log_csv
+from cellpilot.harness import write_csv
+from cellpilot.qnn import TRAINING_LOG_FIELDS
 from conftest import small_config
 
 
@@ -360,7 +361,7 @@ def test_training_log_csv_format(tmp_path):
     env = _tiny_env(seed=6)
     result = train(env, _TINY_SCHED, total_steps=20, seed=6)
     path = tmp_path / "log.csv"
-    write_training_log_csv(result.log_rows, str(path))
+    write_csv(path, TRAINING_LOG_FIELDS, result.log_rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,epsilon,loss,reward,r1,r2,r3,g_max,action,synced"
     assert len(lines) == 21
