@@ -20,9 +20,9 @@ def steering(omega, M: int, spacing: float = 0.5) -> np.ndarray:
 
 
 def _midpoints(interval: AoAInterval, n: int) -> np.ndarray:
-    """Midpoint grid of n nodes over the angular support."""
-    edges = np.linspace(interval.low, interval.high, n + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
+    """Midpoint grid of n nodes over each angular support, on a last axis."""
+    edges = np.linspace(interval.low, interval.high, n + 1, axis=-1)
+    return 0.5 * (edges[..., :-1] + edges[..., 1:])
 
 
 def covariance(

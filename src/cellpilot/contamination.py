@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _midpoints
 from .scenario import AoAInterval, ScenarioBundle
 
 
@@ -65,11 +66,7 @@ def interference_integral(
     midpoint rule. Identical in exact arithmetic to a(phi)^H R a(phi) / M
     with R the quadrature covariance on the same grid.
     """
-    if interval.half_width <= 0:
-        return float(gain * dirichlet_magnitude(
-            np.cos(phi) - np.cos(interval.center), M, spacing) ** 2 / M)
-    edges = np.linspace(interval.low, interval.high, quad_points + 1)
-    nodes = 0.5 * (edges[:-1] + edges[1:])
+    nodes = _midpoints(interval, quad_points)
     vals = dirichlet_magnitude(np.cos(phi) - np.cos(nodes), M, spacing) ** 2
     return float(gain * vals.sum() / (M * quad_points))
 
@@ -236,8 +233,7 @@ def pairwise_cost_matrix(bundle: ScenarioBundle) -> np.ndarray:
     """
     cells = np.arange(bundle.drop.shape[0])
     # targets (j, a) at their own BS, broadcast against interferers (l, b)
-    lo, hi = cosine_support(AoAInterval(bundle.centers[cells, cells],
-                                        bundle.half_widths[cells, cells]))
+    lo, hi = cosine_support(bundle.interval(cells, cells, slice(None)))
     low, high, saturated = _first_nulls(lo, hi, bundle.config.M,
                                         bundle.config.spacing)
     knots = [x[:, :, None, None] for x in (lo, hi, np.cos(high), np.cos(low))]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import covariance
+from .channel import _midpoints
 from .config import RateOptions
 from .contamination import _copilot_mask
 from .scenario import ScenarioBundle
@@ -42,6 +42,42 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     return (csum[idx] - csum[start]) / (idx - start)
 
 
+def _power_sum(z: np.ndarray, weights, M: int) -> np.ndarray:
+    """sum_p weights_p * z_p^m, m < M, over the last axis of z, as one (Q, P) @ (P, R)
+    matmul of power tables F[q] = weights * z^(qR), E[r] = z^r, R = ceil(sqrt(M)).
+    """
+    R = math.ceil(math.sqrt(M))
+    Q = -(-M // R)
+    E = np.empty((R,) + z.shape, dtype=complex)
+    E[0] = 1.0
+    for r in range(1, R):
+        np.multiply(E[r - 1], z, out=E[r])
+    F = np.empty((Q,) + z.shape, dtype=complex)
+    F[0] = weights
+    zR = E[-1] * z
+    for q in range(1, Q):
+        np.multiply(F[q - 1], zR, out=F[q])
+    g = np.matmul(np.moveaxis(F, 0, -2), np.moveaxis(E, 0, -1))  # (..., Q, R)
+    return g.reshape(g.shape[:-2] + (Q * R,))[..., :M]
+
+
+def _filters(bundle: ScenarioBundle) -> np.ndarray:
+    """(L, K, M, M) filters: covariance(bundle.interval(j, j, k), 1.0, M, spacing).T.
+
+    On its grid that covariance is Hermitian Toeplitz, R[m, n] = r[m - n] with
+    r[d] = mean_i z_i^d: one _power_sum gives all lag vectors, one gather the
+    filters (about 1e-14 from covariance at M=100).
+    """
+    cfg, n = bundle.config, 512  # covariance's default grid
+    own = np.arange(bundle.drop.shape[0])
+    nodes = _midpoints(bundle.interval(own, own, slice(None)), n)  # (L, K, n)
+    lag = _power_sum(np.exp(-2j * np.pi * cfg.spacing * np.cos(nodes)), 1.0 / n, cfg.M)
+    # lags -(M-1)..M-1: conj(r[M-1]), ..., conj(r[1]), r[0], ..., r[M-1]
+    both = np.concatenate([lag[..., :0:-1].conj(), lag], axis=-1)
+    d = np.arange(cfg.M)
+    return both[..., d[None, :] - d[:, None] + cfg.M - 1]
+
+
 def _draw_channels(
     bundle: ScenarioBundle,
     P: int,
@@ -54,46 +90,21 @@ def _draw_channels(
     Path angles are uniform on each link's angular support, amplitudes
     follow config.path_gain (unit-modulus random phases, or standard
     complex normal): per-link statistics match realize_channel with the
-    supplied (possibly power-controlled) link gains.
-
-    Antenna m = q*R + r of path p sees alpha_p * z_p^(qR) * z_p^r with
-    z_p = exp(-2j*pi*spacing*cos(omega_p)), R = ceil(sqrt(M)) and
-    Q = ceil(M/R). So the path sum is one stacked (Q, P) @ (P, R) matmul
-    of two short power tables, E (R, n, L, L, K, P) with E[r] = z^r and
-    F (Q, n, L, L, K, P) with F[q] = alpha * (z^R)^q, both built by
-    repeated multiplication; its Q*R outputs are cut to M. That is one
-    complex exp per path and no (..., P, M) phase tensor. The products
-    round differently from exp(-2j*pi*spacing*cos(omega)*m), by about
-    1e-14 of max|g| at M=100; realize_channel and covariance keep the
-    direct exponential.
+    supplied (possibly power-controlled) link gains. _power_sum adds the
+    paths' alpha * z^m; that rounds differently from realize_channel's
+    direct exponential, by about 1e-14 of max|g| at M=100.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
-    M = cfg.M
-    lows = (bundle.centers - bundle.half_widths)[..., None]
-    widths = (2.0 * bundle.half_widths)[..., None]
-    omegas = lows + widths * rng.random((n_mc, L, L, K, P))
+    omegas = ((bundle.centers - bundle.half_widths)[..., None]
+              + (2.0 * bundle.half_widths)[..., None] * rng.random((n_mc, L, L, K, P)))
     if cfg.path_gain == "phase":
         alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
     else:
         re_im = rng.standard_normal((2, n_mc, L, L, K, P))
         alphas = (re_im[0] + 1j * re_im[1]) / np.sqrt(2.0)
     z = np.exp(-2j * np.pi * cfg.spacing * np.cos(omegas))  # (n, L, L, K, P)
-    R = math.ceil(math.sqrt(M))
-    Q = -(-M // R)
-    E = np.empty((R,) + z.shape, dtype=complex)
-    E[0] = 1.0
-    for r in range(1, R):
-        np.multiply(E[r - 1], z, out=E[r])
-    F = np.empty((Q,) + z.shape, dtype=complex)
-    F[0] = alphas
-    zR = E[-1] * z
-    for q in range(1, Q):
-        np.multiply(F[q - 1], zR, out=F[q])
-    g = np.matmul(np.moveaxis(F, 0, -2), np.moveaxis(E, 0, -1))  # (..., Q, R)
-    g = g.reshape(g.shape[:-2] + (Q * R,))[..., :M]
-    scale = np.sqrt(gains / P)[None, ..., None]
-    return scale * g
+    return np.sqrt(gains / P)[None, ..., None] * _power_sum(z, alphas, cfg.M)
 
 
 def min_rate(
@@ -118,39 +129,34 @@ def min_rate(
     ergodic=False); the report carries the minimum over all users.
 
     One stacked pass, laid out (L, K, n, M), serves all users: one matmul
-    applies the filters, one einsum gives the numerators. A denominator is
+    applies the _filters, one einsum gives the numerators. A denominator is
     the noise term plus, per interfering cell in increasing order, the term
     of that cell's first user on the same pilot (masked where it has none),
-    so every sum rounds as a per-user loop over the co-users would.
+    so every sum rounds as a per-user loop over the co-users would. A pilot
+    map that is not (L, K) with pilots in [0, n_pilots) raises ValueError.
     """
     options = options or RateOptions()
     cfg = bundle.config
     L, K = bundle.drop.shape
-    pilot_snr = (10.0 ** (options.pilot_snr_db / 10.0)
-                 if options.pilot_snr_db is not None else cfg.cell_edge_snr)
-    P = options.paths
-    noise_var = 1.0 / pilot_snr
+    pilot_of = np.asarray(user_to_pilot)
+    if pilot_of.shape != (L, K) or not np.all((pilot_of >= 0) & (pilot_of < n_pilots)):
+        raise ValueError(f"user_to_pilot must be {L}x{K} with pilots in [0, {n_pilots})")
+    noise_var = 1.0 / (10.0 ** (options.pilot_snr_db / 10.0)
+                       if options.pilot_snr_db is not None else cfg.cell_edge_snr)
 
     # power control: normalize each user by its serving-BS gain
-    serving = np.einsum("llu->lu", bundle.gains)             # (L, K)
-    geff = bundle.gains / serving[None, :, :]                # (L, L, K)
-    # spatial filter per served user: unit-gain covariance of its own link,
-    # transposed to right-multiply the (n, M) estimates
-    filt = np.stack([covariance(bundle.interval(j, j, k), 1.0, cfg.M, cfg.spacing)
-                     for j in range(L) for k in range(K)])
-    filt = filt.reshape(L, K, cfg.M, cfg.M).swapaxes(-1, -2)
-    pilot_of = np.asarray(user_to_pilot)
+    geff = bundle.gains / np.einsum("llu->lu", bundle.gains)  # (L, L, K)
+    filt = _filters(bundle)
     cells = np.arange(L)
     # co-user of (j, k) in cell l: the first user of l on its pilot, if any
     shared = _copilot_mask(pilot_of)                          # (L, K, L, K)
     has_couser, couser = shared.any(axis=-1), shared.argmax(axis=-1)
 
     acc = np.zeros((L, K))
-    chunk = max(1, min(options.n_mc, int(_DRAW_BUDGET // (L * L * K * P * cfg.M))))
-    done = 0
-    while done < options.n_mc:
+    chunk = max(1, min(options.n_mc, int(_DRAW_BUDGET // (L * L * K * options.paths * cfg.M))))
+    for done in range(0, options.n_mc, chunk):
         n = min(chunk, options.n_mc - done)
-        g = _draw_channels(bundle, P, rng, n, geff)  # (n, L, L, K, M)
+        g = _draw_channels(bundle, options.paths, rng, n, geff)  # (n, L, L, K, M)
         noise = (rng.standard_normal((n, L, n_pilots, cfg.M))
                  + 1j * rng.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
         est = np.sqrt(noise_var) * noise
@@ -172,7 +178,5 @@ def min_rate(
             den = den + np.where(has_couser[:, :, l, None], cross, 0.0)
         sinr = num / den
         acc += (np.log2(1.0 + sinr) if options.ergodic else sinr).sum(axis=-1)
-        done += n
-    rates = (acc / options.n_mc if options.ergodic
-             else np.log2(1.0 + acc / options.n_mc))
+    rates = acc / options.n_mc if options.ergodic else np.log2(1.0 + acc / options.n_mc)
     return RateReport(rates=rates, min_rate=float(rates.min()), n_mc=options.n_mc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cellpilot import AoAInterval, covariance, realize_channel, steering
+from cellpilot.channel import _midpoints
 from conftest import random_interval
 
 
@@ -35,6 +36,17 @@ def test_steering_array_input():
     assert A.shape == (7, 16)
     for i, w in enumerate(omegas):
         assert np.array_equal(A[i], steering(w, 16))
+
+
+def test_midpoints_batched_equal_scalar(rng):
+    # one array call over 50 supports gives each scalar call's grid exactly
+    ivs = [random_interval(rng) for _ in range(50)]
+    batch = AoAInterval(center=np.array([iv.center for iv in ivs]).reshape(5, 10),
+                        half_width=np.array([iv.half_width for iv in ivs]).reshape(5, 10))
+    nodes = _midpoints(batch, 512)
+    assert nodes.shape == (5, 10, 512)
+    for i, iv in enumerate(ivs):
+        assert np.array_equal(nodes[i // 10, i % 10], _midpoints(iv, 512))
 
 
 # ------------------------------------------------------------- covariance

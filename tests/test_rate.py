@@ -172,6 +172,31 @@ def test_draws_follow_path_gain_mode():
     assert 0.8 < var["complex_normal"] < 1.2
 
 
+# ---------------------------------------------------------- rate: filters
+
+@pytest.mark.parametrize("M", [1, 8, 64, 100])
+@pytest.mark.parametrize("K", [1, 3, 4])
+@pytest.mark.parametrize("L", [1, 2, 3, 7])
+def test_filters_match_covariance(L, K, M):
+    # each Toeplitz filter against the transposed covariance oracle, on the
+    # drawn supports and again with own links cycling through a zero-width
+    # support, a half-width clamped near pi/2 and the drawn one
+    bundle = make_world(small_config(L=L, K=K, M=M), seed=L * 100 + K * 10 + M)
+    own = np.arange(L)
+    drawn = bundle.half_widths[own, own].copy()
+    cycled = np.resize([0.0, np.pi / 2 - 1e-9, np.nan], L * K).reshape(L, K)
+    for widths in (drawn, np.where(np.isnan(cycled), drawn, cycled)):
+        bundle.half_widths[own, own] = widths
+        filt = rate._filters(bundle)
+        assert filt.shape == (L, K, M, M)
+        for j in range(L):
+            for k in range(K):
+                R = covariance(bundle.interval(j, j, k), 1.0, M, bundle.config.spacing)
+                assert np.abs(filt[j, k] - R.T).max() <= 1e-12 * np.abs(R).max()
+        assert np.array_equal(filt, filt.conj().swapaxes(-1, -2))
+        assert np.all(filt[..., np.arange(M), np.arange(M)] == 1.0)
+
+
 # --------------------------------------------------------------- rate: API
 
 def _identity_pilots(L, K):
@@ -189,6 +214,19 @@ def test_report_invariants():
     assert rep.n_mc == 5
 
 
+@pytest.mark.parametrize("u2p", [
+    [[0, 1], [0, -1]],   # negative pilot
+    [[0, 1], [0, 2]],    # pilot >= n_pilots
+    [[0, 1]],            # one cell short
+    [[0, 1, 0], [1, 0, 1]],  # three users per cell
+])
+def test_min_rate_rejects_bad_pilot_maps(u2p):
+    bundle = make_world(small_config(L=2, K=2, M=8), seed=0)
+    with pytest.raises(ValueError):
+        min_rate(bundle, np.array(u2p), 2, np.random.default_rng(0),
+                 RateOptions(n_mc=2, paths=5))
+
+
 def test_rate_determinism():
     bundle = make_world(small_config(L=2, K=2, M=16), seed=3)
     reports = [min_rate(bundle, _identity_pilots(2, 2), 2,
@@ -202,9 +240,11 @@ def test_rate_determinism():
 def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options):
     """min_rate's rates as a per-user loop over filters, estimates and SINRs.
 
-    The same draws in the same chunks, from rate._draw_channels; each
-    (cell, user) builds its own filter, and its co-users come from a list
-    of (cell, first user of that cell on the same pilot).
+    The same draws in the same chunks, from rate._draw_channels, and the
+    same filters, from rate._filters (test_filters_match_covariance checks
+    those against covariance); each (cell, user) filters and scores on its
+    own, and its co-users come from a list of (cell, first user of that
+    cell on the same pilot).
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
@@ -214,11 +254,7 @@ def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options):
     noise_var = 1.0 / pilot_snr
     serving = np.einsum("llu->lu", bundle.gains)
     geff = bundle.gains / serving[None, :, :]
-    filt = np.empty((L, K, cfg.M, cfg.M), dtype=complex)
-    for j in range(L):
-        for k in range(K):
-            filt[j, k] = covariance(bundle.interval(j, j, k), 1.0,
-                                    cfg.M, cfg.spacing)
+    filt = rate._filters(bundle)
     pilot_of = np.asarray(user_to_pilot)
     cousers = [[[(l, int(np.flatnonzero(pilot_of[l] == pilot_of[j, k])[0]))
                  for l in range(L)
@@ -240,7 +276,7 @@ def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options):
                 est[:, :, pilot_of[l, k]] += g[:, :, l, k]
         for j in range(L):
             for k in range(K):
-                v = est[:, j, pilot_of[j, k]] @ filt[j, k].T
+                v = est[:, j, pilot_of[j, k]] @ filt[j, k]
                 num = np.abs(np.einsum("nm,nm->n", v.conj(), g[:, j, j, k])) ** 2
                 den = noise_var * (np.abs(v) ** 2).sum(axis=1)
                 for l, u in cousers[j][k]:
