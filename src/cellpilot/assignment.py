@@ -73,8 +73,8 @@ class SwapAction:
 
 
 def random_assignment(L: int, K: int, rng: np.random.Generator) -> PilotAssignment:
-    """Independent uniform pilot permutation in every cell."""
-    return PilotAssignment(np.stack([rng.permutation(K) for _ in range(L)]))
+    """Uniform pilot permutation per cell: the draws of L rng.permutation(K) calls."""
+    return PilotAssignment(rng.permuted(np.tile(np.arange(K), (L, 1)), axis=1))
 
 
 def apply_swap(assignment: PilotAssignment, action: SwapAction) -> PilotAssignment:
@@ -276,16 +276,6 @@ def spr_like_assignment(
     ext = ExtendedAssignment(user_to_pilot=user_to_pilot,
                              n_pilots=required, edge_mask=edge_mask)
     return ext, report
-
-
-def assignment_cost(
-    bundle: ScenarioBundle,
-    ext: ExtendedAssignment,
-    pairwise: np.ndarray | None = None,
-) -> float:
-    """Worst-user envelope cost of an extended assignment."""
-    _, worst = extended_user_costs(bundle, ext.user_to_pilot, pairwise=pairwise)
-    return worst
 
 
 def baseline_assignment(

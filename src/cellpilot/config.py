@@ -83,12 +83,24 @@ class TrainingSchedule:
     residual_blocks: int = 2
 
     def __post_init__(self):
-        if not 0 <= self.discount <= 1:
-            raise ConfigError("discount must lie in [0, 1]")
-        if self.batch_size > self.replay_capacity:
-            raise ConfigError("batch_size cannot exceed replay_capacity")
-        if self.target_sync_period < 1:
-            raise ConfigError("target_sync_period must be >= 1")
+        checks = (
+            (0 <= self.discount <= 1, "discount must lie in [0, 1]"),
+            (0 <= self.eps_start <= 1, "eps_start must lie in [0, 1]"),
+            (0 <= self.eps_floor <= 1, "eps_floor must lie in [0, 1]"),
+            (0 < self.eps_decay <= 1, "eps_decay must lie in (0, 1]"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.batch_size <= self.replay_capacity,
+             "batch_size cannot exceed replay_capacity"),
+            (self.target_sync_period >= 1, "target_sync_period must be >= 1"),
+            (self.learning_rate > 0, "learning_rate must be positive"),
+            (0 <= self.rms_decay < 1, "rms_decay must lie in [0, 1)"),
+            (self.rms_eps > 0, "rms_eps must be positive"),
+            (self.hidden_width >= 1, "hidden_width must be >= 1"),
+            (self.residual_blocks >= 0, "residual_blocks must be >= 0"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
 
 
 @dataclass

@@ -79,18 +79,18 @@ def calibrate_thresholds(
     layout = build_layout(config.L, config.R)
     n = opts.threshold_samples
 
-    def random_map():
-        return random_assignment(config.L, config.K, rng).user_to_pilot()
-
     if opts.redraw == "positions":
         # one world at a time: a stack of n pair-cost matrices is large
         samples = np.array([_copilot_costs(
             pairwise_cost_matrix(fresh_world(config, rng, layout)),
-            random_map())[1].max() for _ in range(n)])
+            random_assignment(config.L, config.K, rng).user_to_pilot())[1].max()
+            for _ in range(n)])
     else:
         C = pairwise if pairwise is not None else \
             pairwise_cost_matrix(world or fresh_world(config, rng, layout))
-        maps = np.stack([random_map() for _ in range(n)])
+        # the same draws as n successive random_assignment calls
+        p2u = rng.permuted(np.tile(np.arange(config.K), (n * config.L, 1)), axis=1)
+        maps = np.argsort(p2u.reshape(n, config.L, config.K), axis=2)
         samples = _copilot_costs(C, maps)[1].max(axis=(1, 2))
     g1 = float(np.quantile(samples, opts.q_low))
     g2 = float(np.quantile(samples, opts.q_high))

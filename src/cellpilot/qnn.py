@@ -11,55 +11,11 @@ from __future__ import annotations
 
 import collections
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import NumericError, TrainingSchedule, substream
-
-
-@dataclass
-class NetworkParams:
-    """Weights of the residual Q-network; W shapes are (out, in)."""
-
-    fc: list            # [(W, b), (W, b)] input stack
-    blocks: list        # [(Wa, ba, Wb, bb), ...] residual blocks
-    out: tuple          # (W, b) linear head
-
-    def named(self):
-        """(name, array) pairs in a fixed order."""
-        for i, (W, b) in enumerate(self.fc):
-            yield f"fc{i}.W", W
-            yield f"fc{i}.b", b
-        for i, (Wa, ba, Wb, bb) in enumerate(self.blocks):
-            yield f"block{i}.a.W", Wa
-            yield f"block{i}.a.b", ba
-            yield f"block{i}.b.W", Wb
-            yield f"block{i}.b.b", bb
-        yield "out.W", self.out[0]
-        yield "out.b", self.out[1]
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            fc=[(W.copy(), b.copy()) for W, b in self.fc],
-            blocks=[tuple(a.copy() for a in blk) for blk in self.blocks],
-            out=(self.out[0].copy(), self.out[1].copy()),
-        )
-
-    @property
-    def in_dim(self) -> int:
-        return self.fc[0][0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.out[0].shape[0]
-
-
-def _uniform_fan_in(rng, out_dim, in_dim):
-    bound = 1.0 / np.sqrt(in_dim)
-    W = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    b = rng.uniform(-bound, bound, size=out_dim)
-    return W, b
 
 
 def init_params(
@@ -68,38 +24,53 @@ def init_params(
     rng: np.random.Generator,
     hidden: int = 128,
     n_blocks: int = 2,
-) -> NetworkParams:
-    """Scaled-uniform fan-in initialization, double precision throughout."""
-    fc = [_uniform_fan_in(rng, hidden, in_dim), _uniform_fan_in(rng, hidden, hidden)]
-    blocks = []
-    for _ in range(n_blocks):
-        Wa, ba = _uniform_fan_in(rng, hidden, hidden)
-        Wb, bb = _uniform_fan_in(rng, hidden, hidden)
-        blocks.append((Wa, ba, Wb, bb))
-    return NetworkParams(fc=fc, blocks=blocks, out=_uniform_fan_in(rng, out_dim, hidden))
+) -> dict:
+    """Scaled-uniform fan-in initialization, double precision throughout.
+
+    Returns {name: array} in forward order: fc0.W, fc0.b, fc1.*, then
+    block{i}.a.* and block{i}.b.* per residual block, then out.W, out.b.
+    W shapes are (out, in).
+    """
+    shapes = [("fc0", hidden, in_dim), ("fc1", hidden, hidden)]
+    for i in range(n_blocks):
+        shapes += [(f"block{i}.a", hidden, hidden), (f"block{i}.b", hidden, hidden)]
+    shapes.append(("out", out_dim, hidden))
+    params = {}
+    for layer, n_out, n_in in shapes:
+        bound = 1.0 / np.sqrt(n_in)
+        params[layer + ".W"] = rng.uniform(-bound, bound, size=(n_out, n_in))
+        params[layer + ".b"] = rng.uniform(-bound, bound, size=n_out)
+    return params
 
 
-def _forward_cached(params: NetworkParams, x: np.ndarray):
+def _depth(params: dict) -> tuple[int, int]:
+    """(fully connected layers, residual blocks) named in params."""
+    return (sum(name.startswith("fc") for name in params) // 2,
+            sum(name.startswith("block") for name in params) // 4)
+
+
+def _forward_cached(params: dict, x: np.ndarray):
+    n_fc, n_blocks = _depth(params)
     h = x
     fc_cache = []
-    for W, b in params.fc:
-        pre = h @ W.T + b
+    for i in range(n_fc):
+        pre = h @ params[f"fc{i}.W"].T + params[f"fc{i}.b"]
         h = np.maximum(pre, 0.0)
         fc_cache.append((pre, h))
     block_cache = []
-    for Wa, ba, Wb, bb in params.blocks:
+    for i in range(n_blocks):
         h_in = h
-        pa = h_in @ Wa.T + ba
+        pa = h_in @ params[f"block{i}.a.W"].T + params[f"block{i}.a.b"]
         za = np.maximum(pa, 0.0)
-        pb = za @ Wb.T + bb
+        pb = za @ params[f"block{i}.b.W"].T + params[f"block{i}.b.b"]
         zb = np.maximum(pb, 0.0)
         h = zb + h_in          # identity shortcut
         block_cache.append((h_in, pa, za, pb))
-    q = h @ params.out[0].T + params.out[1]
+    q = h @ params["out.W"].T + params["out.b"]
     return q, (x, fc_cache, block_cache, h)
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+def forward(params: dict, x: np.ndarray) -> np.ndarray:
     """Action values for one feature vector (F,) or a batch (N, F)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -108,7 +79,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    params: NetworkParams,
+    params: dict,
     x: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
@@ -131,34 +102,31 @@ def backward(
     gq[np.arange(N), actions] = -2.0 * err / N
 
     grads = {}
-    Wo, _ = params.out
     grads["out.W"] = gq.T @ h_last
     grads["out.b"] = gq.sum(axis=0)
-    gh = gq @ Wo
-    for i in range(len(params.blocks) - 1, -1, -1):
-        Wa, ba, Wb, bb = params.blocks[i]
+    gh = gq @ params["out.W"]
+    for i in range(len(block_cache) - 1, -1, -1):
         h_in, pa, za, pb = block_cache[i]
         gpb = gh * (pb > 0)
         grads[f"block{i}.b.W"] = gpb.T @ za
         grads[f"block{i}.b.b"] = gpb.sum(axis=0)
-        gza = gpb @ Wb
+        gza = gpb @ params[f"block{i}.b.W"]
         gpa = gza * (pa > 0)
         grads[f"block{i}.a.W"] = gpa.T @ h_in
         grads[f"block{i}.a.b"] = gpa.sum(axis=0)
-        gh = gh + gpa @ Wa     # shortcut plus activation path
-    for i in range(len(params.fc) - 1, -1, -1):
-        W, _ = params.fc[i]
+        gh = gh + gpa @ params[f"block{i}.a.W"]  # shortcut plus activation path
+    for i in range(len(fc_cache) - 1, -1, -1):
         pre, _ = fc_cache[i]
         gpre = gh * (pre > 0)
         inp = fc_cache[i - 1][1] if i > 0 else x0
         grads[f"fc{i}.W"] = gpre.T @ inp
         grads[f"fc{i}.b"] = gpre.sum(axis=0)
-        gh = gpre @ W
+        gh = gpre @ params[f"fc{i}.W"]
     return grads, loss
 
 
 def td_targets(
-    target_params: NetworkParams,
+    target_params: dict,
     rewards: np.ndarray,
     next_x: np.ndarray,
     discount: float,
@@ -168,43 +136,37 @@ def td_targets(
     return np.asarray(rewards, dtype=float) + discount * q_next.max(axis=1)
 
 
-def sync_target(params: NetworkParams) -> NetworkParams:
+def sync_target(params: dict) -> dict:
     """Frozen deep copy used for bootstrapping between syncs."""
-    return params.copy()
-
-
-@dataclass
-class RmsPropState:
-    """Second-moment accumulators, one per parameter tensor."""
-
-    v: dict = field(default_factory=dict)
+    return {name: arr.copy() for name, arr in params.items()}
 
 
 def rmsprop_step(
-    params: NetworkParams,
+    params: dict,
     grads: dict,
-    state: RmsPropState,
+    v: dict,
     lr: float = 1e-3,
     decay: float = 0.9,
     eps: float = 1e-8,
 ) -> bool:
     """In-place RMSprop update; skipped entirely on non-finite gradients.
 
+    v holds one second-moment accumulator per parameter name and starts
+    each at zeros the first time that name is updated.
     v <- decay*v + (1-decay)*g^2;  p <- p - lr * g / (sqrt(v) + eps).
     Returns True when the step was applied.
     """
-    for name, g in grads.items():
+    for g in grads.values():
         if not np.all(np.isfinite(g)):
             return False
-    for name, p in params.named():
+    for name, p in params.items():
         g = grads[name]
-        v = state.v.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-            state.v[name] = v
-        v *= decay
-        v += (1.0 - decay) * g * g
-        p -= lr * g / (np.sqrt(v) + eps)
+        acc = v.get(name)
+        if acc is None:
+            acc = v[name] = np.zeros_like(p)
+        acc *= decay
+        acc += (1.0 - decay) * g * g
+        p -= lr * g / (np.sqrt(acc) + eps)
     return True
 
 
@@ -248,7 +210,7 @@ def epsilon(t: int, schedule: TrainingSchedule) -> float:
 
 
 def act(
-    params: NetworkParams,
+    params: dict,
     features: np.ndarray,
     eps: float,
     rng: np.random.Generator,
@@ -268,8 +230,8 @@ TRAINING_LOG_FIELDS = (
 
 @dataclass
 class TrainResult:
-    params: NetworkParams
-    opt_state: RmsPropState
+    params: dict
+    opt_state: dict
     log_rows: list
     trajectory_rows: list
     skipped_updates: int
@@ -298,7 +260,7 @@ def train(
                          hidden=schedule.hidden_width,
                          n_blocks=schedule.residual_blocks)
     target = sync_target(params)
-    opt = RmsPropState()
+    opt = {}
     replay = ReplayBuffer(schedule.replay_capacity)
 
     log_rows = []
@@ -355,62 +317,46 @@ def train(
                        trajectory_rows=traj_rows, skipped_updates=skipped)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
     path: str,
-    params: NetworkParams,
-    opt_state: RmsPropState,
+    params: dict,
+    opt_state: dict,
     step: int,
     rng: np.random.Generator,
 ):
     """Weights, optimizer state, step counter and the state of one RNG.
 
-    `cellpilot train` passes env.rng. The action and replay streams, the
-    replay buffer, the target network and the environment state are not
-    stored, so resuming from this file does not reproduce an
+    Arrays are stored under their own names as param.<name> and
+    opt.<name>. `cellpilot train` passes env.rng. The action and replay
+    streams, the replay buffer, the target network and the environment
+    state are not stored, so resuming from this file does not reproduce an
     uninterrupted run bit for bit.
     """
     payload = {
         "version": np.array(CHECKPOINT_VERSION),
         "step": np.array(step),
-        "meta": np.frombuffer(json.dumps({
-            "n_fc": len(params.fc), "n_blocks": len(params.blocks),
-        }).encode(), dtype=np.uint8),
         "rng_state": np.frombuffer(
             json.dumps(rng.bit_generator.state).encode(), dtype=np.uint8),
     }
-    for name, arr in params.named():
-        payload["param__" + name.replace(".", "_")] = arr
-    for name, arr in opt_state.v.items():
-        payload["opt__" + name.replace(".", "_")] = arr
+    payload.update({"param." + name: arr for name, arr in params.items()})
+    payload.update({"opt." + name: arr for name, arr in opt_state.items()})
     np.savez(path, **payload)
 
 
 def load_checkpoint(path: str):
     """Inverse of save_checkpoint: (params, opt_state, step, rng)."""
-    data = np.load(path)
-    version = int(data["version"])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    meta = json.loads(bytes(data["meta"]).decode())
+    with np.load(path) as data:
+        version = int(data["version"])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
 
-    def take(name):
-        return data["param__" + name.replace(".", "_")].astype(float)
+        def take(prefix):
+            return {key[len(prefix):]: data[key].astype(float)
+                    for key in data.files if key.startswith(prefix)}
 
-    fc = [(take(f"fc{i}.W"), take(f"fc{i}.b")) for i in range(meta["n_fc"])]
-    blocks = [tuple(take(f"block{i}.{part}") for part in ("a.W", "a.b", "b.W", "b.b"))
-              for i in range(meta["n_blocks"])]
-    params = NetworkParams(fc=fc, blocks=blocks, out=(take("out.W"), take("out.b")))
-    opt = RmsPropState()
-    for key in data.files:
-        if key.startswith("opt__"):
-            name = key[len("opt__"):]
-            for pname, _ in params.named():
-                if pname.replace(".", "_") == name:
-                    opt.v[pname] = data[key].astype(float)
-                    break
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())
-    return params, opt, int(data["step"]), rng
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())
+        return take("param."), take("opt."), int(data["step"]), rng

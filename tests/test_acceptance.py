@@ -173,7 +173,7 @@ def test_criterion_4_gradients_match_finite_differences():
     grads, _ = backward(params, x, actions, targets)
     h = 1e-6
     n_checked, worst = 0, 0.0
-    for name, arr in params.named():
+    for name, arr in params.items():
         g = grads[name].reshape(-1)
         flat = arr.reshape(-1)
         for idx in range(flat.size):
@@ -291,7 +291,7 @@ def test_criterion_7_mechanics_exactness():
     xn = rng.random((5, 6))
     r = rng.random(5)
     before = td_targets(frozen, r, xn, 0.9)
-    for _, arr in params.named():
+    for _, arr in params.items():
         arr += rng.random(arr.shape)  # the live network drifts
     frozen_ok = np.array_equal(td_targets(frozen, r, xn, 0.9), before)
     resync_differs = not np.array_equal(

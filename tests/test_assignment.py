@@ -10,7 +10,6 @@ from cellpilot import (
     PilotAssignment,
     SwapAction,
     apply_swap,
-    assignment_cost,
     exhaustive_search,
     extended_user_costs,
     pairwise_cost_matrix,
@@ -104,6 +103,15 @@ def test_random_assignment_deterministic():
     a = random_assignment(3, 4, np.random.default_rng(11))
     b = random_assignment(3, 4, np.random.default_rng(11))
     assert a == b
+
+
+def test_random_assignment_draws_match_per_cell_permutations():
+    for K in range(1, 9):
+        rng, ref = np.random.default_rng(K), np.random.default_rng(K)
+        a = random_assignment(4, K, rng)
+        assert np.array_equal(a.pilot_to_user,
+                              np.stack([ref.permutation(K) for _ in range(4)]))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_assignment_uniform_over_permutations():
@@ -294,9 +302,12 @@ def test_spr_rejects_negative_ratio():
         spr_like_assignment(world, edge_ratio=-0.5)
 
 
-def test_assignment_cost_wrapper():
+def test_spr_worst_user_cost():
     cfg = small_config(L=3, K=3, M=16)
     world = make_world(cfg, seed=9)
     ext, _ = spr_like_assignment(world)
-    _, worst = extended_user_costs(world, ext.user_to_pilot)
-    assert assignment_cost(world, ext) == pytest.approx(worst)
+    costs, worst = extended_user_costs(world, ext.user_to_pilot)
+    assert worst == costs.max()
+    C = pairwise_cost_matrix(world)
+    assert extended_user_costs(world, ext.user_to_pilot, pairwise=C)[1] == \
+        pytest.approx(worst)

@@ -137,6 +137,30 @@ def test_bad_config_exit_code(tmp_path):
     assert code == 2 and "error" in stderr
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("hidden_width", "0", "hidden_width must be >= 1"),
+    ("residual_blocks", "-1", "residual_blocks must be >= 0"),
+    ("batch_size", "0", "batch_size must be >= 1"),
+    ("learning_rate", "-1", "learning_rate must be positive"),
+    ("learning_rate", "0", "learning_rate must be positive"),
+    ("rms_decay", "1", "rms_decay must lie in [0, 1)"),
+    ("rms_decay", "-0.1", "rms_decay must lie in [0, 1)"),
+    ("rms_eps", "0", "rms_eps must be positive"),
+    ("eps_start", "1.5", "eps_start must lie in [0, 1]"),
+    ("eps_start", "-0.1", "eps_start must lie in [0, 1]"),
+    ("eps_floor", "2", "eps_floor must lie in [0, 1]"),
+    ("eps_decay", "0", "eps_decay must lie in (0, 1]"),
+    ("eps_decay", "1.01", "eps_decay must lie in (0, 1]"),
+])
+def test_invalid_training_schedule_exit_code(tmp_path, key, value, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[training]\n{key} = {value}\n")
+    code, _, stderr = _run(["train", "--steps", "1", "--config", str(bad),
+                            "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"error: {message}" in stderr
+
+
 def test_missing_required_arg_is_usage_error():
     with contextlib.redirect_stderr(io.StringIO()):
         with pytest.raises(SystemExit):

@@ -371,3 +371,24 @@ def test_calibration_matches_per_sample_loop(redraw):
     g2 = float(np.quantile(samples, opts.q_high))
     assert min(samples) < g1 < g2  # no tie adjustment on these draws
     assert (th.g1, th.g2) == (g1, g2)
+
+
+@pytest.mark.parametrize("K, n", [(3, 7), (3, 500), (4, 60), (5, 200)])
+def test_batched_calibration_matches_per_sample_permutations(K, n):
+    # the reference draws each sample's map with one rng.permutation(K) per
+    # cell, as n separate random assignments would, bypassing random_assignment
+    cfg = SystemConfig(L=3, K=K, M=32, scatter_radius=30.0, exclusion_radius=100.0)
+    opts = EnvOptions(redraw="smallscale", threshold_samples=n, q_low=0.2, q_high=0.7)
+    world = make_world(cfg, seed=K)
+    gen = np.random.default_rng(K + n)
+    th = calibrate_thresholds(cfg, opts, gen, world=world)
+
+    rng = np.random.default_rng(K + n)
+    C = _ref_pairwise(world)
+    samples = [_ref_total_costs(C, np.stack([rng.permutation(K) for _ in range(cfg.L)]))
+               ["global_max"] for _ in range(n)]
+    assert gen.bit_generator.state == rng.bit_generator.state
+    g1 = float(np.quantile(samples, opts.q_low))
+    g2 = float(np.quantile(samples, opts.q_high))
+    assert min(samples) < g1 < g2  # no tie adjustment on these draws
+    assert (th.g1, th.g2) == (g1, g2)

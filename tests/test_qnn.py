@@ -5,9 +5,7 @@ import pytest
 
 from cellpilot import (
     EnvOptions,
-    NetworkParams,
     ReplayBuffer,
-    RmsPropState,
     TrainingSchedule,
     act,
     backward,
@@ -29,26 +27,24 @@ from conftest import small_config
 
 
 def _zero_params(in_dim, out_dim, hidden=8, n_blocks=2):
-    fc = [(np.zeros((hidden, in_dim)), np.zeros(hidden)),
-          (np.zeros((hidden, hidden)), np.zeros(hidden))]
-    blocks = [tuple(np.zeros((hidden, hidden)) if i % 2 == 0 else np.zeros(hidden)
-                    for i in range(4)) for _ in range(n_blocks)]
-    return NetworkParams(fc=fc, blocks=blocks,
-                         out=(np.zeros((out_dim, hidden)), np.zeros(out_dim)))
+    shaped = init_params(in_dim, out_dim, np.random.default_rng(0), hidden, n_blocks)
+    return {name: np.zeros_like(arr) for name, arr in shaped.items()}
 
 
 # ------------------------------------------------------------------ forward
 
 def test_init_shapes_and_dtype(rng):
     p = init_params(20, 6, rng, hidden=16, n_blocks=2)
-    assert p.in_dim == 20 and p.out_dim == 6
-    assert p.fc[0][0].shape == (16, 20) and p.fc[1][0].shape == (16, 16)
-    assert len(p.blocks) == 2
-    for Wa, ba, Wb, bb in p.blocks:
-        assert Wa.shape == (16, 16) and Wb.shape == (16, 16)
-        assert ba.shape == (16,) and bb.shape == (16,)
-    assert p.out[0].shape == (6, 16)
-    for _, arr in p.named():
+    assert list(p) == ["fc0.W", "fc0.b", "fc1.W", "fc1.b",
+                       "block0.a.W", "block0.a.b", "block0.b.W", "block0.b.b",
+                       "block1.a.W", "block1.a.b", "block1.b.W", "block1.b.b",
+                       "out.W", "out.b"]
+    assert p["fc0.W"].shape == (16, 20) and p["fc1.W"].shape == (16, 16)
+    for i in range(2):
+        assert p[f"block{i}.a.W"].shape == (16, 16) and p[f"block{i}.b.W"].shape == (16, 16)
+        assert p[f"block{i}.a.b"].shape == (16,) and p[f"block{i}.b.b"].shape == (16,)
+    assert p["out.W"].shape == (6, 16)
+    for _, arr in p.items():
         assert arr.dtype == np.float64
 
 
@@ -62,10 +58,10 @@ def test_zeroed_blocks_are_identity(rng):
     # with all residual-block weights zero only the shortcut remains, so
     # the network equals the same net with no blocks at all
     full = init_params(6, 4, rng, hidden=8, n_blocks=2)
-    for blk in full.blocks:
-        for arr in blk:
+    for name, arr in full.items():
+        if name.startswith("block"):
             arr[:] = 0.0
-    plain = NetworkParams(fc=full.fc, blocks=[], out=full.out)
+    plain = {name: arr for name, arr in full.items() if not name.startswith("block")}
     x = rng.random((5, 6))
     assert np.allclose(forward(full, x), forward(plain, x), atol=1e-15)
 
@@ -110,7 +106,7 @@ def test_backward_matches_finite_differences(rng):
     targets = rng.random(3) * 2.0
     grads, _ = backward(p, x, actions, targets)
     h = 1e-6
-    for name, arr in p.named():
+    for name, arr in p.items():
         g = grads[name]
         flat = arr.reshape(-1)
         for idx in range(0, flat.size, max(1, flat.size // 25)):
@@ -146,7 +142,7 @@ def test_td_targets_worked_example():
     # zero weights with output bias (2, 0): max_a q = 2 everywhere,
     # so r=1 with discount 0.9 gives 1 + 0.9*2 = 2.8
     p = _zero_params(4, 2, hidden=8, n_blocks=1)
-    p.out[1][0] = 2.0
+    p["out.b"][0] = 2.0
     t = td_targets(p, np.array([1.0]), np.zeros((1, 4)), discount=0.9)
     assert t[0] == pytest.approx(2.8, rel=1e-15)
 
@@ -157,7 +153,7 @@ def test_target_network_frozen_between_syncs(rng):
     x = rng.random((4, 5))
     r = rng.random(4)
     before = td_targets(frozen, r, x, 0.9)
-    for _, arr in p.named():  # perturb the live network
+    for _, arr in p.items():  # perturb the live network
         arr += rng.random(arr.shape)
     after = td_targets(frozen, r, x, 0.9)
     assert np.array_equal(before, after)
@@ -170,54 +166,54 @@ def test_target_network_frozen_between_syncs(rng):
 
 def test_rmsprop_worked_example():
     p = _zero_params(2, 2, hidden=4, n_blocks=1)
-    for _, arr in p.named():
+    for _, arr in p.items():
         arr[:] = 1.0
-    grads = {name: np.ones_like(arr) for name, arr in p.named()}
-    state = RmsPropState()
+    grads = {name: np.ones_like(arr) for name, arr in p.items()}
+    state = {}
     assert rmsprop_step(p, grads, state, lr=1e-3, decay=0.9, eps=1e-8)
     step = 1e-3 / (np.sqrt(0.1) + 1e-8)
     assert step == pytest.approx(3.1623e-3, abs=1e-7)
-    for name, arr in p.named():
+    for name, arr in p.items():
         assert np.allclose(arr, 1.0 - step, atol=1e-15)
-        assert np.allclose(state.v[name], 0.1, atol=1e-15)
+        assert np.allclose(state[name], 0.1, atol=1e-15)
 
 
 def test_rmsprop_zero_gradient_decays_v():
     p = _zero_params(2, 2, hidden=4, n_blocks=1)
-    state = RmsPropState()
-    ones = {name: np.ones_like(arr) for name, arr in p.named()}
-    zeros = {name: np.zeros_like(arr) for name, arr in p.named()}
+    state = {}
+    ones = {name: np.ones_like(arr) for name, arr in p.items()}
+    zeros = {name: np.zeros_like(arr) for name, arr in p.items()}
     rmsprop_step(p, ones, state)
-    snapshot = {name: arr.copy() for name, arr in p.named()}
+    snapshot = {name: arr.copy() for name, arr in p.items()}
     rmsprop_step(p, zeros, state, decay=0.9)
-    for name, arr in p.named():
+    for name, arr in p.items():
         assert np.array_equal(arr, snapshot[name])
-        assert np.allclose(state.v[name], 0.09, atol=1e-15)
+        assert np.allclose(state[name], 0.09, atol=1e-15)
 
 
 def test_rmsprop_step_magnitude_converges_to_lr():
     p = _zero_params(2, 2, hidden=4, n_blocks=1)
-    state = RmsPropState()
-    grads = {name: 2.0 * np.ones_like(arr) for name, arr in p.named()}
+    state = {}
+    grads = {name: 2.0 * np.ones_like(arr) for name, arr in p.items()}
     for _ in range(300):
         rmsprop_step(p, grads, state, lr=1e-3, decay=0.9)
     # v has converged to g^2, so the step magnitude approaches lr itself
-    before = p.out[1].copy()
+    before = p["out.b"].copy()
     rmsprop_step(p, grads, state, lr=1e-3, decay=0.9)
-    delta = np.abs(p.out[1] - before).max()
+    delta = np.abs(p["out.b"] - before).max()
     assert delta == pytest.approx(1e-3, rel=0.02)
 
 
 def test_rmsprop_skips_nonfinite():
     p = _zero_params(2, 2, hidden=4, n_blocks=1)
-    state = RmsPropState()
-    grads = {name: np.ones_like(arr) for name, arr in p.named()}
+    state = {}
+    grads = {name: np.ones_like(arr) for name, arr in p.items()}
     grads["out.b"] = np.array([np.nan, 1.0])
-    snapshot = {name: arr.copy() for name, arr in p.named()}
+    snapshot = {name: arr.copy() for name, arr in p.items()}
     assert not rmsprop_step(p, grads, state)
-    for name, arr in p.named():
+    for name, arr in p.items():
         assert np.array_equal(arr, snapshot[name])
-    assert state.v == {}
+    assert state == {}
 
 
 # ------------------------------------------------------------------- replay
@@ -276,7 +272,7 @@ def test_act_greedy_and_explore(rng):
     p = _zero_params(4, 3, hidden=4, n_blocks=1)
     action, explored = act(p, np.zeros(4), eps=0.0, rng=rng, n_actions=3)
     assert action == 0 and not explored  # all-zero Q: lowest index wins
-    p.out[1][1] = 5.0
+    p["out.b"][1] = 5.0
     action, explored = act(p, np.zeros(4), eps=0.0, rng=rng, n_actions=3)
     assert action == 1 and not explored
     seen = set()
@@ -306,7 +302,7 @@ def test_train_warmup_leaves_params(rng):
     fresh = init_params(env.encode().size, env.n_actions,
                         substream(1, "qnn", "init"),
                         hidden=16, n_blocks=1)
-    for (name, arr), (_, ref) in zip(result.params.named(), fresh.named()):
+    for (name, arr), (_, ref) in zip(result.params.items(), fresh.items()):
         assert np.array_equal(arr, ref), name
     assert all(row["loss"] is None for row in result.log_rows)
 
@@ -338,10 +334,12 @@ def test_checkpoint_round_trip(tmp_path):
     cont = env.rng.random(5)  # what the saved stream produces next
     params, opt, step, rng2 = load_checkpoint(str(path))
     assert step == 30
-    for (name, arr), (_, ref) in zip(params.named(), result.params.named()):
+    for (name, arr), (_, ref) in zip(params.items(), result.params.items()):
         assert np.array_equal(arr, ref), name
-    for name in opt.v:
-        assert np.array_equal(opt.v[name], result.opt_state.v[name])
+    assert list(params) == list(result.params)
+    assert list(opt) == list(result.opt_state)
+    for name in opt:
+        assert np.array_equal(opt[name], result.opt_state[name])
     assert np.array_equal(rng2.random(5), cont)
 
 
