@@ -59,29 +59,19 @@ class PilotAssignment:
         return cls(mat)
 
 
-@dataclass
-class SwapAction:
-    """Exchange the users on two pilots within one cell."""
-
-    cell: int
-    pilot_a: int
-    pilot_b: int
-
-    @property
-    def no_op(self) -> bool:
-        return self.pilot_a == self.pilot_b
-
-
 def random_assignment(L: int, K: int, rng: np.random.Generator) -> PilotAssignment:
     """Uniform pilot permutation per cell: the draws of L rng.permutation(K) calls."""
     return PilotAssignment(rng.permuted(np.tile(np.arange(K), (L, 1)), axis=1))
 
 
-def apply_swap(assignment: PilotAssignment, action: SwapAction) -> PilotAssignment:
-    """New assignment with the action applied; the input is left untouched."""
+def apply_swap(assignment: PilotAssignment, cell: int, pilot_a: int,
+               pilot_b: int) -> PilotAssignment:
+    """New assignment with the users on two pilots of one cell exchanged.
+
+    The input is left untouched; equal pilots give an equal copy.
+    """
     out = assignment.pilot_to_user.copy()
-    l, a, b = action.cell, action.pilot_a, action.pilot_b
-    out[l, a], out[l, b] = out[l, b], out[l, a]
+    out[cell, pilot_a], out[cell, pilot_b] = out[cell, pilot_b], out[cell, pilot_a]
     return PilotAssignment(out)
 
 

@@ -41,6 +41,8 @@ def _seed(args, cfg: SystemConfig) -> int:
 
 
 def cmd_train(args) -> None:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     cfg, schedule, env_opts, _ = _build_options(args.config)
     seed = _seed(args, cfg)
     out = Path(args.out)

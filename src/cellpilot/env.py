@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import PilotAssignment, SwapAction, apply_swap, random_assignment
+from .assignment import PilotAssignment, apply_swap, random_assignment
 from .config import EnvOptions, SystemConfig, substream
 from .contamination import CostTable, _copilot_costs, pairwise_cost_matrix, total_costs
 from .scenario import CellLayout, ScenarioBundle, build_layout, fresh_world
@@ -30,34 +30,6 @@ class RewardThresholds:
         if g <= self.g2:
             return 1
         return 2
-
-
-@dataclass
-class EnvState:
-    """Observable state: the pattern plus cost and bookkeeping features."""
-
-    assignment: PilotAssignment
-    cell_max: np.ndarray   # (L,)
-    last_pilot: int        # pilot the previous action touched
-    last_cell: int         # cell the previous action touched
-    worst_pilot: int       # pilot of the currently worst user
-    worst_cell: int
-
-
-@dataclass
-class StepOutcome:
-    """Everything observable about one environment transition."""
-
-    reward: int
-    r1: int
-    r2: int
-    r3: int
-    g_prev: float
-    g_next: float
-    action_taken: bool
-    action_cell: int
-    action_pilot: int
-    global_max: float
 
 
 def calibrate_thresholds(
@@ -110,7 +82,13 @@ def calibrate_thresholds(
     return RewardThresholds(g1=g1, g2=g2)
 
 
-def encode_state(state: EnvState, thresholds: RewardThresholds) -> np.ndarray:
+def encode_state(
+    assignment: PilotAssignment,
+    costs: CostTable,
+    last_pilot: int,
+    last_cell: int,
+    thresholds: RewardThresholds,
+) -> np.ndarray:
     """Flat feature vector for the Q-network.
 
     Layout: L*K*K one-hot entries of the per-cell pilot->user permutation
@@ -118,17 +96,14 @@ def encode_state(state: EnvState, thresholds: RewardThresholds) -> np.ndarray:
     one-hots for the last touched pilot (K), last touched cell (L), worst
     user's pilot (K) and worst user's cell (L). Length L*K*K + 3L + 2K.
     """
-    L, K = state.assignment.shape
-    parts = [np.zeros(L * K * K), state.cell_max / thresholds.g2,
+    L, K = assignment.shape
+    parts = [np.zeros(L * K * K), costs.cell_max / thresholds.g2,
              np.zeros(K), np.zeros(L), np.zeros(K), np.zeros(L)]
-    p2u = state.assignment.pilot_to_user
-    for l in range(L):
-        for k in range(K):
-            parts[0][(l * K + k) * K + p2u[l, k]] = 1.0
-    parts[2][state.last_pilot] = 1.0
-    parts[3][state.last_cell] = 1.0
-    parts[4][state.worst_pilot] = 1.0
-    parts[5][state.worst_cell] = 1.0
+    parts[0][np.arange(L * K) * K + assignment.pilot_to_user.ravel()] = 1.0
+    parts[2][last_pilot] = 1.0
+    parts[3][last_cell] = 1.0
+    parts[4][costs.worst_pilot] = 1.0
+    parts[5][costs.worst_cell] = 1.0
     return np.concatenate(parts)
 
 
@@ -187,26 +162,17 @@ class PilotEnv:
         self.pairwise = pairwise  # the pair-cost matrix of `world`
         self.assignment = assignment
         self.world_digests = [self.world.digest()]
-        self._refresh_state(last_pilot=0, last_cell=0)
+        self.last_pilot = self.last_cell = 0
+        self.costs: CostTable = total_costs(
+            self.world, self.assignment.pilot_to_user, pairwise=self.pairwise)
 
     @property
     def n_actions(self) -> int:
         return self.config.L * self.config.K
 
-    def _refresh_state(self, last_pilot: int, last_cell: int):
-        self.costs: CostTable = total_costs(
-            self.world, self.assignment.pilot_to_user, pairwise=self.pairwise)
-        self.state = EnvState(
-            assignment=self.assignment,
-            cell_max=self.costs.cell_max.copy(),
-            last_pilot=last_pilot,
-            last_cell=last_cell,
-            worst_pilot=self.costs.worst_pilot,
-            worst_cell=self.costs.worst_cell,
-        )
-
     def encode(self) -> np.ndarray:
-        return encode_state(self.state, self.thresholds)
+        return encode_state(self.assignment, self.costs, self.last_pilot,
+                            self.last_cell, self.thresholds)
 
     def _evolve(self):
         if self.opts.redraw == "positions":
@@ -216,28 +182,34 @@ class PilotEnv:
         # which the rate benchmark realizes from its own streams.
         self.world_digests.append(self.world.digest())
 
-    def step(self, action: int) -> StepOutcome:
+    def step(self, action: int) -> dict:
+        """One transition; returns its trajectory row without the step index.
+
+        The row holds every TRAJECTORY_FIELDS column but `step`: the action's
+        (cell, pilot), whether it swapped, the network-wide worst-user cost
+        before (g_prev) and after (g_next), the reward terms, and the worst
+        user (worst_pilot, worst_cell) taken before the action, i.e. the
+        user whose pilot the action swaps.
+        """
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action {action} outside 0..{self.n_actions - 1}")
         cell, pilot = divmod(action, self.config.K)
-        # the watched quantity is the worst cell's cost, re-identified after
-        # the action: i.e. the network-wide worst-user cost before and after
-        g_prev = float(self.state.cell_max[self.state.worst_cell])
-        swap = SwapAction(cell=cell, pilot_a=self.state.worst_pilot, pilot_b=pilot)
-        if not swap.no_op:
-            self.assignment = apply_swap(self.assignment, swap)
+        before = self.costs
+        taken = pilot != before.worst_pilot
+        if taken:
+            self.assignment = apply_swap(self.assignment, cell, before.worst_pilot, pilot)
         self._evolve()
-        self._refresh_state(last_pilot=pilot, last_cell=cell)
-        g_next = float(self.state.cell_max[self.state.worst_cell])
+        self.last_pilot, self.last_cell = pilot, cell
+        self.costs = total_costs(
+            self.world, self.assignment.pilot_to_user, pairwise=self.pairwise)
         r1, r2, r3 = reward_components(
-            g_prev, g_next, not swap.no_op, self.thresholds)
-        return StepOutcome(
-            reward=r1 + r2 + r3, r1=r1, r2=r2, r3=r3,
-            g_prev=g_prev, g_next=g_next,
-            action_taken=not swap.no_op,
-            action_cell=cell, action_pilot=pilot,
-            global_max=self.costs.global_max,
-        )
+            before.global_max, self.costs.global_max, taken, self.thresholds)
+        return {
+            "action_cell": cell, "action_pilot": pilot, "action_taken": taken,
+            "g_prev": before.global_max, "g_next": self.costs.global_max,
+            "r1": r1, "r2": r2, "r3": r3, "reward": r1 + r2 + r3,
+            "worst_pilot": before.worst_pilot, "worst_cell": before.worst_cell,
+        }
 
 
 TRAJECTORY_FIELDS = (

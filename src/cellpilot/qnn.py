@@ -251,12 +251,14 @@ def train(
     batch (targets from the frozen copy), and a target sync every
     target_sync_period updates. Everything is driven by substreams of the
     seed, so identical (env, seed) runs produce identical logs.
+    step_callback(t, env) runs after each step and must not change env.
     """
     rng_init = substream(seed, "qnn", "init")
     rng_act = substream(seed, "qnn", "act")
     rng_replay = substream(seed, "qnn", "replay")
 
-    params = init_params(env.encode().size, env.n_actions, rng_init,
+    feats = env.encode()
+    params = init_params(feats.size, env.n_actions, rng_init,
                          hidden=schedule.hidden_width,
                          n_blocks=schedule.residual_blocks)
     target = sync_target(params)
@@ -267,13 +269,11 @@ def train(
     traj_rows = []
     skipped = 0
     for t in range(total_steps):
-        feats = env.encode()
-        pre_state = env.state
         eps_t = epsilon(t, schedule)
         action, _ = act(params, feats, eps_t, rng_act, env.n_actions)
-        outcome = env.step(action)
+        row = env.step(action)
         next_feats = env.encode()
-        replay.push(feats, action, outcome.reward, next_feats)
+        replay.push(feats, action, row["reward"], next_feats)
 
         loss = None
         batch = replay.sample(schedule.batch_size, rng_replay)
@@ -285,7 +285,7 @@ def train(
                 raise NumericError(
                     f"non-finite training loss at step {t}; "
                     f"|q| max {np.abs(forward(params, s)).max():.3e}, "
-                    f"reward {outcome.reward}, action {action}"
+                    f"reward {row['reward']}, action {action}"
                 )
             if not rmsprop_step(params, grads, opt, lr=schedule.learning_rate,
                                 decay=schedule.rms_decay, eps=schedule.rms_eps):
@@ -297,22 +297,14 @@ def train(
             target = sync_target(params)
 
         log_rows.append({
-            "step": t, "epsilon": eps_t, "loss": loss, "reward": outcome.reward,
-            "r1": outcome.r1, "r2": outcome.r2, "r3": outcome.r3,
-            "g_max": outcome.global_max, "action": action, "synced": synced,
+            "step": t, "epsilon": eps_t, "loss": loss, "reward": row["reward"],
+            "r1": row["r1"], "r2": row["r2"], "r3": row["r3"],
+            "g_max": row["g_next"], "action": action, "synced": synced,
         })
-        traj_rows.append({
-            "step": t, "action_cell": outcome.action_cell,
-            "action_pilot": outcome.action_pilot,
-            "action_taken": outcome.action_taken,
-            "g_prev": outcome.g_prev, "g_next": outcome.g_next,
-            "r1": outcome.r1, "r2": outcome.r2, "r3": outcome.r3,
-            "reward": outcome.reward,
-            "worst_pilot": pre_state.worst_pilot,
-            "worst_cell": pre_state.worst_cell,
-        })
+        traj_rows.append({"step": t, **row})
         if step_callback is not None:
             step_callback(t, env)
+        feats = next_feats
     return TrainResult(params=params, opt_state=opt, log_rows=log_rows,
                        trajectory_rows=traj_rows, skipped_updates=skipped)
 

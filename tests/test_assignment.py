@@ -8,7 +8,6 @@ import pytest
 from cellpilot import (
     BudgetError,
     PilotAssignment,
-    SwapAction,
     apply_swap,
     exhaustive_search,
     extended_user_costs,
@@ -60,21 +59,18 @@ def test_text_round_trip():
 
 def test_swap_noop_branch():
     a = PilotAssignment(np.array([[0, 1, 2]]))
-    action = SwapAction(cell=0, pilot_a=1, pilot_b=1)
-    assert action.no_op
-    assert apply_swap(a, action) == a
+    assert apply_swap(a, 0, 1, 1) == a
 
 
 def test_swap_involution():
     a = PilotAssignment(np.array([[2, 0, 1], [1, 2, 0]]))
-    action = SwapAction(cell=1, pilot_a=0, pilot_b=2)
-    assert apply_swap(apply_swap(a, action), action) == a
+    assert apply_swap(apply_swap(a, 1, 0, 2), 1, 0, 2) == a
 
 
 def test_swap_leaves_input_untouched():
     mat = np.array([[0, 1], [1, 0]])
     a = PilotAssignment(mat.copy())
-    apply_swap(a, SwapAction(cell=0, pilot_a=0, pilot_b=1))
+    apply_swap(a, 0, 0, 1)
     assert np.array_equal(a.pilot_to_user, mat)
 
 
@@ -84,10 +80,8 @@ def test_swap_fuzz_preserves_permutations():
     a = random_assignment(L, K, rng)
     ref = np.arange(K)
     for _ in range(100000):
-        action = SwapAction(cell=int(rng.integers(L)),
-                            pilot_a=int(rng.integers(K)),
-                            pilot_b=int(rng.integers(K)))
-        a = apply_swap(a, action)
+        a = apply_swap(a, int(rng.integers(L)), int(rng.integers(K)),
+                       int(rng.integers(K)))
     for l in range(L):
         assert np.array_equal(np.sort(a.pilot_to_user[l]), ref)
 

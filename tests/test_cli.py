@@ -79,6 +79,16 @@ def test_train_command(tmp_path, ini):
     assert assign.shape == (2, 2)
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_train_rejects_non_positive_steps(tmp_path, ini, steps):
+    out = tmp_path / "run"
+    code, _, stderr = _run(["train", "--steps", steps, "--seed", "3",
+                            "--config", ini, "--out", str(out)])
+    assert code == 2
+    assert "--steps must be >= 1" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method,fname", [
     ("random", "assignment_random.txt"),
     ("exhaustive", "assignment_exhaustive.txt"),

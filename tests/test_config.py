@@ -169,6 +169,17 @@ def test_package_version_matches_pyproject():
         assert tomllib.load(fh)["project"]["version"] == PACKAGE_VERSION
 
 
+def test_package_surface():
+    import cellpilot
+    names = cellpilot.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(cellpilot, name), name
+    # transition records folded into CostTable and the trajectory row
+    for gone in ("EnvState", "StepOutcome", "SwapAction"):
+        assert gone not in names and not hasattr(cellpilot, gone)
+
+
 def test_substream_deterministic_and_labelled():
     a = substream(7, "world").random(4)
     b = substream(7, "world").random(4)

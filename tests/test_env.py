@@ -7,8 +7,8 @@ import pytest
 
 import cellpilot.env
 from cellpilot import (
+    CostTable,
     EnvOptions,
-    EnvState,
     PilotEnv,
     RewardThresholds,
     calibrate_thresholds,
@@ -125,12 +125,14 @@ def test_reward_single_band_steps():
 
 # ------------------------------------------------------------ state encoding
 
-def _state(L, K, rng, cell_max=None):
-    assign = random_assignment(L, K, rng)
-    return EnvState(
-        assignment=assign,
-        cell_max=np.zeros(L) if cell_max is None else cell_max,
-        last_pilot=0, last_cell=0, worst_pilot=0, worst_cell=0,
+def _costs(L, K, cell_max=None, worst_pilot=0, worst_cell=0):
+    """A cost table whose users each cost their cell's maximum."""
+    cell_max = np.zeros(L) if cell_max is None else cell_max
+    return CostTable(
+        user_costs=np.repeat(cell_max[:, None], K, axis=1),
+        pair_costs=np.zeros((L, K, L)), cell_max=cell_max,
+        global_max=float(cell_max[worst_cell]),
+        worst_cell=worst_cell, worst_pilot=worst_pilot,
     )
 
 
@@ -138,7 +140,7 @@ def test_encoded_size_formula(rng):
     assert encoded_size(7, 4) == 7 * 16 + 7 + 4 + 7 + 4 + 7 == 141
     th = RewardThresholds(g1=1.0, g2=2.0)
     for L, K in ((1, 1), (3, 3), (7, 4)):
-        vec = encode_state(_state(L, K, rng), th)
+        vec = encode_state(random_assignment(L, K, rng), _costs(L, K), 0, 0, th)
         assert vec.shape == (encoded_size(L, K),)
 
 
@@ -146,15 +148,14 @@ def test_encoding_one_hots_and_costs(rng):
     L, K = 3, 2
     th = RewardThresholds(g1=1.0, g2=4.0)
     cell_max = np.array([2.0, 8.0, 1.0])
-    state = _state(L, K, rng, cell_max=cell_max)
-    state.last_pilot, state.last_cell = 1, 2
-    state.worst_pilot, state.worst_cell = 0, 1
-    vec = encode_state(state, th)
+    assign = random_assignment(L, K, rng)
+    table = _costs(L, K, cell_max=cell_max, worst_pilot=0, worst_cell=1)
+    vec = encode_state(assign, table, 1, 2, th)
     pattern = vec[:L * K * K].reshape(L, K, K)
     for l in range(L):
         for k in range(K):
             onehot = np.zeros(K)
-            onehot[state.assignment.pilot_to_user[l, k]] = 1.0
+            onehot[assign.pilot_to_user[l, k]] = 1.0
             assert np.array_equal(pattern[l, k], onehot)
     costs = vec[L * K * K:L * K * K + L]
     assert np.allclose(costs, cell_max / th.g2)
@@ -171,15 +172,12 @@ def test_encoding_one_hots_and_costs(rng):
 def test_encoding_locality(rng):
     L, K = 3, 2
     th = RewardThresholds(g1=1.0, g2=2.0)
-    state_a = _state(L, K, rng)
-    state_b = EnvState(
-        assignment=state_a.assignment.copy(),
-        cell_max=state_a.cell_max.copy(),
-        last_pilot=state_a.last_pilot, last_cell=state_a.last_cell,
-        worst_pilot=state_a.worst_pilot, worst_cell=state_a.worst_cell,
-    )
-    state_b.assignment.pilot_to_user[1] = state_b.assignment.pilot_to_user[1][::-1]
-    diff = np.flatnonzero(encode_state(state_a, th) != encode_state(state_b, th))
+    assign_a = random_assignment(L, K, rng)
+    assign_b = assign_a.copy()
+    assign_b.pilot_to_user[1] = assign_b.pilot_to_user[1][::-1]
+    costs = _costs(L, K)
+    diff = np.flatnonzero(encode_state(assign_a, costs, 0, 0, th)
+                          != encode_state(assign_b, costs, 0, 0, th))
     block = set(range((1 * K + 0) * K, (1 * K + K) * K))  # cell 1's pattern block
     assert set(diff.tolist()) <= block
 
@@ -195,13 +193,13 @@ def _static_env(seed=0, L=3, K=3, M=32):
 def test_step_noop_leaves_cost(rng):
     env = _static_env(seed=3)
     # choosing the worst user's own pilot in its own cell is the no-op
-    action = env.state.worst_cell * env.config.K + env.state.worst_pilot
+    action = env.costs.worst_cell * env.config.K + env.costs.worst_pilot
     g_before = env.costs.global_max
-    out = env.step(action)
-    assert not out.action_taken
-    assert out.g_prev == out.g_next == g_before
-    assert out.r2 == 0 and out.r3 == 0
-    assert out.reward == out.r1
+    row = env.step(action)
+    assert not row["action_taken"]
+    assert row["g_prev"] == row["g_next"] == g_before
+    assert row["r2"] == 0 and row["r3"] == 0
+    assert row["reward"] == row["r1"]
 
 
 def test_step_rejects_bad_action():
@@ -220,12 +218,12 @@ def test_step_tracks_global_worst_cost(rng):
         before = total_costs(env.world, env.assignment.pilot_to_user,
                              pairwise=env.pairwise).global_max
         action = int(rng.integers(env.n_actions))
-        out = env.step(action)
+        row = env.step(action)
         after = total_costs(env.world, env.assignment.pilot_to_user,
                             pairwise=env.pairwise).global_max
-        assert out.g_prev == pytest.approx(before, abs=1e-12)
-        assert out.g_next == pytest.approx(after, abs=1e-12)
-        assert out.global_max == pytest.approx(after, abs=1e-12)
+        assert row["g_prev"] == pytest.approx(before, abs=1e-12)
+        assert row["g_next"] == pytest.approx(after, abs=1e-12)
+        assert env.costs.global_max == pytest.approx(after, abs=1e-12)
 
 
 def test_step_worst_indices_match_fresh_argmax(rng):
@@ -234,29 +232,31 @@ def test_step_worst_indices_match_fresh_argmax(rng):
         env.step(int(rng.integers(env.n_actions)))
         table = total_costs(env.world, env.assignment.pilot_to_user,
                             pairwise=env.pairwise)
-        assert env.state.worst_cell == table.worst_cell
-        assert env.state.worst_pilot == table.worst_pilot
-        assert np.allclose(env.state.cell_max, table.cell_max)
+        assert env.costs.worst_cell == table.worst_cell
+        assert env.costs.worst_pilot == table.worst_pilot
+        assert np.allclose(env.costs.cell_max, table.cell_max)
 
 
 def test_step_reward_consistency(rng):
     env = _static_env(seed=9)
     for _ in range(40):
-        out = env.step(int(rng.integers(env.n_actions)))
-        want = reward_components(out.g_prev, out.g_next, out.action_taken,
-                                 env.thresholds)
-        assert (out.r1, out.r2, out.r3) == want
-        assert out.reward == out.r1 + out.r2 + out.r3
-        assert -4 <= out.reward <= 3
+        row = env.step(int(rng.integers(env.n_actions)))
+        want = reward_components(row["g_prev"], row["g_next"],
+                                 row["action_taken"], env.thresholds)
+        assert (row["r1"], row["r2"], row["r3"]) == want
+        assert row["reward"] == row["r1"] + row["r2"] + row["r3"]
+        assert -4 <= row["reward"] <= 3
 
 
 def test_step_swap_uses_worst_pilot(rng):
     env = _static_env(seed=11)
     for _ in range(10):
-        worst_pilot = env.state.worst_pilot
+        worst_pilot, worst_cell = env.costs.worst_pilot, env.costs.worst_cell
         before = env.assignment.pilot_to_user.copy()
         cell, pilot = divmod(int(rng.integers(env.n_actions)), env.config.K)
-        env.step(cell * env.config.K + pilot)
+        row = env.step(cell * env.config.K + pilot)
+        # the row names the worst user the action swapped, not the new one
+        assert (row["worst_pilot"], row["worst_cell"]) == (worst_pilot, worst_cell)
         after = env.assignment.pilot_to_user
         if pilot == worst_pilot:
             assert np.array_equal(before, after)
@@ -272,9 +272,7 @@ def test_trajectory_replay_identical():
     logs = []
     for _ in range(2):
         env = _static_env(seed=13)
-        rows = [env.step(int(a)) for a in actions]
-        logs.append([(o.reward, o.g_prev, o.g_next, o.action_taken)
-                     for o in rows])
+        logs.append([env.step(int(a)) for a in actions])
     assert logs[0] == logs[1]
 
 
@@ -328,22 +326,14 @@ def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
 
 def test_encode_matches_free_function():
     env = _static_env(seed=2)
-    assert np.array_equal(env.encode(), encode_state(env.state, env.thresholds))
+    assert np.array_equal(env.encode(), encode_state(
+        env.assignment, env.costs, env.last_pilot, env.last_cell, env.thresholds))
 
 
 def test_trajectory_csv_format(tmp_path):
     env = _static_env(seed=4, L=2, K=2, M=16)
-    rows = []
-    for t in range(3):
-        pre = env.state
-        out = env.step(t % env.n_actions)
-        rows.append({
-            "step": t, "action_cell": out.action_cell,
-            "action_pilot": out.action_pilot, "action_taken": out.action_taken,
-            "g_prev": out.g_prev, "g_next": out.g_next,
-            "r1": out.r1, "r2": out.r2, "r3": out.r3, "reward": out.reward,
-            "worst_pilot": pre.worst_pilot, "worst_cell": pre.worst_cell,
-        })
+    rows = [{"step": t, **env.step(t % env.n_actions)} for t in range(3)]
+    assert list(rows[0]) == list(TRAJECTORY_FIELDS)
     path = tmp_path / "traj.csv"
     write_csv(path, TRAJECTORY_FIELDS, rows)
     lines = path.read_text().strip().splitlines()
