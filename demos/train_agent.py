@@ -33,7 +33,7 @@ def main():
 
     print(f"{STEPS} steps on a fixed drop ({CFG.L} cells x {CFG.K} pilots)\n")
     print(" block   epsilon    loss    neg-reward ratio   mean worst cost")
-    rows = result.log_rows
+    rows = result.rows
     for start in range(0, STEPS, 100):
         block = rows[start:start + 100]
         losses = [r["loss"] for r in block if r["loss"] is not None]

@@ -36,34 +36,28 @@ def _build_options(config_path: str | None):
     return opts["scenario"], opts["training"], opts["env"], opts["rate"]
 
 
-def _seed(args, cfg: SystemConfig) -> int:
-    return args.seed if args.seed is not None else cfg.seed
-
-
 def cmd_train(args) -> None:
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     cfg, schedule, env_opts, _ = _build_options(args.config)
-    seed = _seed(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    env = make_env(cfg, env_opts, seed)
-    result = train(env, schedule, args.steps, seed)
-    write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.log_rows)
-    write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.trajectory_rows)
+    env = make_env(cfg, env_opts, args.seed)
+    result = train(env, schedule, args.steps, args.seed)
+    write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.rows)
+    write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.rows)
     save_checkpoint(str(out / "checkpoint.npz"), result.params,
                     result.opt_state, args.steps, env.rng)
     (out / "assignment.txt").write_text(env.assignment.to_text())
-    final = result.log_rows[-1]
-    print(f"trained {args.steps} steps (seed {seed}); "
+    final = result.rows[-1]
+    print(f"trained {args.steps} steps (seed {args.seed}); "
           f"final worst-user cost {final['g_max']:.6g}, "
           f"skipped updates {result.skipped_updates}; outputs in {out}")
 
 
 def cmd_baseline(args) -> None:
     cfg, _, _, _ = _build_options(args.config)
-    seed = _seed(args, cfg)
-    world = fresh_world(cfg, substream(seed, "world"))
+    world = fresh_world(cfg, substream(args.seed, "world"))
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -71,12 +65,12 @@ def cmd_baseline(args) -> None:
     method = "spr_like" if args.method == "spr" else args.method
     pairwise = pairwise_cost_matrix(world)
     u2p, _, text, report = baseline_assignment(
-        method, world, substream(seed, "baseline", method), pairwise,
+        method, world, substream(args.seed, "baseline", method), pairwise,
         allow_long_run=args.long_run)
     _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
     if report is not None:
         print(report)
-    print(f"{args.method} baseline (seed {seed}): worst-user cost {g_max:.6g}")
+    print(f"{args.method} baseline (seed {args.seed}): worst-user cost {g_max:.6g}")
     if out:
         name = f"assignment_{method}.txt"
         (out / name).write_text(text)
@@ -87,13 +81,12 @@ def cmd_baseline(args) -> None:
 
 def cmd_evaluate(args) -> None:
     cfg, _, _, rate_opts = _build_options(args.config)
-    seed = _seed(args, cfg)
     assign = PilotAssignment.from_text(Path(args.assignment).read_text())
     if assign.shape != (cfg.L, cfg.K):
         raise ConfigError(
             f"assignment shape {assign.shape} does not match the configured "
             f"scenario ({cfg.L} cells x {cfg.K} pilots)")
-    world = fresh_world(cfg, substream(seed, "world"))
+    world = fresh_world(cfg, substream(args.seed, "world"))
     table = total_costs(world, assign.pilot_to_user)
     cell_max = " ".join(f"{c:.6g}" for c in table.cell_max)
     print(f"worst-user cost {table.global_max:.6g} "
@@ -101,7 +94,7 @@ def cmd_evaluate(args) -> None:
     print(f"per-cell max cost: {cell_max}")
     if args.rate:
         report = min_rate(world, assign.user_to_pilot(), cfg.K,
-                          substream(seed, "rate", 0), options=rate_opts)
+                          substream(args.seed, "rate", 0), options=rate_opts)
         print(f"min rate {report.min_rate:.6g} bits/s/Hz "
               f"over {report.n_mc} realizations")
 
@@ -134,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run the Q-learning loop and checkpoint it")
     p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="INI file overriding defaults")
     p.add_argument("--out", default="train_out")
     p.set_defaults(func=cmd_train)
@@ -142,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="compute a non-learned assignment")
     p.add_argument("--method", required=True,
                    choices=("random", "exhaustive", "spr"))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--long-run", action="store_true",
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a stored assignment on a world")
     p.add_argument("assignment", help="assignment text file (one row per cell)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--rate", action="store_true",
                    help="also run the Monte-Carlo rate benchmark")

@@ -42,7 +42,6 @@ class SystemConfig:
     spacing: float = 0.5          # antenna spacing in wavelengths
     scatter_radius: float = 50.0  # scattering ring radius around each user
     exclusion_radius: float = 50.0  # min user distance from its BS
-    seed: int = 0                 # master seed for derived streams
     # behaviour switches not fixed by the model itself
     clamp_aoa: bool = False       # clamp degenerate AoA half-widths instead of raising
     path_gain: str = "phase"      # per-path amplitude: "phase" or "complex_normal"

@@ -29,7 +29,7 @@ from .config import (
 )
 from .contamination import extended_user_costs, pairwise_cost_matrix
 from .env import TRAJECTORY_FIELDS, make_env
-from .qnn import TRAINING_LOG_FIELDS, train
+from .qnn import TRAINING_LOG_FIELDS, TrainResult, train
 from .rate import min_rate, moving_average
 from .scenario import build_layout, fresh_world
 
@@ -134,57 +134,52 @@ def _digest_chain(digests: list) -> str:
 class MethodResult:
     """Everything one method contributes to the experiment outputs."""
 
-    name: str
     cost_rows: list = field(default_factory=list)   # (step, global_max)
     rate_rows: list = field(default_factory=list)   # (step, min_rate, overhead)
-    world_digest: str = ""
     text_files: dict = field(default_factory=dict)  # filename -> content
-    log_rows: list | None = None
-    trajectory_rows: list | None = None
-    final_cost: float = float("nan")
+    world_digest: str = ""
+    training: TrainResult | None = None             # drl only
 
 
-def _rate_eval(world, user_to_pilot, n_pilots, master_seed, step, rate_opts):
-    rng = substream(master_seed, "rate", step)
-    return min_rate(world, user_to_pilot, n_pilots, rng, options=rate_opts).min_rate
+def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
+                long_run: bool) -> MethodResult:
+    """Run one method on the preset's world stream and record every step.
 
-
-def _run_drl(preset: ExperimentPreset, master_seed: int) -> MethodResult:
-    cfg = preset.config
-    eval_at = _eval_steps(preset.total_steps, preset.rate.eval_every)
-    env = make_env(cfg, preset.env, master_seed)
-    out = MethodResult(name="drl")
-
-    def callback(t, env_):
-        if t in eval_at:
-            mr = _rate_eval(env_.world, env_.assignment.user_to_pilot(), cfg.K,
-                            master_seed, t, preset.rate)
-            out.rate_rows.append((t, mr, 1.0))
-
-    result = train(env, preset.schedule, preset.total_steps, master_seed,
-                   step_callback=callback)
-    out.cost_rows = [(row["step"], row["g_max"]) for row in result.log_rows]
-    out.world_digest = _digest_chain(env.world_digests)
-    out.log_rows = result.log_rows
-    out.trajectory_rows = result.trajectory_rows
-    out.final_cost = float(result.log_rows[-1]["g_max"])
-    out.text_files["assignment_drl.txt"] = env.assignment.to_text()
-    return out
-
-
-def _run_baseline(name: str, preset: ExperimentPreset, master_seed: int,
-                  long_run: bool) -> MethodResult:
-    """random / exhaustive / spr_like on the same world stream the agent sees."""
+    drl trains on its environment's stream; the baselines redraw the same
+    stream here (the same substream of the master seed), so all methods see
+    identical worlds, and their world digests prove it. Every step goes
+    through `record`: its worst-user cost, and at the rate-evaluation steps
+    the minimum rate with the pilot overhead n_pilots / K.
+    """
     cfg, opts = preset.config, preset.env
     eval_at = _eval_steps(preset.total_steps, preset.rate.eval_every)
+    out = MethodResult()
+
+    def record(t, world, user_to_pilot, n_pilots, g_max):
+        out.cost_rows.append((t, g_max))
+        if t in eval_at:
+            report = min_rate(world, user_to_pilot, n_pilots,
+                              substream(master_seed, "rate", t),
+                              options=preset.rate)
+            out.rate_rows.append((t, report.min_rate, n_pilots / cfg.K))
+
+    if name == "drl":
+        env = make_env(cfg, opts, master_seed)
+        out.training = train(
+            env, preset.schedule, preset.total_steps, master_seed,
+            step_callback=lambda t, _: record(
+                t, env.world, env.assignment.user_to_pilot(), cfg.K,
+                env.costs.global_max))
+        out.world_digest = _digest_chain(env.world_digests)
+        out.text_files["assignment_drl.txt"] = env.assignment.to_text()
+        return out
+
     world_rng = substream(master_seed, "world")
     layout = build_layout(cfg.L, cfg.R)
     redraw = opts.redraw == "positions"
     world = fresh_world(cfg, world_rng, layout)
     digests = [world.digest()]
-    out = MethodResult(name=name)
     rng_assign = substream(master_seed, "baseline", name)
-
     for t in range(preset.total_steps):
         if redraw:
             world = fresh_world(cfg, world_rng, layout)
@@ -196,14 +191,9 @@ def _run_baseline(name: str, preset: ExperimentPreset, master_seed: int,
             u2p, n_pilots, text, report = baseline_assignment(
                 name, world, rng_assign, pairwise, allow_long_run=long_run)
         _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
-        out.cost_rows.append((t, g_max))
-        if t in eval_at:
-            overhead = n_pilots / cfg.K
-            mr = _rate_eval(world, u2p, n_pilots, master_seed, t, preset.rate)
-            out.rate_rows.append((t, mr, overhead))
+        record(t, world, u2p, n_pilots, g_max)
 
     out.world_digest = _digest_chain(digests)
-    out.final_cost = float(out.cost_rows[-1][1])
     if name != "random":
         out.text_files[f"assignment_{name}.txt"] = text
     if report is not None:
@@ -263,9 +253,11 @@ def run_experiment(
     is recorded in the manifest and the remaining methods still run.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
-    costs.csv (method,seed,step,global_max), drl_training_log.csv,
-    drl_trajectory.csv, per-method assignment/overhead text files, and
-    manifest.json tying everything to the config hash and seed.
+    costs.csv (method,seed,step,global_max), drl_training_log.csv and
+    drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
+    columns of the one per-step record train returns), per-method
+    assignment/overhead text files, and manifest.json tying everything to
+    the config hash and seed.
     """
     out_dir = Path(out_dir) if out_dir is not None else Path(preset.out_name)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,8 +278,7 @@ def run_experiment(
     cost_rows = []
     for name in preset.active_methods(long_run):
         try:
-            res = (_run_drl(preset, master_seed) if name == "drl" else
-                   _run_baseline(name, preset, master_seed, long_run))
+            res = _run_method(name, preset, master_seed, long_run)
         except Exception as exc:  # record and continue with the other methods
             manifest["methods"][name] = {
                 "status": "error",
@@ -297,7 +288,7 @@ def run_experiment(
         manifest["methods"][name] = {
             "status": "ok",
             "world_digest": res.world_digest,
-            "final_cost": res.final_cost,
+            "final_cost": float(res.cost_rows[-1][1]),
         }
         results_rows += [{"method": name, "seed": master_seed, "step": step,
                           "min_rate": mr, "overhead_factor": ov}
@@ -307,11 +298,11 @@ def run_experiment(
         for fname, content in sorted(res.text_files.items()):
             (out_dir / fname).write_text(content)
             manifest["files"].append(fname)
-        if res.log_rows is not None:
+        if res.training is not None:
             write_csv(out_dir / "drl_training_log.csv", TRAINING_LOG_FIELDS,
-                      res.log_rows)
+                      res.training.rows)
             write_csv(out_dir / "drl_trajectory.csv", TRAJECTORY_FIELDS,
-                      res.trajectory_rows)
+                      res.training.rows)
             manifest["files"] += ["drl_training_log.csv", "drl_trajectory.csv"]
 
     write_csv(out_dir / "results.csv", RESULTS_FIELDS, results_rows)
@@ -335,24 +326,23 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     plots/min_rate.csv carries one short-term moving-average series per
     method; plots/reward.csv carries the raw per-step reward, its
     short-term moving average, the long-term (cumulative) mean, and the
-    cumulative ratio of negative rewards. Missing inputs are skipped with
-    a warning recorded in plots/manifest.json.
+    cumulative ratio of negative rewards. results.csv and manifest.json
+    (whose eval_every sets the smoothing window) are required; a missing
+    drl_training_log.csv is skipped with a warning recorded in
+    plots/manifest.json.
     """
     run_dir = Path(run_dir)
     results_path = run_dir / "results.csv"
-    if not results_path.exists():
-        raise ConfigError(f"no results.csv under {run_dir}; not a run directory")
+    manifest_path = run_dir / "manifest.json"
+    for path in (results_path, manifest_path):
+        if not path.exists():
+            raise ConfigError(f"no {path.name} under {run_dir}; not a run directory")
+    with open(manifest_path) as fh:
+        eval_every = json.load(fh)["config"]["rate"]["eval_every"]
+    window = max(1, SHORT_TERM_STEPS // eval_every)
     plots = run_dir / "plots"
     plots.mkdir(exist_ok=True)
     warnings = []
-
-    manifest_path = run_dir / "manifest.json"
-    eval_every = None
-    if manifest_path.exists():
-        with open(manifest_path) as fh:
-            eval_every = json.load(fh)["config"]["rate"]["eval_every"]
-    else:
-        warnings.append("manifest.json missing; inferring eval spacing from steps")
 
     results = _read_csv(results_path)
     rate_rows = []
@@ -362,9 +352,6 @@ def emit_plot_data(run_dir: str | Path) -> Path:
         vals = np.array([float(row["min_rate"]) for row in mine])
         order = np.argsort(steps, kind="stable")
         steps, vals = steps[order], vals[order]
-        if eval_every is None:
-            eval_every = int(np.diff(steps).min()) if steps.size > 1 else 1
-        window = max(1, SHORT_TERM_STEPS // eval_every)
         ma = moving_average(vals, window)
         rate_rows += [{"step": t, "series": m, "value": v}
                       for t, v in zip(steps, ma)]

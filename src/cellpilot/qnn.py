@@ -232,8 +232,7 @@ TRAINING_LOG_FIELDS = (
 class TrainResult:
     params: dict
     opt_state: dict
-    log_rows: list
-    trajectory_rows: list
+    rows: list  # one dict per step; see train
     skipped_updates: int
 
 
@@ -252,6 +251,12 @@ def train(
     target_sync_period updates. Everything is driven by substreams of the
     seed, so identical (env, seed) runs produce identical logs.
     step_callback(t, env) runs after each step and must not change env.
+
+    The result's `rows` hold one dict per step: `step`, the dict env.step
+    returned, `epsilon`, `loss` (None before the first update), `g_max`
+    (the worst-user cost after the step, equal to `g_next`), `action` and
+    `synced`. Every TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS column is a
+    key, so either file is write_csv of `rows` with its field tuple.
     """
     rng_init = substream(seed, "qnn", "init")
     rng_act = substream(seed, "qnn", "act")
@@ -265,8 +270,7 @@ def train(
     opt = {}
     replay = ReplayBuffer(schedule.replay_capacity)
 
-    log_rows = []
-    traj_rows = []
+    rows = []
     skipped = 0
     for t in range(total_steps):
         eps_t = epsilon(t, schedule)
@@ -296,17 +300,14 @@ def train(
         if synced:
             target = sync_target(params)
 
-        log_rows.append({
-            "step": t, "epsilon": eps_t, "loss": loss, "reward": row["reward"],
-            "r1": row["r1"], "r2": row["r2"], "r3": row["r3"],
-            "g_max": row["g_next"], "action": action, "synced": synced,
-        })
-        traj_rows.append({"step": t, **row})
+        rows.append({"step": t, **row, "epsilon": eps_t, "loss": loss,
+                     "g_max": row["g_next"], "action": action,
+                     "synced": synced})
         if step_callback is not None:
             step_callback(t, env)
         feats = next_feats
-    return TrainResult(params=params, opt_state=opt, log_rows=log_rows,
-                       trajectory_rows=traj_rows, skipped_updates=skipped)
+    return TrainResult(params=params, opt_state=opt, rows=rows,
+                       skipped_updates=skipped)
 
 
 CHECKPOINT_VERSION = 2

@@ -108,8 +108,9 @@ def drop_users(
     Rejection sampling from the bounding square of each hexagon, cell by
     cell and user by user: each user takes `rng.uniform(-R, R, size=2)`
     draws until one lands in the hexagon and outside the exclusion disk,
-    and a user that meets max_attempts consecutive rejections raises (only
-    possible with an exclusion disk nearly as large as the cell).
+    and a user that meets max_attempts consecutive rejections raises
+    ConfigError (only possible with an exclusion disk nearly as large as
+    the cell).
 
     The candidates are drawn and tested in blocks: the generator's state is
     saved, a block is drawn and tested in one batch, then the state is
@@ -146,7 +147,7 @@ def drop_users(
                 rng.bit_generator.state = state
                 rng.uniform(-R, R, size=(used, 2))
             if failed.size:
-                raise RuntimeError(
+                raise ConfigError(
                     f"could not place user {placed + failed[0]} in cell {cell} "
                     f"after {max_attempts} draws"
                 )

@@ -147,6 +147,24 @@ def test_bad_config_exit_code(tmp_path):
     assert code == 2 and "error" in stderr
 
 
+def test_unplaceable_users_exit_code(tmp_path):
+    # the exclusion disk passes SystemConfig's check (< R) but leaves the
+    # hexagon no room for a user: a configuration error, not a crash
+    bad = tmp_path / "tight.ini"
+    bad.write_text("[scenario]\nL = 2\nK = 2\nM = 8\nexclusion_radius = 499.99\n")
+    code, _, stderr = _run(["baseline", "--method", "random", "--seed", "0",
+                            "--config", str(bad)])
+    assert code == 2
+    assert "could not place user 0 in cell 0 after 10000 draws" in stderr
+
+
+def test_seed_defaults_to_zero(ini):
+    command = ["baseline", "--method", "random", "--config", ini]
+    code, stdout, _ = _run(command)
+    assert code == 0 and "(seed 0)" in stdout
+    assert _run(command + ["--seed", "0"]) == (code, stdout, "")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("hidden_width", "0", "hidden_width must be >= 1"),
     ("residual_blocks", "-1", "residual_blocks must be >= 0"),
@@ -248,8 +266,8 @@ def test_every_csv_shares_one_format(tmp_path, ini):
     result = train(make_env(opts["scenario"], opts["env"], 3), opts["training"],
                    12, 3)
     for fname, fields, held in (
-            ("training_log.csv", TRAINING_LOG_FIELDS, result.log_rows),
-            ("trajectory.csv", TRAJECTORY_FIELDS, result.trajectory_rows)):
+            ("training_log.csv", TRAINING_LOG_FIELDS, result.rows),
+            ("trajectory.csv", TRAJECTORY_FIELDS, result.rows)):
         _, rows = _read(tmp_path / "train" / fname)
         assert len(rows) == len(held) == 12
         for row, want in zip(rows, held):

@@ -185,7 +185,7 @@ def test_encoding_locality(rng):
 # -------------------------------------------------------------- transitions
 
 def _static_env(seed=0, L=3, K=3, M=32):
-    cfg = small_config(L=L, K=K, M=M, seed=seed)
+    cfg = small_config(L=L, K=K, M=M)
     opts = EnvOptions(redraw="smallscale", threshold_samples=100)
     return make_env(cfg, opts, seed)
 
@@ -277,7 +277,7 @@ def test_trajectory_replay_identical():
 
 
 def test_world_evolution_modes():
-    cfg = small_config(L=2, K=2, M=16, seed=0)
+    cfg = small_config(L=2, K=2, M=16)
     moving = make_env(cfg, EnvOptions(redraw="positions", threshold_samples=50), 0)
     for _ in range(5):
         moving.step(0)

@@ -17,6 +17,9 @@ from cellpilot import (
     presets,
     run_experiment,
 )
+from cellpilot.env import TRAJECTORY_FIELDS
+from cellpilot.harness import _run_method
+from cellpilot.qnn import TRAINING_LOG_FIELDS
 
 RUN_FILES = (
     "results.csv", "costs.csv", "manifest.json",
@@ -122,6 +125,30 @@ def test_run_spr_overhead_factor(tiny_run):
     assert factors["spr_like"] >= 1.0
 
 
+def test_drl_costs_are_the_step_record(tiny_run):
+    # drl's costs.csv rows come through train's step callback; step by step
+    # they are the g_next and g_max of the one record both drl files project
+    def read(name):
+        with open(tiny_run / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    costs = [row for row in read("costs.csv") if row["method"] == "drl"]
+    trajectory = read("drl_trajectory.csv")
+    log = read("drl_training_log.csv")
+    assert len(costs) == len(trajectory) == len(log) == 30
+    for t, (cost, traj, entry) in enumerate(zip(costs, trajectory, log)):
+        assert int(cost["step"]) == int(traj["step"]) == int(entry["step"]) == t
+        assert cost["global_max"] == traj["g_next"] == entry["g_max"], t
+
+    res = _run_method("drl", _tiny_preset(), 5, long_run=False)
+    assert len(res.training.rows) == len(res.cost_rows) == 30
+    for row, (t, g_max) in zip(res.training.rows, res.cost_rows):
+        assert set(TRAINING_LOG_FIELDS) | set(TRAJECTORY_FIELDS) <= row.keys()
+        assert row["step"] == t
+        assert row["g_max"] == row["g_next"] == g_max
+        assert f"{g_max:.17g}" == costs[t]["global_max"]
+
+
 def test_rerun_is_byte_identical(tiny_run, tmp_path):
     again = run_experiment(_tiny_preset(), master_seed=5,
                            out_dir=tmp_path / "again")
@@ -186,6 +213,17 @@ def test_emit_plot_data(tiny_run):
 def test_emit_plot_data_rejects_non_run_dir(tmp_path):
     with pytest.raises(ConfigError):
         emit_plot_data(tmp_path)
+
+
+def test_emit_plot_data_requires_manifest(tiny_run, tmp_path):
+    # the manifest's eval_every sets the smoothing window; without it the
+    # directory is not a run directory
+    run = tmp_path / "no_manifest"
+    run.mkdir()
+    (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
+    with pytest.raises(ConfigError, match="manifest.json"):
+        emit_plot_data(run)
+    assert not (run / "plots").exists()
 
 
 def test_emit_plot_data_without_training_log(tmp_path):

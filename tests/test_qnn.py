@@ -304,7 +304,7 @@ def test_train_warmup_leaves_params(rng):
                         hidden=16, n_blocks=1)
     for (name, arr), (_, ref) in zip(result.params.items(), fresh.items()):
         assert np.array_equal(arr, ref), name
-    assert all(row["loss"] is None for row in result.log_rows)
+    assert all(row["loss"] is None for row in result.rows)
 
 
 def test_train_bit_identical_logs():
@@ -312,18 +312,18 @@ def test_train_bit_identical_logs():
     for _ in range(2):
         env = _tiny_env(seed=2)
         result = train(env, _TINY_SCHED, total_steps=40, seed=2)
-        logs.append(result.log_rows)
+        logs.append(result.rows)
     assert logs[0] == logs[1]
 
 
 def test_train_updates_and_syncs():
     env = _tiny_env(seed=3)
     result = train(env, _TINY_SCHED, total_steps=40, seed=3)
-    assert any(row["loss"] is not None for row in result.log_rows)
-    synced_at = [row["step"] for row in result.log_rows if row["synced"]]
+    assert any(row["loss"] is not None for row in result.rows)
+    synced_at = [row["step"] for row in result.rows if row["synced"]]
     assert synced_at == [9, 19, 29, 39]  # every target_sync_period steps
     assert result.skipped_updates == 0
-    assert len(result.trajectory_rows) == 40
+    assert len(result.rows) == 40
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -359,7 +359,7 @@ def test_training_log_csv_format(tmp_path):
     env = _tiny_env(seed=6)
     result = train(env, _TINY_SCHED, total_steps=20, seed=6)
     path = tmp_path / "log.csv"
-    write_csv(path, TRAINING_LOG_FIELDS, result.log_rows)
+    write_csv(path, TRAINING_LOG_FIELDS, result.rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,epsilon,loss,reward,r1,r2,r3,g_max,action,synced"
     assert len(lines) == 21

@@ -129,7 +129,7 @@ def _reference_drop(layout, K, exclusion_radius, rng, max_attempts=10000):
                 positions[cell, k] = p
                 break
             else:
-                raise RuntimeError(
+                raise ConfigError(
                     f"could not place user {k} in cell {cell} after {max_attempts} draws"
                 )
     return positions
@@ -171,8 +171,8 @@ def test_drop_users_attempt_cap_matches_per_draw_loop():
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
             expected = _reference_drop(layout, K, excl, ref_rng, max_attempts)
-        except RuntimeError as exc:
-            with pytest.raises(RuntimeError) as got:
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
                 drop_users(layout, K, excl, rng, max_attempts)
             assert str(got.value) == str(exc)
             outcomes.add("raise")
@@ -186,7 +186,7 @@ def test_drop_users_attempt_cap_matches_per_draw_loop():
 
 def test_drop_users_impossible_exclusion():
     layout = build_layout(1, 500.0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ConfigError):
         # exclusion disk covers the whole hexagon
         drop_users(layout, 1, 500.0, np.random.default_rng(0), max_attempts=200)
 
