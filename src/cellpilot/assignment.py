@@ -35,9 +35,6 @@ class PilotAssignment:
         """Inverse map: pilot id of each user, same shape."""
         return np.argsort(self.pilot_to_user, axis=1)
 
-    def copy(self) -> "PilotAssignment":
-        return PilotAssignment(self.pilot_to_user.copy())
-
     def __eq__(self, other):
         return (isinstance(other, PilotAssignment)
                 and np.array_equal(self.pilot_to_user, other.pilot_to_user))

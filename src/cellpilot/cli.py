@@ -81,7 +81,12 @@ def cmd_baseline(args) -> None:
 
 def cmd_evaluate(args) -> None:
     cfg, _, _, rate_opts = _build_options(args.config)
-    assign = PilotAssignment.from_text(Path(args.assignment).read_text())
+    try:
+        text = Path(args.assignment).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read assignment file {args.assignment}: "
+                          f"{exc.strerror}") from exc
+    assign = PilotAssignment.from_text(text)
     if assign.shape != (cfg.L, cfg.K):
         raise ConfigError(
             f"assignment shape {assign.shape} does not match the configured "

@@ -159,25 +159,30 @@ def _coerce(raw: str, kind):
         raise ConfigError(f"cannot parse {kind.__name__} from {raw!r}") from exc
 
 
-def load_config_overrides(path: str) -> dict:
-    """Parse an INI-style config file into per-section keyword dicts.
+def load_config_file(path: str, base: dict) -> dict:
+    """Lay an INI-style config file's keys over `base`.
 
-    Returns {section: {field: value}} with only the keys present in the
-    file, so the caller can lay them over any base configuration. Unknown
-    sections or keys raise ConfigError so a typo cannot silently fall
-    back to a default.
+    `base` maps each section (scenario/training/env/rate) to its option
+    dataclass, e.g. the defaults or a preset's options. Returns a new dict
+    of the same shape; fields the file does not name keep their base
+    values, and every replaced dataclass is validated again. A file that
+    is missing, unreadable or malformed, or names an unknown section or
+    key, raises ConfigError so a typo cannot silently fall back to a
+    default. Values are taken literally (no % interpolation).
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # field names are case sensitive (L, K, M, R)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
-    out = {}
+    out = dict(base)
     for section in parser.sections():
         if section not in _SECTION_TYPES:
             raise ConfigError(f"unknown config section [{section}]")
-        cls = _SECTION_TYPES[section]
-        known = {f.name: f.type for f in fields(cls)}
+        known = {f.name: f.type for f in fields(_SECTION_TYPES[section])}
         kwargs = {}
         for key, raw in parser.items(section):
             if key not in known:
@@ -191,20 +196,6 @@ def load_config_overrides(path: str) -> dict:
                 kwargs[key] = _coerce(raw, bool)
             else:
                 kwargs[key] = raw
-        out[section] = kwargs
-    return out
-
-
-def load_config_file(path: str, base: dict) -> dict:
-    """Lay an INI-style config file's keys over `base`.
-
-    `base` maps each section (scenario/training/env/rate) to its option
-    dataclass, e.g. the defaults or a preset's options. Returns a new dict
-    of the same shape; fields the file does not name keep their base
-    values, and every replaced dataclass is validated again.
-    """
-    out = dict(base)
-    for section, kwargs in load_config_overrides(path).items():
         out[section] = replace(base[section], **kwargs)
     return out
 

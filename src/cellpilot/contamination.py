@@ -6,11 +6,12 @@ over the target's own angular support. The exact criterion is an integral
 of the squared response kernel; a cheap piecewise-linear envelope of that
 kernel drives the assignment search.
 
-Two kernels compute every cost: _envelope, one broadcasting trapezoid
-behind approx_gain and pairwise_cost_matrix (all pairs in one pass), and
-_copilot_costs, the sum of that matrix over co-pilot partners behind
-total_costs, extended_user_costs and the batched threshold calibration.
-Its partner mask, _copilot_mask, also picks the rate benchmark's co-users.
+Two kernels compute every cost: _pair_costs, one broadcasting envelope
+cost that serves pair_cost (one pair) and pairwise_cost_matrix (all pairs
+in one pass) alike, and _copilot_costs, the sum of that matrix over
+co-pilot partners behind total_costs, extended_user_costs and the batched
+threshold calibration. Its partner mask, _copilot_mask, also picks the
+rate benchmark's co-users.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 
 from .channel import _midpoints
 from .scenario import AoAInterval, ScenarioBundle
-
-
-class NullBoundsError(ValueError):
-    """No response null brackets the support; the envelope cost saturates."""
 
 
 def dirichlet_magnitude(x, M: int, spacing: float = 0.5):
@@ -40,16 +37,6 @@ def dirichlet_magnitude(x, M: int, spacing: float = 0.5):
     ratio = np.abs(num) / np.where(small, 1.0, np.abs(den))
     out = np.where(small, float(M), ratio)
     return out if out.ndim else float(out)
-
-
-def response_overlap(omega, phi, gain: float, M: int, spacing: float = 0.5):
-    """Coherent array-response overlap between arrival angles omega and phi.
-
-    sqrt(gain) * |sum_m exp(2j*pi*m*spacing*(cos phi - cos omega))|; peaks at
-    sqrt(gain)*M when the direction cosines coincide.
-    """
-    x = np.cos(np.asarray(phi, dtype=float)) - np.cos(np.asarray(omega, dtype=float))
-    return np.sqrt(gain) * dirichlet_magnitude(x, M, spacing)
 
 
 def interference_integral(
@@ -113,43 +100,17 @@ def kernel_zeros(omega: float, M: int, spacing: float = 0.5) -> np.ndarray:
     return np.sort(np.arccos(cosines))
 
 
-@dataclass
-class NullBounds:
-    """First response nulls bracketing a target's cosine support.
+def _first_nulls(lo, hi, M: int, spacing: float):
+    """First kernel nulls outside cosine supports [lo, hi]: (low, high, saturated).
 
     low is the null just outside the high-cosine edge (a smaller angle than
     the support), high the null just outside the low-cosine edge. When the
     nominal null falls beyond an endfire direction the bound clamps there,
     truncating that ramp at the edge of the physical cosine range.
-    """
-
-    low: float   # radians; cos(low) = min(support_hi + 1/(M*spacing), 1)
-    high: float  # radians; cos(high) = max(support_lo - 1/(M*spacing), -1)
-
-
-def first_null_bounds(interval: AoAInterval, M: int, spacing: float = 0.5) -> NullBounds:
-    """Nearest kernel nulls outside the support's cosine range.
-
-    Bounds clamp to the endfire cosines when the first null would land
-    outside [-1, 1]. Raises NullBoundsError only when an edge-seeded
-    kernel has no zeros at all (M*spacing too small to form any null);
-    callers should then fall back to the saturated wide-band cost.
-    """
-    low, high, saturated = _first_nulls(*cosine_support(interval), M, spacing)
-    if saturated:
-        raise NullBoundsError(
-            "an edge-seeded kernel has no zeros (M < 2 or M*spacing too "
-            "small); envelope cost saturates to its wide-band value"
-        )
-    return NullBounds(low=float(low), high=float(high))
-
-
-def _first_nulls(lo, hi, M: int, spacing: float):
-    """first_null_bounds of cosine supports [lo, hi]: (low, high, saturated).
-
-    Saturated: M < 2, or kernel_zeros is empty at an edge. Its integer
-    range always holds 0 (a multiple of M) and, for M >= 2, a non-multiple
-    as soon as it holds two integers: it is empty when the range is {0}.
+    Saturated (the envelope cost takes its wide-band value): M < 2, or
+    kernel_zeros is empty at an edge. Its integer range always holds 0 (a
+    multiple of M) and, for M >= 2, a non-multiple as soon as it holds two
+    integers: it is empty when the range is {0}.
     """
     saturated = np.full(np.shape(lo), M < 2)
     for edge in (lo, hi):
@@ -178,28 +139,17 @@ def _envelope(u, lo, hi, west, east):
     return np.maximum(t[0], t[1])
 
 
-def approx_gain(
-    phi,
-    target: AoAInterval,
-    target_gain: float,
-    nulls: NullBounds | None,
-):
-    """Piecewise-linear envelope of the normalized overlap toward angle phi.
+def _pair_costs(lo, hi, root, edges, M: int, spacing: float):
+    """Envelope cost of interferers with support endpoints `edges` on targets.
 
-    Value sqrt(target_gain) wherever |cos phi| falls on the target's cosine
-    support (the template is symmetric in the cosine, mirroring the
-    support), ramping linearly to zero at the first kernel nulls, zero in
-    the dead zone between the ramps. nulls=None selects the saturated
-    wide-band template, sqrt(target_gain) everywhere. The template is
-    _envelope, which pairwise_cost_matrix evaluates for every pair at once.
+    Targets have cosine supports [lo, hi] and root = sqrt(target gain);
+    edges is (low endpoint angles, high endpoint angles). Sum of the
+    target's gain envelope at both endpoints, 2*root where saturated. The
+    target arrays broadcast against each endpoint array.
     """
-    u = np.cos(np.asarray(phi, dtype=float))
-    root = np.sqrt(target_gain)
-    if nulls is None:
-        return np.broadcast_to(root, u.shape).copy() if u.ndim else root
-    lo, hi = cosine_support(target)
-    out = root * _envelope(u, lo, hi, np.cos(nulls.high), np.cos(nulls.low))
-    return out if out.ndim else float(out)
+    low, high, saturated = _first_nulls(lo, hi, M, spacing)
+    gain = _envelope(np.cos(edges), lo, hi, np.cos(high), np.cos(low))
+    return root * np.where(saturated, 2.0, gain[0] + gain[1])
 
 
 def pair_cost(
@@ -212,14 +162,17 @@ def pair_cost(
     """Envelope cost of one co-pilot interferer: both endpoint angles scored.
 
     Sum of the target's gain envelope at the interferer's two support
-    endpoints; in [0, 2*sqrt(target_gain)].
+    endpoints; in [0, 2*sqrt(target_gain)]. The envelope toward angle phi
+    is sqrt(target_gain) wherever |cos phi| falls on the target's cosine
+    support (it is symmetric in the cosine, mirroring the support), ramps
+    linearly to zero at the first kernel nulls, and is zero in the dead
+    zone between the ramps; without nulls (saturated) it is
+    sqrt(target_gain) everywhere. One kernel serves this and
+    pairwise_cost_matrix, so the value is its matrix entry bit for bit.
     """
-    try:
-        nulls = first_null_bounds(target, M, spacing)
-    except NullBoundsError:
-        nulls = None
-    return float(approx_gain(interferer.low, target, target_gain, nulls)
-                 + approx_gain(interferer.high, target, target_gain, nulls))
+    lo, hi = cosine_support(target)
+    return float(_pair_costs(lo, hi, np.sqrt(target_gain),
+                             (interferer.low, interferer.high), M, spacing))
 
 
 def pairwise_cost_matrix(bundle: ScenarioBundle) -> np.ndarray:
@@ -228,21 +181,18 @@ def pairwise_cost_matrix(bundle: ScenarioBundle) -> np.ndarray:
     Entry [j, a, l, b]: cost user b of cell l would inflict on user a of
     cell j (at BS j) if they shared a pilot. Zero on the diagonal l == j.
     Assignment-independent, so one evaluation serves any pilot pattern on
-    the same drop. Each off-diagonal entry is pair_cost's value, up to
-    rounding; all pairs are computed in one array pass.
+    the same drop. Each off-diagonal entry is pair_cost's value; all pairs
+    are computed in one array pass.
     """
     cells = np.arange(bundle.drop.shape[0])
     # targets (j, a) at their own BS, broadcast against interferers (l, b)
     lo, hi = cosine_support(bundle.interval(cells, cells, slice(None)))
-    low, high, saturated = _first_nulls(lo, hi, bundle.config.M,
-                                        bundle.config.spacing)
-    knots = [x[:, :, None, None] for x in (lo, hi, np.cos(high), np.cos(low))]
+    root = np.sqrt(bundle.gains[cells, cells])
     # both support endpoints of every interferer, as [endpoint, j, 1, l, b]
-    edges = [bundle.centers - bundle.half_widths,
-             bundle.centers + bundle.half_widths]
-    gain = _envelope(np.cos(edges)[:, :, None], *knots)
-    root = np.sqrt(bundle.gains[cells, cells])[:, :, None, None]
-    C = root * np.where(saturated[:, :, None, None], 2.0, gain[0] + gain[1])
+    edges = np.stack([bundle.centers - bundle.half_widths,
+                      bundle.centers + bundle.half_widths])[:, :, None]
+    C = _pair_costs(*(x[:, :, None, None] for x in (lo, hi, root)), edges,
+                    bundle.config.M, bundle.config.spacing)
     C[cells, :, cells, :] = 0.0
     return C
 
@@ -260,13 +210,11 @@ def _copilot_costs(C: np.ndarray, user_to_pilot: np.ndarray):
     """Every user's cost from the users on its pilot in the other cells.
 
     C (L, K, L, K) and user_to_pilot (L, K) may carry leading batch axes,
-    which broadcast. Returns (split, costs): split[..., j, a, l] sums
-    C[..., j, a, l, b] over users b of cell l != j on user (j, a)'s pilot;
-    costs[..., j, a] adds split over l in increasing cell order (numpy sums
-    fewer than 8 terms one by one).
+    which broadcast. Returns costs[..., j, a]: C[..., j, a, l, b] summed
+    first over users b of cell l != j on user (j, a)'s pilot, then over l
+    in increasing cell order (numpy sums fewer than 8 terms one by one).
     """
-    split = np.where(_copilot_mask(user_to_pilot), C, 0.0).sum(axis=-1)
-    return split, split.sum(axis=-1)
+    return np.where(_copilot_mask(user_to_pilot), C, 0.0).sum(axis=-1).sum(axis=-1)
 
 
 @dataclass
@@ -274,7 +222,6 @@ class CostTable:
     """Contamination costs of one assignment on one drop."""
 
     user_costs: np.ndarray  # (L, K) indexed [cell, pilot]
-    pair_costs: np.ndarray  # (L, K, L): contribution of each interfering cell
     cell_max: np.ndarray    # (L,)
     global_max: float
     worst_cell: int
@@ -294,13 +241,11 @@ def total_costs(
     """
     L, K = pilot_to_user.shape
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
-    split, costs = _copilot_costs(C, np.argsort(pilot_to_user, axis=1))
-    cells = np.arange(L)[:, None]
-    user_costs = costs[cells, pilot_to_user]
+    costs = _copilot_costs(C, np.argsort(pilot_to_user, axis=1))
+    user_costs = costs[np.arange(L)[:, None], pilot_to_user]
     worst_cell, worst_pilot = divmod(int(np.argmax(user_costs)), K)
     return CostTable(
         user_costs=user_costs,
-        pair_costs=split[cells, pilot_to_user],
         cell_max=user_costs.max(axis=1),
         global_max=float(user_costs[worst_cell, worst_pilot]),
         worst_cell=worst_cell,
@@ -319,5 +264,5 @@ def extended_user_costs(
     Returns costs indexed by user and the global maximum.
     """
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
-    _, costs = _copilot_costs(C, np.asarray(user_to_pilot))
+    costs = _copilot_costs(C, np.asarray(user_to_pilot))
     return costs, float(costs.max())

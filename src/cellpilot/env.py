@@ -36,16 +36,15 @@ def calibrate_thresholds(
     config: SystemConfig,
     opts: EnvOptions,
     rng: np.random.Generator,
-    world: ScenarioBundle | None = None,
     pairwise: np.ndarray | None = None,
 ) -> RewardThresholds:
     """Empirical quantiles of the worst-user cost under random assignments.
 
     Each sample scores a fresh random assignment; the world is redrawn per
-    sample when the evolution mode redraws positions, otherwise the given
-    (or one freshly built) world is reused, matching what the run will see.
-    On a reused world all samples are scored in one batched call, on
-    `pairwise` when the caller holds that world's pair-cost matrix.
+    sample when the evolution mode redraws positions, otherwise one world
+    is reused, matching what the run will see: the world whose pair-cost
+    matrix the caller passes as `pairwise`, or one freshly built. On a
+    reused world all samples are scored in one batched call.
     Degenerate quantiles are widened by 5% so the middle band is never empty.
     """
     layout = build_layout(config.L, config.R)
@@ -55,15 +54,15 @@ def calibrate_thresholds(
         # one world at a time: a stack of n pair-cost matrices is large
         samples = np.array([_copilot_costs(
             pairwise_cost_matrix(fresh_world(config, rng, layout)),
-            random_assignment(config.L, config.K, rng).user_to_pilot())[1].max()
+            random_assignment(config.L, config.K, rng).user_to_pilot()).max()
             for _ in range(n)])
     else:
         C = pairwise if pairwise is not None else \
-            pairwise_cost_matrix(world or fresh_world(config, rng, layout))
+            pairwise_cost_matrix(fresh_world(config, rng, layout))
         # the same draws as n successive random_assignment calls
         p2u = rng.permuted(np.tile(np.arange(config.K), (n * config.L, 1)), axis=1)
         maps = np.argsort(p2u.reshape(n, config.L, config.K), axis=2)
-        samples = _copilot_costs(C, maps)[1].max(axis=(1, 2))
+        samples = _copilot_costs(C, maps).max(axis=(1, 2))
     g1 = float(np.quantile(samples, opts.q_low))
     g2 = float(np.quantile(samples, opts.q_high))
     # Cost landscapes with heavy ties can pull the quantiles down onto the

@@ -55,7 +55,6 @@ class ExperimentPreset:
     rate: RateOptions
     methods: tuple
     total_steps: int
-    out_name: str = ""
     # methods only run when the caller passes long_run=True (compute gated)
     long_run_methods: tuple = ()
 
@@ -65,8 +64,6 @@ class ExperimentPreset:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
-        if not self.out_name:
-            self.out_name = f"run_{self.name}"
 
     def active_methods(self, long_run: bool = False) -> tuple:
         return tuple(self.methods) + (tuple(self.long_run_methods) if long_run else ())
@@ -257,9 +254,9 @@ def run_experiment(
     drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
     columns of the one per-step record train returns), per-method
     assignment/overhead text files, and manifest.json tying everything to
-    the config hash and seed.
+    the config hash and seed. out_dir defaults to run_<preset name>.
     """
-    out_dir = Path(out_dir) if out_dir is not None else Path(preset.out_name)
+    out_dir = Path(out_dir) if out_dir is not None else Path(f"run_{preset.name}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cfg_dict = _config_dict(preset)

@@ -145,6 +145,20 @@ def test_bad_config_exit_code(tmp_path):
     bad.write_text("[scenario]\nL = 99\n")
     code, _, stderr = _run(["train", "--steps", "1", "--config", str(bad)])
     assert code == 2 and "error" in stderr
+    for text in ("[scenario]\nL = 2\nL = 3\n",  # duplicate key
+                 "L = 2\n",                     # no section header
+                 "[scenario]\nL 3\n",           # a line without a delimiter
+                 "[env]\nredraw = 5%\n"):       # a % interpolation would reject
+        bad.write_text(text)
+        code, _, stderr = _run(["baseline", "--method", "random",
+                                "--config", str(bad)])
+        assert code == 2 and stderr.startswith("error: "), text
+
+
+def test_evaluate_missing_assignment_exit_code(tmp_path):
+    code, _, stderr = _run(["evaluate", str(tmp_path / "missing.txt")])
+    assert code == 2
+    assert "cannot read assignment file" in stderr
 
 
 def test_unplaceable_users_exit_code(tmp_path):

@@ -13,7 +13,6 @@ from cellpilot import (
     SystemConfig,
     TrainingSchedule,
     load_config_file,
-    load_config_overrides,
     substream,
 )
 
@@ -132,8 +131,11 @@ def test_load_config_file_lays_keys_over_base(tmp_path):
 def test_load_config_overrides_only_given_keys(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[scenario]\nL = 2\n")
-    ov = load_config_overrides(str(path))
-    assert ov == {"scenario": {"L": 2}}
+    base = _defaults()
+    opts = load_config_file(str(path), base)
+    assert opts["scenario"] == SystemConfig(L=2)
+    for section in ("training", "env", "rate"):
+        assert opts[section] is base[section]
 
 
 @pytest.mark.parametrize("text", [
@@ -142,17 +144,21 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "[scenario]\nL = not_an_int\n",
     "[scenario]\nclamp_aoa = maybe\n",
     "[scenario]\npaths = 50\n",
+    "[scenario]\nL = 3\nL = 4\n",    # duplicate key
+    "L = 3\n",                        # no section header
+    "[scenario]\nL 3\n",              # no delimiter
+    "[env]\nredraw = 5%\n",           # % is literal, then fails validation
 ])
 def test_load_config_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     with pytest.raises(ConfigError):
-        load_config_overrides(str(path))
+        load_config_file(str(path), _defaults())
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
-        load_config_overrides("/nonexistent/none.ini")
+        load_config_file("/nonexistent/none.ini", _defaults())
 
 
 def test_config_file_values_reach_validation(tmp_path):
@@ -175,8 +181,12 @@ def test_package_surface():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(cellpilot, name), name
-    # transition records folded into CostTable and the trajectory row
-    for gone in ("EnvState", "StepOutcome", "SwapAction"):
+    # transition records folded into CostTable and the trajectory row, the
+    # scalar pair-cost layer folded into the one cost kernel, and the INI
+    # reader folded into load_config_file
+    for gone in ("EnvState", "StepOutcome", "SwapAction", "NullBounds",
+                 "NullBoundsError", "first_null_bounds", "approx_gain",
+                 "response_overlap", "load_config_overrides"):
         assert gone not in names and not hasattr(cellpilot, gone)
 
 

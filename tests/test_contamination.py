@@ -5,23 +5,20 @@ import pytest
 
 from cellpilot import (
     AoAInterval,
-    NullBoundsError,
-    approx_gain,
     cosine_support,
     covariance,
     dirichlet_magnitude,
     extended_user_costs,
-    first_null_bounds,
     interference_integral,
     kernel_zeros,
     pair_cost,
     pairwise_cost_matrix,
-    response_overlap,
     steering,
     total_costs,
 )
 from cellpilot.assignment import random_assignment
-from conftest import make_world, random_interval, small_config
+from cellpilot.contamination import _envelope, _first_nulls
+from conftest import make_world, random_interval, random_world, small_config
 
 
 def _direct_sum(x, M, spacing=0.5):
@@ -54,15 +51,6 @@ def test_dirichlet_first_zero():
     # M=4, spacing 0.5: first zero at cosine offset 1/(M*s) = 0.5
     assert dirichlet_magnitude(0.5, 4, 0.5) == pytest.approx(0.0, abs=1e-12)
     assert _direct_sum(0.5, 4, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_response_overlap_coherent_peak(rng):
-    for _ in range(10):
-        omega = rng.uniform(-np.pi, np.pi)
-        D = rng.uniform(0.5, 20.0)
-        M = int(rng.integers(2, 65))
-        assert response_overlap(omega, omega, D, M) == \
-            pytest.approx(np.sqrt(D) * M, rel=1e-12)
 
 
 # ------------------------------------------------------ interference integral
@@ -170,28 +158,28 @@ def test_kernel_zero_spacing_halves_when_m_doubles():
 def test_first_null_bounds_relation():
     iv = AoAInterval(center=np.pi / 3, half_width=0.1)
     M, s = 16, 0.5
-    nulls = first_null_bounds(iv, M, s)
     lo, hi = cosine_support(iv)
+    low, high, saturated = _first_nulls(lo, hi, M, s)
     step = 1.0 / (M * s)
-    assert np.cos(nulls.low) == pytest.approx(hi + step, rel=1e-12)
-    assert np.cos(nulls.high) == pytest.approx(lo - step, rel=1e-12)
-    assert nulls.low < np.pi / 3 - 0.1 and nulls.high > np.pi / 3 + 0.1
+    assert not saturated
+    assert np.cos(low) == pytest.approx(hi + step, rel=1e-12)
+    assert np.cos(high) == pytest.approx(lo - step, rel=1e-12)
+    assert low < np.pi / 3 - 0.1 and high > np.pi / 3 + 0.1
 
 
 def test_first_null_bounds_clamp_at_endfire():
     # support reaching cos=1: the east foot clamps to the physical edge
     iv = AoAInterval(center=0.0, half_width=0.2)
-    nulls = first_null_bounds(iv, 16, 0.5)
-    assert nulls.low == pytest.approx(0.0, abs=1e-12)  # cos = 1
+    low, _, saturated = _first_nulls(*cosine_support(iv), 16, 0.5)
+    assert not saturated
+    assert low == pytest.approx(0.0, abs=1e-12)  # cos = 1
 
 
 def test_first_null_bounds_errors():
     iv = AoAInterval(center=1.0, half_width=0.1)
-    with pytest.raises(NullBoundsError):
-        first_null_bounds(iv, 1, 0.5)
-    with pytest.raises(NullBoundsError):
-        # M*spacing too small for any kernel null
-        first_null_bounds(iv, 2, 0.2)
+    assert _first_nulls(*cosine_support(iv), 1, 0.5)[2]
+    # M*spacing too small for any kernel null
+    assert _first_nulls(*cosine_support(iv), 2, 0.2)[2]
 
 
 def test_pair_cost_saturates_without_nulls():
@@ -208,56 +196,59 @@ _TARGET = AoAInterval(center=np.pi / 3, half_width=0.1)
 _M, _S = 16, 0.5
 
 
-def _nulls():
-    return first_null_bounds(_TARGET, _M, _S)
+def _gain(phi, target, D):
+    """The envelope at one angle: a zero-width interferer scores it twice."""
+    return pair_cost(target, AoAInterval(center=phi, half_width=0.0), D, _M, _S) / 2
+
+
+def _envelope_at(phis, target, D, M):
+    """The envelope over an array of angles, on pair_cost's knots."""
+    lo, hi = cosine_support(target)
+    low, high, saturated = _first_nulls(lo, hi, M, 0.5)
+    assert not saturated
+    gain = np.sqrt(D) * _envelope(np.cos(phis), lo, hi, np.cos(high), np.cos(low))
+    return gain, np.cos(low), np.cos(high)
 
 
 def test_envelope_on_support():
     D = 4.0
-    assert approx_gain(np.pi / 3, _TARGET, D, _nulls()) == pytest.approx(np.sqrt(D))
+    assert _gain(np.pi / 3, _TARGET, D) == pytest.approx(np.sqrt(D))
     lo, hi = cosine_support(_TARGET)
-    assert approx_gain(float(np.arccos(lo)), _TARGET, D, _nulls()) == \
-        pytest.approx(np.sqrt(D))
+    assert _gain(float(np.arccos(lo)), _TARGET, D) == pytest.approx(np.sqrt(D))
 
 
 def test_envelope_dead_zone():
-    assert approx_gain(float(np.arccos(0.9)), _TARGET, 4.0, _nulls()) == 0.0
-    assert approx_gain(np.pi, _TARGET, 4.0, _nulls()) == 0.0
+    assert _gain(float(np.arccos(0.9)), _TARGET, 4.0) == 0.0
+    assert _gain(np.pi, _TARGET, 4.0) == 0.0
 
 
 def test_envelope_ramp_midpoint():
     D = 4.0
     lo, hi = cosine_support(_TARGET)
-    east = np.cos(_nulls().low)
+    east = np.cos(_first_nulls(lo, hi, _M, _S)[0])
     mid = float(np.arccos(0.5 * (hi + east)))
-    assert approx_gain(mid, _TARGET, D, _nulls()) == pytest.approx(0.5 * np.sqrt(D))
+    assert _gain(mid, _TARGET, D) == pytest.approx(0.5 * np.sqrt(D))
 
 
 def test_envelope_mirror_lobe():
     # the template is symmetric in the cosine: -support is also plateau
     lo, hi = cosine_support(_TARGET)
     phi = float(np.arccos(-0.5 * (lo + hi)))
-    assert approx_gain(phi, _TARGET, 1.0, _nulls()) == pytest.approx(1.0)
-
-
-def test_envelope_saturated_mode():
-    assert approx_gain(2.0, _TARGET, 9.0, None) == pytest.approx(3.0)
+    assert _gain(phi, _TARGET, 1.0) == pytest.approx(1.0)
 
 
 def test_envelope_range_and_continuity(rng):
     for _ in range(20):
         iv = random_interval(rng)
         D = rng.uniform(0.1, 25.0)
-        nulls = first_null_bounds(iv, 32, 0.5)
         phis = np.linspace(0.0, np.pi, 4001)
-        vals = approx_gain(phis, iv, D, nulls)
+        vals, east, west = _envelope_at(phis, iv, D, 32)
         assert (vals >= 0.0).all() and (vals <= np.sqrt(D) + 1e-12).all()
         # continuous in the cosine: jumps bounded by slope * step, with
         # the slope set by the narrower ramp (feet clamped at u = +-1
         # compress a ramp below the nominal null spacing)
         lo, hi = cosine_support(iv)
-        widths = [w for w in (np.cos(nulls.low) - hi, lo - np.cos(nulls.high))
-                  if w > 1e-9]
+        widths = [w for w in (east - hi, lo - west) if w > 1e-9]
         slope = np.sqrt(D) / min(widths) if widths else 0.0
         du = np.abs(np.diff(np.cos(phis)))
         assert (np.abs(np.diff(vals)) <= slope * du + 1e-9).all()
@@ -268,12 +259,9 @@ def test_envelope_monotone_outside_support():
     # never increases the envelope
     iv = AoAInterval(center=np.pi / 3, half_width=0.08)
     lo, hi = cosine_support(iv)
-    nulls = first_null_bounds(iv, 24, 0.5)
-    us = np.linspace(hi, 1.0, 200)
-    vals = approx_gain(np.arccos(us), iv, 1.0, nulls)
+    vals, _, west = _envelope_at(np.arccos(np.linspace(hi, 1.0, 200)), iv, 1.0, 24)
     assert (np.diff(vals) <= 1e-12).all()
-    us = np.linspace(lo, np.cos(nulls.high), 200)
-    vals = approx_gain(np.arccos(us), iv, 1.0, nulls)
+    vals, _, _ = _envelope_at(np.arccos(np.linspace(lo, west, 200)), iv, 1.0, 24)
     assert (np.diff(vals) <= 1e-12).all()
 
 
@@ -323,19 +311,25 @@ def test_pair_cost_tracks_integral_ordering(rng):
 # --------------------------------------------------------------- cost tables
 
 def test_pairwise_matrix_matches_pair_cost_loop():
-    cfg = small_config(L=3, K=2, M=16)
-    world = make_world(cfg, seed=2)
-    C = pairwise_cost_matrix(world)
-    assert C.shape == (3, 2, 3, 2)
-    for j in range(3):
-        for a in range(2):
-            target = world.interval(j, j, a)
-            for l in range(3):
-                for b in range(2):
-                    want = 0.0 if l == j else pair_cost(
-                        target, world.interval(j, l, b),
-                        world.gains[j, j, a], cfg.M, cfg.spacing)
-                    assert C[j, a, l, b] == pytest.approx(want, abs=1e-12)
+    # one kernel serves both, so every entry is pair_cost's value exactly,
+    # on saturated targets, nulls clamped at endfire and supports crossing
+    # cos = +-1 too
+    rng = np.random.default_rng(7)
+    worlds = [make_world(small_config(L=3, K=2, M=16), seed=2)]
+    worlds += [random_world(rng, seed, L=3, K=3, **case) for seed, case in enumerate([
+        dict(M=2, spacing=0.2), dict(M=1, spacing=0.5),
+        dict(M=4, spacing=0.5, edges=True), dict(M=100, spacing=0.5, edges=True)])]
+    worlds += [random_world(rng, seed, edges=seed % 2 == 0) for seed in range(20)]
+    assert pairwise_cost_matrix(worlds[0]).shape == (3, 2, 3, 2)
+    for world in worlds:
+        cfg = world.config
+        L, K = world.drop.shape
+        C = pairwise_cost_matrix(world)
+        for j, a, l, b in np.ndindex(L, K, L, K):
+            want = 0.0 if l == j else pair_cost(
+                world.interval(j, j, a), world.interval(j, l, b),
+                world.gains[j, j, a], cfg.M, cfg.spacing)
+            assert C[j, a, l, b] == want
 
 
 def test_total_costs_single_cell_zero():
@@ -374,7 +368,6 @@ def test_cost_table_internal_consistency(rng):
     for trial in range(10):
         assign = random_assignment(3, 3, rng)
         t = total_costs(world, assign.pilot_to_user)
-        assert np.allclose(t.user_costs, t.pair_costs.sum(axis=2))
         assert np.allclose(t.cell_max, t.user_costs.max(axis=1))
         assert t.global_max == t.user_costs.max()
         assert t.user_costs[t.worst_cell, t.worst_pilot] == t.global_max

@@ -7,6 +7,7 @@ arithmetic in the same order, so every comparison is exact.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,23 +15,21 @@ import pytest
 from cellpilot import (
     AoAInterval,
     EnvOptions,
-    NullBounds,
-    NullBoundsError,
     ScenarioBundle,
     SystemConfig,
-    approx_gain,
     build_layout,
     calibrate_thresholds,
+    cosine_support,
     drop_users,
     extended_user_costs,
-    first_null_bounds,
+    pair_cost,
     pairwise_cost_matrix,
     random_assignment,
     spr_like_assignment,
     total_costs,
 )
-from cellpilot.contamination import _copilot_costs, _envelope
-from conftest import make_world
+from cellpilot.contamination import _copilot_costs, _envelope, _first_nulls, _pair_costs
+from conftest import EDGE_CENTERS, MS, make_world, random_world
 
 # ---------------------------------------------------------------- references
 
@@ -57,17 +56,27 @@ def _ref_kernel_zeros(omega, M, spacing):
     return np.sort(np.arccos(np.clip(base + ns * step, -1.0, 1.0)))
 
 
+@dataclass
+class _RefNulls:
+    low: float   # the null beyond the high-cosine edge, a smaller angle
+    high: float  # the null beyond the low-cosine edge
+
+
+class _RefSaturated(Exception):
+    """No kernel null brackets the support: the cost takes its wide-band value."""
+
+
 def _ref_first_null_bounds(interval, M, spacing):
     if M < 2:
-        raise NullBoundsError("a single-antenna kernel has no nulls")
+        raise _RefSaturated("a single-antenna kernel has no nulls")
     lo, hi = _ref_cosine_support(interval)
     for edge in (lo, hi):
         if _ref_kernel_zeros(float(np.arccos(edge)), M, spacing).size == 0:
-            raise NullBoundsError("an edge-seeded kernel has no zeros")
+            raise _RefSaturated("an edge-seeded kernel has no zeros")
     step = 1.0 / (M * spacing)
     east = min(hi + step, 1.0)
     west = max(lo - step, -1.0)
-    return NullBounds(low=float(np.arccos(east)), high=float(np.arccos(west)))
+    return _RefNulls(low=float(np.arccos(east)), high=float(np.arccos(west)))
 
 
 def _ref_trapezoid(u, lo, hi, west, east):
@@ -102,7 +111,7 @@ def _ref_pairwise(bundle):
             root = np.sqrt(bundle.gains[j, j, a])
             try:
                 nulls = _ref_first_null_bounds(target, cfg.M, cfg.spacing)
-            except NullBoundsError:
+            except _RefSaturated:
                 C[j, a] = 2.0 * root
                 C[j, a, j, :] = 0.0
                 continue
@@ -127,7 +136,7 @@ def _ref_total_costs(C, pilot_to_user):
                 pair[j, :, l] = rows[ks, l, pilot_to_user[l]]
     user_costs = pair.sum(axis=2)
     worst_cell, worst_pilot = divmod(int(np.argmax(user_costs)), K)
-    return dict(user_costs=user_costs, pair_costs=pair,
+    return dict(user_costs=user_costs,
                 cell_max=user_costs.max(axis=1),
                 global_max=float(user_costs[worst_cell, worst_pilot]),
                 worst_cell=worst_cell, worst_pilot=worst_pilot)
@@ -147,25 +156,6 @@ def _ref_extended(C, user_to_pilot):
 
 # ------------------------------------------------------------------- worlds
 
-_MS = (1, 2, 3, 4, 8, 16, 64, 100)
-_SPACINGS = (0.1, 0.2, 0.5)
-# own-BS bearings that put a support on cos = +-1 or across +-pi
-_EDGE_CENTERS = (0.0, np.pi, 0.05, -0.05, np.pi - 0.01, -np.pi + 0.01)
-
-
-def _random_world(rng, seed, L=None, K=None, M=None, spacing=None, edges=False):
-    cfg = SystemConfig(
-        L=L or int(rng.integers(1, 8)), K=K or int(rng.integers(1, 6)),
-        M=M or int(rng.choice(_MS)),
-        spacing=spacing or float(rng.choice(_SPACINGS)),
-        scatter_radius=float(rng.choice([30.0, 80.0])), exclusion_radius=100.0)
-    world = make_world(cfg, seed)
-    if edges:
-        cells = np.arange(cfg.L)
-        world.centers[cells, cells] = rng.choice(_EDGE_CENTERS, size=(cfg.L, cfg.K))
-    return world
-
-
 def _world_stats(world):
     """Counts of the target kinds a world exercises."""
     cfg = world.config
@@ -179,7 +169,7 @@ def _world_stats(world):
             stats["crossing"] += lo == -1.0 or hi == 1.0
             try:
                 nulls = _ref_first_null_bounds(iv, cfg.M, cfg.spacing)
-            except NullBoundsError:
+            except _RefSaturated:
                 stats["saturated"] += 1
                 continue
             stats["clamped"] += nulls.low == 0.0 or nulls.high == np.pi
@@ -211,7 +201,7 @@ def test_costs_match_loop_references_on_random_worlds():
     rng = np.random.default_rng(2024)
     totals = dict(targets=0, saturated=0, clamped=0, crossing=0)
     for seed in range(240):
-        world = _random_world(rng, seed, edges=seed % 3 == 0)
+        world = random_world(rng, seed, edges=seed % 3 == 0)
         _assert_costs_match(world, rng)
         for k, v in _world_stats(world).items():
             totals[k] += v
@@ -231,14 +221,14 @@ def test_costs_match_loop_references_on_random_worlds():
 def test_costs_match_loop_references_on_edge_cases(case):
     rng = np.random.default_rng(7)
     for seed in range(5):
-        _assert_costs_match(_random_world(rng, seed, **case), rng)
+        _assert_costs_match(random_world(rng, seed, **case), rng)
 
 
 def test_saturated_and_clamped_cases_occur():
     rng = np.random.default_rng(7)
-    sat = _world_stats(_random_world(rng, 0, L=3, K=3, M=2, spacing=0.2))
+    sat = _world_stats(random_world(rng, 0, L=3, K=3, M=2, spacing=0.2))
     assert sat["saturated"] == sat["targets"]
-    clamped = _world_stats(_random_world(rng, 0, L=3, K=3, M=4, spacing=0.5,
+    clamped = _world_stats(random_world(rng, 0, L=3, K=3, M=4, spacing=0.5,
                                          edges=True))
     assert clamped["clamped"] > 0 and clamped["crossing"] > 0
 
@@ -252,14 +242,15 @@ def test_first_null_bounds_match_kernel_zeros_search():
                          half_width=float(rng.uniform(0.0, 0.5)))
         M = int(rng.integers(1, 9))
         spacing = float(rng.choice([0.05, 0.1, 0.2, 0.25, 0.3, 0.5]))
+        low, high, saturated = _first_nulls(*cosine_support(iv), M, spacing)
         try:
             want = _ref_first_null_bounds(iv, M, spacing)
-        except NullBoundsError:
+        except _RefSaturated:
             raised += 1
-            with pytest.raises(NullBoundsError):
-                first_null_bounds(iv, M, spacing)
+            assert saturated
             continue
-        assert first_null_bounds(iv, M, spacing) == want
+        assert not saturated
+        assert (float(low), float(high)) == (want.low, want.high)
     assert 300 < raised < 2700
 
 
@@ -286,18 +277,21 @@ def test_approx_gain_matches_interp_reference():
     phis = np.linspace(-np.pi, np.pi, 2001)
     for _ in range(100):
         target = AoAInterval(center=float(rng.choice([rng.uniform(-np.pi, np.pi),
-                                                      *_EDGE_CENTERS])),
+                                                      *EDGE_CENTERS])),
                              half_width=float(rng.uniform(0.01, 0.3)))
-        M = int(rng.choice(_MS[1:]))
+        M = int(rng.choice(MS[1:]))
         try:
             nulls = _ref_first_null_bounds(target, M, 0.5)
-        except NullBoundsError:
+        except _RefSaturated:
             nulls = None
         D = float(rng.uniform(0.1, 30.0))
-        assert np.array_equal(approx_gain(phis, target, D, nulls),
-                              _ref_approx_gain(phis, target, D, nulls))
+        # a zero-width interferer scores the envelope twice at one angle
+        got = _pair_costs(*cosine_support(target), np.sqrt(D), (phis, phis),
+                          M, 0.5) / 2
+        assert np.array_equal(got, _ref_approx_gain(phis, target, D, nulls))
         for phi in phis[::97]:
-            assert approx_gain(float(phi), target, D, nulls) == \
+            point = AoAInterval(center=float(phi), half_width=0.0)
+            assert pair_cost(target, point, D, M, 0.5) / 2 == \
                 _ref_approx_gain(float(phi), target, D, nulls)
 
 
@@ -308,12 +302,12 @@ def test_envelope_raises_no_warnings():
         for seed, case in enumerate([dict(M=4, spacing=0.5, edges=True),
                                      dict(M=2, spacing=0.2, edges=True),
                                      dict(M=1, spacing=0.5)]):
-            pairwise_cost_matrix(_random_world(rng, seed, **case))
+            pairwise_cost_matrix(random_world(rng, seed, **case))
         # zero-width ramps: both feet clamped at endfire
         _envelope(np.linspace(-1.0, 1.0, 101), -1.0, 1.0, -1.0, 1.0)
         target = AoAInterval(center=0.0, half_width=0.2)
-        approx_gain(np.linspace(0.0, np.pi, 101), target, 1.0,
-                    _ref_first_null_bounds(target, 16, 0.5))
+        for phi in np.linspace(0.0, np.pi, 101):
+            pair_cost(target, AoAInterval(center=phi, half_width=0.0), 1.0, 16)
 
 
 # --------------------------------------------------------- co-pilot kernel
@@ -324,17 +318,13 @@ def test_batched_copilot_costs_match_single_calls():
     Cs = np.stack([pairwise_cost_matrix(make_world(cfg, s)) for s in range(6)])
     maps = rng.integers(0, 4, size=(6, 5, 4, 3))
     # one world against many maps, and many worlds against their maps
-    split, costs = _copilot_costs(Cs[0], maps[0])
-    split_w, costs_w = _copilot_costs(Cs[:, None], maps)
+    costs = _copilot_costs(Cs[0], maps[0])
+    costs_w = _copilot_costs(Cs[:, None], maps)
     for i in range(5):
-        one_split, one_costs = _copilot_costs(Cs[0], maps[0, i])
-        assert np.array_equal(split[i], one_split)
-        assert np.array_equal(costs[i], one_costs)
+        assert np.array_equal(costs[i], _copilot_costs(Cs[0], maps[0, i]))
     for w in range(6):
         for i in range(5):
-            one_split, one_costs = _copilot_costs(Cs[w], maps[w, i])
-            assert np.array_equal(split_w[w, i], one_split)
-            assert np.array_equal(costs_w[w, i], one_costs)
+            assert np.array_equal(costs_w[w, i], _copilot_costs(Cs[w], maps[w, i]))
 
 
 def test_copilot_costs_ignore_own_cell_entries():
@@ -343,7 +333,7 @@ def test_copilot_costs_ignore_own_cell_entries():
     C = rng.uniform(0.0, 1.0, size=(3, 2, 3, 2))
     u2p = np.array([[0, 1], [1, 0], [0, 0]])
     costs, _ = _ref_extended(C, u2p)
-    assert np.array_equal(_copilot_costs(C, u2p)[1], costs)
+    assert np.array_equal(_copilot_costs(C, u2p), costs)
 
 
 # ------------------------------------------------------------- calibration
@@ -381,7 +371,7 @@ def test_batched_calibration_matches_per_sample_permutations(K, n):
     opts = EnvOptions(redraw="smallscale", threshold_samples=n, q_low=0.2, q_high=0.7)
     world = make_world(cfg, seed=K)
     gen = np.random.default_rng(K + n)
-    th = calibrate_thresholds(cfg, opts, gen, world=world)
+    th = calibrate_thresholds(cfg, opts, gen, pairwise=pairwise_cost_matrix(world))
 
     rng = np.random.default_rng(K + n)
     C = _ref_pairwise(world)

@@ -11,6 +11,7 @@ from cellpilot import (
     EnvOptions,
     PilotEnv,
     RewardThresholds,
+    apply_swap,
     calibrate_thresholds,
     encode_state,
     encoded_size,
@@ -57,7 +58,8 @@ def test_calibration_lifts_g1_off_the_minimum():
     opts = EnvOptions(redraw="smallscale", threshold_samples=400,
                       q_low=0.01, q_high=0.6)
     rng = np.random.default_rng(0)
-    th = calibrate_thresholds(cfg, opts, rng, world=world)
+    th = calibrate_thresholds(cfg, opts, rng,
+                              pairwise=pairwise_cost_matrix(world))
     costs = sorted({total_costs(world, np.array([[0, 1], list(p)])).global_max
                     for p in ([0, 1], [1, 0])})
     assert len(costs) == 2
@@ -72,7 +74,8 @@ def test_calibration_survives_dominant_minimum():
     world = make_world(cfg, seed=1)
     opts = EnvOptions(redraw="smallscale", threshold_samples=400,
                       q_low=0.01, q_high=0.02)
-    th = calibrate_thresholds(cfg, opts, np.random.default_rng(0), world=world)
+    th = calibrate_thresholds(cfg, opts, np.random.default_rng(0),
+                              pairwise=pairwise_cost_matrix(world))
     assert th.g1 < th.g2
 
 
@@ -90,7 +93,8 @@ def test_calibration_uses_given_world():
     cfg = small_config(L=2, K=2, M=32)
     world = make_world(cfg, seed=6)
     opts = EnvOptions(redraw="smallscale", threshold_samples=200)
-    th = calibrate_thresholds(cfg, opts, np.random.default_rng(1), world=world)
+    th = calibrate_thresholds(cfg, opts, np.random.default_rng(1),
+                              pairwise=pairwise_cost_matrix(world))
     levels = [total_costs(world, np.array([[0, 1], list(p)])).global_max
               for p in ([0, 1], [1, 0])]
     # thresholds are statistics of exactly these two levels (up to the pad)
@@ -130,7 +134,7 @@ def _costs(L, K, cell_max=None, worst_pilot=0, worst_cell=0):
     cell_max = np.zeros(L) if cell_max is None else cell_max
     return CostTable(
         user_costs=np.repeat(cell_max[:, None], K, axis=1),
-        pair_costs=np.zeros((L, K, L)), cell_max=cell_max,
+        cell_max=cell_max,
         global_max=float(cell_max[worst_cell]),
         worst_cell=worst_cell, worst_pilot=worst_pilot,
     )
@@ -173,8 +177,7 @@ def test_encoding_locality(rng):
     L, K = 3, 2
     th = RewardThresholds(g1=1.0, g2=2.0)
     assign_a = random_assignment(L, K, rng)
-    assign_b = assign_a.copy()
-    assign_b.pilot_to_user[1] = assign_b.pilot_to_user[1][::-1]
+    assign_b = apply_swap(assign_a, 1, 0, 1)  # cell 1's pattern reversed
     costs = _costs(L, K)
     diff = np.flatnonzero(encode_state(assign_a, costs, 0, 0, th)
                           != encode_state(assign_b, costs, 0, 0, th))
@@ -320,7 +323,7 @@ def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
     monkeypatch.undo()
     assert np.array_equal(env.pairwise, pairwise_cost_matrix(env.world))
     th = calibrate_thresholds(full.config, opts, substream(5, "thresholds"),
-                              world=env.world)
+                              pairwise=pairwise_cost_matrix(env.world))
     assert (env.thresholds.g1, env.thresholds.g2) == (th.g1, th.g2)
 
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,13 @@ def test_preset_validation():
         _tiny_preset(methods=("random", "annealing"))
     with pytest.raises(ConfigError):
         _tiny_preset(total_steps=0)
-    assert _tiny_preset().out_name == "run_tiny"
+
+
+def test_run_experiment_default_out_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = run_experiment(_tiny_preset(methods=("random",), total_steps=10), 2)
+    assert out == Path("run_tiny")
+    assert (tmp_path / "run_tiny" / "results.csv").exists()
 
 
 # ----------------------------------------------------------- run_experiment
