@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BudgetError
-from .contamination import CostTable, extended_user_costs, pairwise_cost_matrix, total_costs
+from .contamination import CostTable, pairwise_cost_matrix, total_costs
 from .scenario import ScenarioBundle
 
 

@@ -1,4 +1,4 @@
-"""Uplink channel model: ULA response, angular covariance, multipath draws."""
+"""ULA response and the angular-covariance oracle for rate._draw_channels."""
 
 from __future__ import annotations
 
@@ -47,32 +47,3 @@ def covariance(
     R = gain * (A.T @ A.conj()) / quad_points
     return 0.5 * (R + R.conj().T)
 
-
-def realize_channel(
-    interval: AoAInterval,
-    gain: float,
-    P: int,
-    M: int,
-    rng: np.random.Generator,
-    spacing: float = 0.5,
-    path_gain: str = "phase",
-) -> np.ndarray:
-    """One multipath channel draw: sqrt(gain/P) * sum_p a(w_p) * alpha_p.
-
-    Path angles are uniform on the support. Amplitudes are unit-modulus
-    random phases by default, or standard complex normal with
-    path_gain="complex_normal"; both have unit second moment so the
-    ensemble covariance matches covariance().
-
-    Draw order (fixed for reproducibility): P angles, then P amplitudes.
-    """
-    omegas = rng.uniform(interval.low, interval.high, size=P)
-    if path_gain == "phase":
-        alphas = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=P))
-    elif path_gain == "complex_normal":
-        re_im = rng.standard_normal((2, P))
-        alphas = (re_im[0] + 1j * re_im[1]) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown path_gain mode {path_gain!r}")
-    A = steering(omegas, M, spacing)          # (P, M)
-    return np.sqrt(gain / P) * (alphas @ A)

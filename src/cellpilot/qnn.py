@@ -223,7 +223,7 @@ def act(
 
 
 TRAINING_LOG_FIELDS = (
-    "step", "epsilon", "loss", "reward", "r1", "r2", "r3",
+    "step", "epsilon", "explored", "loss", "reward", "r1", "r2", "r3",
     "g_max", "action", "synced",
 )
 
@@ -253,10 +253,11 @@ def train(
     step_callback(t, env) runs after each step and must not change env.
 
     The result's `rows` hold one dict per step: `step`, the dict env.step
-    returned, `epsilon`, `loss` (None before the first update), `g_max`
-    (the worst-user cost after the step, equal to `g_next`), `action` and
-    `synced`. Every TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS column is a
-    key, so either file is write_csv of `rows` with its field tuple.
+    returned, `epsilon`, `explored` (whether the action was a random one),
+    `loss` (None before the first update), `g_max` (the worst-user cost
+    after the step, equal to `g_next`), `action` and `synced`. Every
+    TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS column is a key, so either
+    file is write_csv of `rows` with its field tuple.
     """
     rng_init = substream(seed, "qnn", "init")
     rng_act = substream(seed, "qnn", "act")
@@ -274,7 +275,7 @@ def train(
     skipped = 0
     for t in range(total_steps):
         eps_t = epsilon(t, schedule)
-        action, _ = act(params, feats, eps_t, rng_act, env.n_actions)
+        action, explored = act(params, feats, eps_t, rng_act, env.n_actions)
         row = env.step(action)
         next_feats = env.encode()
         replay.push(feats, action, row["reward"], next_feats)
@@ -300,8 +301,8 @@ def train(
         if synced:
             target = sync_target(params)
 
-        rows.append({"step": t, **row, "epsilon": eps_t, "loss": loss,
-                     "g_max": row["g_next"], "action": action,
+        rows.append({"step": t, **row, "epsilon": eps_t, "explored": explored,
+                     "loss": loss, "g_max": row["g_next"], "action": action,
                      "synced": synced})
         if step_callback is not None:
             step_callback(t, env)

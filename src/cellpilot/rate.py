@@ -85,14 +85,16 @@ def _draw_channels(
     n_mc: int,
     gains: np.ndarray,
 ) -> np.ndarray:
-    """(n_mc, L, L, K, M) channel draws for every (BS, user) link.
+    """(n_mc, L, L, K, M) channel draws for every (BS, user) link: the one
+    channel generator, g = sqrt(gain/P) * sum_p alpha_p * steering(w_p).
 
-    Path angles are uniform on each link's angular support, amplitudes
+    Path angles are uniform on each link's angular support; amplitudes
     follow config.path_gain (unit-modulus random phases, or standard
-    complex normal): per-link statistics match realize_channel with the
-    supplied (possibly power-controlled) link gains. _power_sum adds the
-    paths' alpha * z^m; that rounds differently from realize_channel's
-    direct exponential, by about 1e-14 of max|g| at M=100.
+    complex normal), both of unit second moment, so each link is zero-mean
+    with covariance channel.covariance(interval, gain, M, spacing) for the
+    supplied (possibly power-controlled) link gains. Draw order: all
+    angles, then all amplitudes. _power_sum adds the paths' alpha * z^m,
+    which rounds about 1e-14 of max|g| (M=100) from a direct exponential.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape

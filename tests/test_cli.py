@@ -172,6 +172,29 @@ def test_unplaceable_users_exit_code(tmp_path):
     assert "could not place user 0 in cell 0 after 10000 draws" in stderr
 
 
+@pytest.mark.parametrize("command", ["train", "baseline", "experiment", "plotdata"])
+def test_unwritable_output_exit_code(tmp_path, ini, command):
+    # an output path through a regular file is an error line and exit 2,
+    # not a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if command == "plotdata":
+        run_dir = run_experiment(_tiny_preset(methods=("random",), total_steps=10),
+                                 master_seed=2, out_dir=tmp_path / "run")
+        (run_dir / "plots").write_text("")
+    argv = {
+        "train": ["train", "--steps", "3", "--config", ini, "--out", str(afile)],
+        "baseline": ["baseline", "--method", "random", "--config", ini,
+                     "--out", str(afile / "x")],
+        "experiment": ["experiment", "--preset", "desk", "--seed", "1",
+                       "--out", str(afile)],
+        "plotdata": ["plotdata", str(tmp_path / "run")],
+    }[command]
+    code, _, stderr = _run(argv)
+    assert code == 2
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+
 def test_seed_defaults_to_zero(ini):
     command = ["baseline", "--method", "random", "--config", ini]
     code, stdout, _ = _run(command)

@@ -183,10 +183,11 @@ def test_package_surface():
         assert hasattr(cellpilot, name), name
     # transition records folded into CostTable and the trajectory row, the
     # scalar pair-cost layer folded into the one cost kernel, and the INI
-    # reader folded into load_config_file
+    # reader folded into load_config_file, and the single-link channel copy
+    # folded into the one generator, rate._draw_channels
     for gone in ("EnvState", "StepOutcome", "SwapAction", "NullBounds",
                  "NullBoundsError", "first_null_bounds", "approx_gain",
-                 "response_overlap", "load_config_overrides"):
+                 "response_overlap", "load_config_overrides", "realize_channel"):
         assert gone not in names and not hasattr(cellpilot, gone)
 
 

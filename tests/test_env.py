@@ -9,7 +9,6 @@ import cellpilot.env
 from cellpilot import (
     CostTable,
     EnvOptions,
-    PilotEnv,
     RewardThresholds,
     apply_swap,
     calibrate_thresholds,

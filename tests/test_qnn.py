@@ -1,5 +1,7 @@
 """Q-network: forward/backward, optimizer, replay, schedule, training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -361,7 +363,15 @@ def test_training_log_csv_format(tmp_path):
     path = tmp_path / "log.csv"
     write_csv(path, TRAINING_LOG_FIELDS, result.rows)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,epsilon,loss,reward,r1,r2,r3,g_max,action,synced"
+    assert lines[0] == "step,epsilon,explored,loss,reward,r1,r2,r3,g_max,action,synced"
     assert len(lines) == 21
     first = lines[1].split(",")
-    assert first[0] == "0" and first[2] == ""  # warm-up rows carry no loss
+    assert first[0] == "0" and first[3] == ""  # warm-up rows carry no loss
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_rows_record_exploration(eps):
+    # with the rate pinned at 1 every action is a random one, at 0 none is
+    sched = dataclasses.replace(_TINY_SCHED, eps_start=eps, eps_floor=eps)
+    result = train(_tiny_env(seed=7), sched, total_steps=20, seed=7)
+    assert [row["explored"] for row in result.rows] == [eps == 1.0] * 20

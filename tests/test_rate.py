@@ -18,6 +18,7 @@ from cellpilot import (
     random_assignment,
     rate,
     spr_like_assignment,
+    steering,
 )
 from cellpilot.rate import _draw_channels
 from conftest import make_world, small_config
@@ -55,24 +56,50 @@ def test_moving_average_rejects_bad_window():
 
 # ---------------------------------------------------------- channel draws
 
-def test_complex_normal_draws_match_covariance():
+@pytest.mark.parametrize("mode", ["phase", "complex_normal"])
+def test_draws_match_covariance(mode):
     # every link's sample covariance over 2e4 benchmark draws against the
-    # quadrature covariance, with complex-normal path amplitudes
-    cfg = small_config(L=2, K=1, M=8, path_gain="complex_normal")
+    # quadrature covariance; on the same draws, each entry's mean is zero
+    # within 3 sigma and the mean power is gain * M
+    cfg = small_config(L=2, K=1, M=8, path_gain=mode)
     world = make_world(cfg, seed=3)
-    unit = np.ones((2, 2, 1))
+    gains = np.array([1.0, 0.5, 2.0, 4.0]).reshape(2, 2, 1)
     rng = np.random.default_rng(11)
     acc = np.zeros((2, 2, 1, 8, 8), dtype=complex)
+    total = np.zeros((2, 2, 1, 8), dtype=complex)
     n = 0
     for _ in range(10):
-        g = _draw_channels(world, 50, rng, 2000, unit)
+        g = _draw_channels(world, 50, rng, 2000, gains)
         acc += np.einsum("njlkm,njlkq->jlkmq", g, g.conj())
+        total += g.sum(axis=0)
         n += len(g)
     for j in range(2):
         for l in range(2):
-            R = covariance(world.interval(j, l, 0), 1.0, cfg.M, cfg.spacing)
-            err = np.linalg.norm(acc[j, l, 0] / n - R) / np.linalg.norm(R)
-            assert err < 0.02
+            D = gains[j, l, 0]
+            R = covariance(world.interval(j, l, 0), D, cfg.M, cfg.spacing)
+            C = acc[j, l, 0] / n
+            assert np.linalg.norm(C - R) / np.linalg.norm(R) < 0.02
+            assert (np.abs(total[j, l, 0] / n) < 3.0 * np.sqrt(D / n)).all()
+            assert np.trace(C).real == pytest.approx(D * cfg.M, rel=0.05)
+
+
+def test_single_path_draw_order():
+    # P=1: replaying the draws (every angle, then every phase) rebuilds each
+    # link as sqrt(gain) * alpha * steering(omega), and leaves the generator
+    # where _draw_channels leaves it; the power tables round within a few
+    # ulps of |g| = 2 of the direct exponential
+    cfg = small_config(L=2, K=2, M=8)
+    world = make_world(cfg, seed=5)
+    rng, replay = np.random.default_rng(42), np.random.default_rng(42)
+    g = _draw_channels(world, 1, rng, 1, np.full((2, 2, 2), 4.0))
+    u = replay.random((1, 2, 2, 2, 1))
+    alphas = np.exp(2j * np.pi * replay.random((1, 2, 2, 2, 1)))
+    for j, l, k in np.ndindex(2, 2, 2):
+        iv = world.interval(j, l, k)
+        omega = iv.low + 2.0 * iv.half_width * u[0, j, l, k, 0]
+        a = steering(omega, cfg.M, cfg.spacing)
+        assert np.abs(g[0, j, l, k] - 2.0 * alphas[0, j, l, k, 0] * a).max() <= 1e-14
+    assert rng.random() == replay.random()
 
 
 def _reference_draw_channels(bundle, P, rng, n_mc, gains):
