@@ -6,6 +6,10 @@ import numpy as np
 
 from .scenario import AoAInterval
 
+# Midpoint nodes per angular support, shared by every AoA integral:
+# covariance, interference_integral and the rate benchmark's filters.
+QUAD_POINTS = 512
+
 
 def steering(omega, M: int, spacing: float = 0.5) -> np.ndarray:
     """ULA response for arrival angle omega.
@@ -30,7 +34,6 @@ def covariance(
     gain: float,
     M: int,
     spacing: float = 0.5,
-    quad_points: int = 512,
 ) -> np.ndarray:
     """Spatial covariance of a channel with uniform AoA density on the support.
 
@@ -42,8 +45,8 @@ def covariance(
     if interval.half_width <= 0:
         a = steering(interval.center, M, spacing)
         return gain * np.outer(a, a.conj())
-    A = steering(_midpoints(interval, quad_points), M, spacing)  # (n, M)
+    A = steering(_midpoints(interval, QUAD_POINTS), M, spacing)  # (n, M)
     # uniform density 1/(2*half_width) times node weight gives 1/n per node
-    R = gain * (A.T @ A.conj()) / quad_points
+    R = gain * (A.T @ A.conj()) / QUAD_POINTS
     return 0.5 * (R + R.conj().T)
 

@@ -19,12 +19,11 @@ from .config import (
     load_config_file,
     substream,
 )
-from .contamination import extended_user_costs, pairwise_cost_matrix, total_costs
-from .env import TRAJECTORY_FIELDS, make_env
+from .contamination import extended_user_costs, total_costs
+from .env import TRAJECTORY_FIELDS, WorldStream, make_env
 from .harness import emit_plot_data, presets, run_experiment, write_csv
 from .qnn import TRAINING_LOG_FIELDS, save_checkpoint, train
 from .rate import min_rate
-from .scenario import fresh_world
 
 
 def _build_options(config_path: str | None):
@@ -47,7 +46,7 @@ def cmd_train(args) -> None:
     write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.rows)
     write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.rows)
     save_checkpoint(str(out / "checkpoint.npz"), result.params,
-                    result.opt_state, args.steps, env.rng)
+                    result.opt_state, args.steps, env.worlds.rng)
     (out / "assignment.txt").write_text(env.assignment.to_text())
     final = result.rows[-1]
     print(f"trained {args.steps} steps (seed {args.seed}); "
@@ -56,18 +55,17 @@ def cmd_train(args) -> None:
 
 
 def cmd_baseline(args) -> None:
-    cfg, _, _, _ = _build_options(args.config)
-    world = fresh_world(cfg, substream(args.seed, "world"))
+    cfg, _, env_opts, _ = _build_options(args.config)
+    worlds = WorldStream(cfg, env_opts.redraw, args.seed)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
     method = "spr_like" if args.method == "spr" else args.method
-    pairwise = pairwise_cost_matrix(world)
     u2p, _, text, report = baseline_assignment(
-        method, world, substream(args.seed, "baseline", method), pairwise,
-        allow_long_run=args.long_run)
-    _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
+        method, worlds.world, substream(args.seed, "baseline", method),
+        worlds.pairwise, allow_long_run=args.long_run)
+    _, g_max = extended_user_costs(worlds.world, u2p, pairwise=worlds.pairwise)
     if report is not None:
         print(report)
     print(f"{args.method} baseline (seed {args.seed}): worst-user cost {g_max:.6g}")
@@ -80,25 +78,20 @@ def cmd_baseline(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    cfg, _, _, rate_opts = _build_options(args.config)
-    try:
-        text = Path(args.assignment).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read assignment file {args.assignment}: "
-                          f"{exc.strerror}") from exc
-    assign = PilotAssignment.from_text(text)
+    cfg, _, env_opts, rate_opts = _build_options(args.config)
+    assign = PilotAssignment.from_text(Path(args.assignment).read_text())
     if assign.shape != (cfg.L, cfg.K):
         raise ConfigError(
             f"assignment shape {assign.shape} does not match the configured "
             f"scenario ({cfg.L} cells x {cfg.K} pilots)")
-    world = fresh_world(cfg, substream(args.seed, "world"))
-    table = total_costs(world, assign.pilot_to_user)
+    worlds = WorldStream(cfg, env_opts.redraw, args.seed)
+    table = total_costs(worlds.world, assign.pilot_to_user, pairwise=worlds.pairwise)
     cell_max = " ".join(f"{c:.6g}" for c in table.cell_max)
     print(f"worst-user cost {table.global_max:.6g} "
           f"(cell {table.worst_cell}, pilot {table.worst_pilot})")
     print(f"per-cell max cost: {cell_max}")
     if args.rate:
-        report = min_rate(world, assign.user_to_pilot(), cfg.K,
+        report = min_rate(worlds.world, assign.user_to_pilot(), cfg.K,
                           substream(args.seed, "rate", 0), options=rate_opts)
         print(f"min rate {report.min_rate:.6g} bits/s/Hz "
               f"over {report.n_mc} realizations")

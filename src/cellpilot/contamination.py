@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _midpoints
+from .channel import QUAD_POINTS, _midpoints
 from .scenario import AoAInterval, ScenarioBundle
 
 
@@ -45,7 +45,6 @@ def interference_integral(
     gain: float,
     M: int,
     spacing: float = 0.5,
-    quad_points: int = 512,
 ) -> float:
     """Mean squared response overlap toward phi over the target's support.
 
@@ -53,9 +52,9 @@ def interference_integral(
     midpoint rule. Identical in exact arithmetic to a(phi)^H R a(phi) / M
     with R the quadrature covariance on the same grid.
     """
-    nodes = _midpoints(interval, quad_points)
+    nodes = _midpoints(interval, QUAD_POINTS)
     vals = dirichlet_magnitude(np.cos(phi) - np.cos(nodes), M, spacing) ** 2
-    return float(gain * vals.sum() / (M * quad_points))
+    return float(gain * vals.sum() / (M * QUAD_POINTS))
 
 
 def cosine_support(interval: AoAInterval) -> tuple[float, float]:

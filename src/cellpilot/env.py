@@ -1,7 +1,8 @@
-"""Assignment environment: swap actions, banded rewards, state encoding."""
+"""Assignment environment: world stream, swap actions, banded rewards, encoding."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from .assignment import PilotAssignment, apply_swap, random_assignment
 from .config import EnvOptions, SystemConfig, substream
 from .contamination import CostTable, _copilot_costs, pairwise_cost_matrix, total_costs
-from .scenario import CellLayout, ScenarioBundle, build_layout, fresh_world
+from .scenario import build_layout, fresh_world
 
 
 @dataclass
@@ -131,39 +132,56 @@ def reward_components(
     return r1, r2, r3
 
 
+class WorldStream:
+    """The world sequence of one run: every method of a seed sees the same.
+
+    World 0 is drawn from the seed's world substream, and each `advance`
+    moves to the next world. "positions" redraws the user drop and its
+    pair-cost matrix; "smallscale" keeps the geometry, and only the per-step
+    channel draws differ, which the rate benchmark realizes from its own
+    streams. Every world is digested, so equal `digest()`s prove equal
+    streams.
+    """
+
+    def __init__(self, config: SystemConfig, redraw: str, seed: int):
+        self.config = config
+        self.redraw = redraw
+        self.rng = substream(seed, "world")
+        self.layout = build_layout(config.L, config.R)
+        self.world = fresh_world(config, self.rng, self.layout)
+        self.pairwise = pairwise_cost_matrix(self.world)  # of `world`
+        self.digests = [self.world.digest()]
+
+    def advance(self):
+        if self.redraw == "positions":
+            self.world = fresh_world(self.config, self.rng, self.layout)
+            self.pairwise = pairwise_cost_matrix(self.world)
+        self.digests.append(self.world.digest())
+
+    def digest(self) -> str:
+        """One hash summarizing every world of the stream so far."""
+        return hashlib.sha1("".join(self.digests).encode("ascii")).hexdigest()
+
+
 class PilotEnv:
     """Stepwise pilot re-assignment over an evolving multi-cell world.
 
     Each step swaps, inside the chosen cell, the chosen pilot with the
-    pilot of the currently worst user, then lets the world evolve and
+    pilot of the currently worst user, then advances the world stream and
     scores the change of the network-wide worst-user cost. Action index a
     maps to (cell, pilot) = divmod(a, K); picking the worst user's own
     pilot is a no-op that leaves the pattern unchanged.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        opts: EnvOptions,
-        thresholds: RewardThresholds,
-        rng: np.random.Generator,
-        layout: CellLayout,
-        world: ScenarioBundle,
-        assignment: PilotAssignment,
-        pairwise: np.ndarray,
-    ):
+    def __init__(self, config: SystemConfig, thresholds: RewardThresholds,
+                 worlds: WorldStream, assignment: PilotAssignment):
         self.config = config
-        self.opts = opts
         self.thresholds = thresholds
-        self.rng = rng
-        self.layout = layout
-        self.world = world
-        self.pairwise = pairwise  # the pair-cost matrix of `world`
+        self.worlds = worlds
         self.assignment = assignment
-        self.world_digests = [self.world.digest()]
         self.last_pilot = self.last_cell = 0
         self.costs: CostTable = total_costs(
-            self.world, self.assignment.pilot_to_user, pairwise=self.pairwise)
+            worlds.world, assignment.pilot_to_user, pairwise=worlds.pairwise)
 
     @property
     def n_actions(self) -> int:
@@ -172,14 +190,6 @@ class PilotEnv:
     def encode(self) -> np.ndarray:
         return encode_state(self.assignment, self.costs, self.last_pilot,
                             self.last_cell, self.thresholds)
-
-    def _evolve(self):
-        if self.opts.redraw == "positions":
-            self.world = fresh_world(self.config, self.rng, self.layout)
-            self.pairwise = pairwise_cost_matrix(self.world)
-        # "smallscale" keeps the geometry: only per-step channel draws differ,
-        # which the rate benchmark realizes from its own streams.
-        self.world_digests.append(self.world.digest())
 
     def step(self, action: int) -> dict:
         """One transition; returns its trajectory row without the step index.
@@ -197,10 +207,10 @@ class PilotEnv:
         taken = pilot != before.worst_pilot
         if taken:
             self.assignment = apply_swap(self.assignment, cell, before.worst_pilot, pilot)
-        self._evolve()
+        self.worlds.advance()
         self.last_pilot, self.last_cell = pilot, cell
-        self.costs = total_costs(
-            self.world, self.assignment.pilot_to_user, pairwise=self.pairwise)
+        self.costs = total_costs(self.worlds.world, self.assignment.pilot_to_user,
+                                 pairwise=self.worlds.pairwise)
         r1, r2, r3 = reward_components(
             before.global_max, self.costs.global_max, taken, self.thresholds)
         return {
@@ -223,12 +233,8 @@ def make_env(config: SystemConfig, opts: EnvOptions, seed: int) -> PilotEnv:
     The initial world's pair-cost matrix is built once and serves both the
     calibration (unless it redraws positions per sample) and the env.
     """
-    world_rng = substream(seed, "world")
-    layout = build_layout(config.L, config.R)
-    world = fresh_world(config, world_rng, layout)
-    pairwise = pairwise_cost_matrix(world)
+    worlds = WorldStream(config, opts.redraw, seed)
     thresholds = calibrate_thresholds(
-        config, opts, substream(seed, "thresholds"), pairwise=pairwise)
-    return PilotEnv(config, opts, thresholds, world_rng, layout=layout, world=world,
-                    assignment=random_assignment(config.L, config.K, substream(seed, "init")),
-                    pairwise=pairwise)
+        config, opts, substream(seed, "thresholds"), pairwise=worlds.pairwise)
+    return PilotEnv(config, thresholds, worlds,
+                    random_assignment(config.L, config.K, substream(seed, "init")))

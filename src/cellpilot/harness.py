@@ -27,11 +27,10 @@ from .config import (
     TrainingSchedule,
     substream,
 )
-from .contamination import extended_user_costs, pairwise_cost_matrix
-from .env import TRAJECTORY_FIELDS, make_env
+from .contamination import extended_user_costs
+from .env import TRAJECTORY_FIELDS, WorldStream, make_env
 from .qnn import TRAINING_LOG_FIELDS, TrainResult, train
 from .rate import min_rate, moving_average
-from .scenario import build_layout, fresh_world
 
 METHODS = ("drl", "random", "exhaustive", "spr_like")
 
@@ -59,9 +58,12 @@ class ExperimentPreset:
     long_run_methods: tuple = ()
 
     def __post_init__(self):
-        for m in tuple(self.methods) + tuple(self.long_run_methods):
+        names = tuple(self.methods) + tuple(self.long_run_methods)
+        for m in names:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+        if not self.methods or len(set(names)) < len(names):
+            raise ConfigError(f"methods must be non-empty and distinct, got {names}")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
 
@@ -122,11 +124,6 @@ def _eval_steps(total_steps: int, every: int) -> frozenset:
     return frozenset(range(every - 1, total_steps, every))
 
 
-def _digest_chain(digests: list) -> str:
-    """One hash summarizing the whole world-evolution stream."""
-    return hashlib.sha1("".join(digests).encode("ascii")).hexdigest()
-
-
 @dataclass
 class MethodResult:
     """Everything one method contributes to the experiment outputs."""
@@ -142,9 +139,9 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
                 long_run: bool) -> MethodResult:
     """Run one method on the preset's world stream and record every step.
 
-    drl trains on its environment's stream; the baselines redraw the same
-    stream here (the same substream of the master seed), so all methods see
-    identical worlds, and their world digests prove it. Every step goes
+    drl trains on its environment's WorldStream and each baseline advances
+    its own WorldStream of the same seed, so all methods see identical
+    worlds, and their world digests prove it. Every step goes
     through `record`: its worst-user cost, and at the rate-evaluation steps
     the minimum rate with the pilot overhead n_pilots / K.
     """
@@ -165,32 +162,25 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
         out.training = train(
             env, preset.schedule, preset.total_steps, master_seed,
             step_callback=lambda t, _: record(
-                t, env.world, env.assignment.user_to_pilot(), cfg.K,
+                t, env.worlds.world, env.assignment.user_to_pilot(), cfg.K,
                 env.costs.global_max))
-        out.world_digest = _digest_chain(env.world_digests)
+        out.world_digest = env.worlds.digest()
         out.text_files["assignment_drl.txt"] = env.assignment.to_text()
         return out
 
-    world_rng = substream(master_seed, "world")
-    layout = build_layout(cfg.L, cfg.R)
-    redraw = opts.redraw == "positions"
-    world = fresh_world(cfg, world_rng, layout)
-    digests = [world.digest()]
+    worlds = WorldStream(cfg, opts.redraw, master_seed)
     rng_assign = substream(master_seed, "baseline", name)
     for t in range(preset.total_steps):
-        if redraw:
-            world = fresh_world(cfg, world_rng, layout)
-        digests.append(world.digest())
-        if t == 0 or redraw:
-            pairwise = pairwise_cost_matrix(world)
+        worlds.advance()
+        world, pairwise = worlds.world, worlds.pairwise
         # exhaustive and spr_like solve each world once; random draws anew
-        if t == 0 or redraw or name == "random":
+        if t == 0 or opts.redraw == "positions" or name == "random":
             u2p, n_pilots, text, report = baseline_assignment(
                 name, world, rng_assign, pairwise, allow_long_run=long_run)
         _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
         record(t, world, u2p, n_pilots, g_max)
 
-    out.world_digest = _digest_chain(digests)
+    out.world_digest = worlds.digest()
     if name != "random":
         out.text_files[f"assignment_{name}.txt"] = text
     if report is not None:
@@ -324,9 +314,10 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     method; plots/reward.csv carries the raw per-step reward, its
     short-term moving average, the long-term (cumulative) mean, and the
     cumulative ratio of negative rewards. results.csv and manifest.json
-    (whose eval_every sets the smoothing window) are required; a missing
-    drl_training_log.csv is skipped with a warning recorded in
-    plots/manifest.json.
+    (whose eval_every sets the smoothing window) are required. The training
+    log is read only when the manifest lists it, so a stale log of an
+    earlier run into the same directory is ignored; without it the reward
+    series are skipped with a warning recorded in plots/manifest.json.
     """
     run_dir = Path(run_dir)
     results_path = run_dir / "results.csv"
@@ -335,7 +326,8 @@ def emit_plot_data(run_dir: str | Path) -> Path:
         if not path.exists():
             raise ConfigError(f"no {path.name} under {run_dir}; not a run directory")
     with open(manifest_path) as fh:
-        eval_every = json.load(fh)["config"]["rate"]["eval_every"]
+        manifest = json.load(fh)
+    eval_every = manifest["config"]["rate"]["eval_every"]
     window = max(1, SHORT_TERM_STEPS // eval_every)
     plots = run_dir / "plots"
     plots.mkdir(exist_ok=True)
@@ -355,9 +347,8 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     write_csv(plots / "min_rate.csv", PLOT_FIELDS, rate_rows)
     written = ["min_rate.csv"]
 
-    log_path = run_dir / "drl_training_log.csv"
-    if log_path.exists():
-        log = _read_csv(log_path)
+    if "drl_training_log.csv" in manifest["files"]:
+        log = _read_csv(run_dir / "drl_training_log.csv")
         steps = np.array([int(row["step"]) for row in log])
         reward = np.array([float(row["reward"]) for row in log])
         n = np.arange(1, reward.size + 1)
@@ -375,7 +366,9 @@ def emit_plot_data(run_dir: str | Path) -> Path:
         write_csv(plots / "reward.csv", PLOT_FIELDS, reward_rows)
         written.append("reward.csv")
     else:
-        warnings.append("drl_training_log.csv missing; reward series omitted")
+        (plots / "reward.csv").unlink(missing_ok=True)  # of an earlier run
+        warnings.append("drl_training_log.csv not in the run manifest; "
+                        "reward series omitted")
 
     with open(plots / "manifest.json", "w") as fh:
         json.dump({"files": written, "warnings": warnings}, fh,

@@ -324,7 +324,7 @@ def save_checkpoint(
     """Weights, optimizer state, step counter and the state of one RNG.
 
     Arrays are stored under their own names as param.<name> and
-    opt.<name>. `cellpilot train` passes env.rng. The action and replay
+    opt.<name>. `cellpilot train` passes env.worlds.rng. The action and replay
     streams, the replay buffer, the target network and the environment
     state are not stored, so resuming from this file does not reproduce an
     uninterrupted run bit for bit.

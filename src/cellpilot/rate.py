@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _midpoints
+from .channel import QUAD_POINTS, _midpoints
 from .config import RateOptions
 from .contamination import _copilot_mask
 from .scenario import ScenarioBundle
@@ -68,7 +68,7 @@ def _filters(bundle: ScenarioBundle) -> np.ndarray:
     r[d] = mean_i z_i^d: one _power_sum gives all lag vectors, one gather the
     filters (about 1e-14 from covariance at M=100).
     """
-    cfg, n = bundle.config, 512  # covariance's default grid
+    cfg, n = bundle.config, QUAD_POINTS
     own = np.arange(bundle.drop.shape[0])
     nodes = _midpoints(bundle.interval(own, own, slice(None)), n)  # (L, K, n)
     lag = _power_sum(np.exp(-2j * np.pi * cfg.spacing * np.cos(nodes)), 1.0 / n, cfg.M)

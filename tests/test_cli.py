@@ -158,7 +158,7 @@ def test_bad_config_exit_code(tmp_path):
 def test_evaluate_missing_assignment_exit_code(tmp_path):
     code, _, stderr = _run(["evaluate", str(tmp_path / "missing.txt")])
     assert code == 2
-    assert "cannot read assignment file" in stderr
+    assert "missing.txt" in stderr
 
 
 def test_unplaceable_users_exit_code(tmp_path):

@@ -217,12 +217,12 @@ def test_step_tracks_global_worst_cost(rng):
     # after the transition, re-identified from a fresh cost table
     env = _static_env(seed=5)
     for _ in range(30):
-        before = total_costs(env.world, env.assignment.pilot_to_user,
-                             pairwise=env.pairwise).global_max
+        before = total_costs(env.worlds.world, env.assignment.pilot_to_user,
+                             pairwise=env.worlds.pairwise).global_max
         action = int(rng.integers(env.n_actions))
         row = env.step(action)
-        after = total_costs(env.world, env.assignment.pilot_to_user,
-                            pairwise=env.pairwise).global_max
+        after = total_costs(env.worlds.world, env.assignment.pilot_to_user,
+                            pairwise=env.worlds.pairwise).global_max
         assert row["g_prev"] == pytest.approx(before, abs=1e-12)
         assert row["g_next"] == pytest.approx(after, abs=1e-12)
         assert env.costs.global_max == pytest.approx(after, abs=1e-12)
@@ -232,8 +232,8 @@ def test_step_worst_indices_match_fresh_argmax(rng):
     env = _static_env(seed=7)
     for _ in range(25):
         env.step(int(rng.integers(env.n_actions)))
-        table = total_costs(env.world, env.assignment.pilot_to_user,
-                            pairwise=env.pairwise)
+        table = total_costs(env.worlds.world, env.assignment.pilot_to_user,
+                            pairwise=env.worlds.pairwise)
         assert env.costs.worst_cell == table.worst_cell
         assert env.costs.worst_pilot == table.worst_pilot
         assert np.allclose(env.costs.cell_max, table.cell_max)
@@ -283,13 +283,13 @@ def test_world_evolution_modes():
     moving = make_env(cfg, EnvOptions(redraw="positions", threshold_samples=50), 0)
     for _ in range(5):
         moving.step(0)
-    assert len(set(moving.world_digests)) == 6
+    assert len(set(moving.worlds.digests)) == 6
 
     small = make_env(cfg, EnvOptions(redraw="smallscale", threshold_samples=50), 0)
     for _ in range(5):
         small.step(0)
-    assert len(set(small.world_digests)) == 1
-    assert len(small.world_digests) == 6
+    assert len(set(small.worlds.digests)) == 1
+    assert len(small.worlds.digests) == 6
 
 
 def test_make_env_deterministic():
@@ -297,7 +297,7 @@ def test_make_env_deterministic():
     opts = EnvOptions(redraw="smallscale", threshold_samples=50)
     a = make_env(cfg, opts, 21)
     b = make_env(cfg, opts, 21)
-    assert a.world.digest() == b.world.digest()
+    assert a.worlds.world.digest() == b.worlds.world.digest()
     assert (a.thresholds.g1, a.thresholds.g2) == (b.thresholds.g1, b.thresholds.g2)
     assert a.assignment == b.assignment
     assert np.array_equal(a.encode(), b.encode())
@@ -315,14 +315,14 @@ def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
 
     monkeypatch.setattr(cellpilot.env, "pairwise_cost_matrix", counting)
     env = make_env(full.config, opts, 5)
-    assert sum(w is env.world for w in worlds) == 1
+    assert sum(w is env.worlds.world for w in worlds) == 1
     # the calibration of "positions" scores a fresh world per sample
     per_sample = opts.threshold_samples if redraw == "positions" else 0
     assert len(worlds) == 1 + per_sample
     monkeypatch.undo()
-    assert np.array_equal(env.pairwise, pairwise_cost_matrix(env.world))
+    assert np.array_equal(env.worlds.pairwise, pairwise_cost_matrix(env.worlds.world))
     th = calibrate_thresholds(full.config, opts, substream(5, "thresholds"),
-                              pairwise=pairwise_cost_matrix(env.world))
+                              pairwise=pairwise_cost_matrix(env.worlds.world))
     assert (env.thresholds.g1, env.thresholds.g2) == (th.g1, th.g2)
 
 

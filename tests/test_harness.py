@@ -69,6 +69,15 @@ def test_preset_validation():
         _tiny_preset(methods=("random", "annealing"))
     with pytest.raises(ConfigError):
         _tiny_preset(total_steps=0)
+    # a repeated method would write its rows twice under one manifest entry,
+    # and no method at all would write header-only files
+    with pytest.raises(ConfigError, match="distinct"):
+        _tiny_preset(methods=("random", "random"))
+    with pytest.raises(ConfigError, match="non-empty"):
+        _tiny_preset(methods=())
+    with pytest.raises(ConfigError, match="distinct"):
+        dataclasses.replace(_tiny_preset(methods=("random", "exhaustive")),
+                            long_run_methods=("exhaustive",))
 
 
 def test_run_experiment_default_out_dir(tmp_path, monkeypatch):
@@ -104,6 +113,21 @@ def test_run_manifest_statuses_and_digests(tiny_run):
     assert len(digests) == 1
     assert manifest["master_seed"] == 5
     assert len(manifest["config_hash"]) == 64
+
+
+def test_positions_run_shares_one_world_stream(tiny_run, tmp_path):
+    # a new drop every step: every method still sees the same worlds, and
+    # they are not the smallscale run's (same seed, same world 0)
+    preset = dataclasses.replace(
+        _tiny_preset(), env=EnvOptions(redraw="positions", threshold_samples=30))
+    out = run_experiment(preset, master_seed=5, out_dir=tmp_path / "moving")
+    methods = json.loads((out / "manifest.json").read_text())["methods"]
+    assert set(methods) == {"random", "spr_like", "exhaustive", "drl"}
+    assert all(m["status"] == "ok" for m in methods.values())
+    digests = {m["world_digest"] for m in methods.values()}
+    assert len(digests) == 1
+    still = json.loads((tiny_run / "manifest.json").read_text())["methods"]
+    assert digests != {still["random"]["world_digest"]}
 
 
 def test_run_exhaustive_no_worse_than_random(tiny_run):
@@ -240,4 +264,19 @@ def test_emit_plot_data_without_training_log(tmp_path):
     assert (plots / "min_rate.csv").exists()
     assert not (plots / "reward.csv").exists()
     pm = json.loads((plots / "manifest.json").read_text())
+    assert any("drl_training_log" in w for w in pm["warnings"])
+
+
+def test_emit_plot_data_ignores_stale_training_log(tmp_path):
+    # a later run without drl into the same directory leaves the earlier
+    # drl_training_log.csv behind; plotdata follows the manifest instead
+    run = tmp_path / "rerun"
+    run_experiment(_tiny_preset(methods=("drl",), total_steps=20), 1, run)
+    assert (emit_plot_data(run) / "reward.csv").exists()
+    run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
+    assert (run / "drl_training_log.csv").exists()
+    plots = emit_plot_data(run)
+    assert not (plots / "reward.csv").exists()
+    pm = json.loads((plots / "manifest.json").read_text())
+    assert pm["files"] == ["min_rate.csv"]
     assert any("drl_training_log" in w for w in pm["warnings"])

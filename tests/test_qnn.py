@@ -332,8 +332,8 @@ def test_checkpoint_round_trip(tmp_path):
     env = _tiny_env(seed=4)
     result = train(env, _TINY_SCHED, total_steps=30, seed=4)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(str(path), result.params, result.opt_state, 30, env.rng)
-    cont = env.rng.random(5)  # what the saved stream produces next
+    save_checkpoint(str(path), result.params, result.opt_state, 30, env.worlds.rng)
+    cont = env.worlds.rng.random(5)  # what the saved stream produces next
     params, opt, step, rng2 = load_checkpoint(str(path))
     assert step == 30
     for (name, arr), (_, ref) in zip(params.items(), result.params.items()):
@@ -349,7 +349,7 @@ def test_checkpoint_version_gate(tmp_path):
     env = _tiny_env(seed=5)
     result = train(env, _TINY_SCHED, total_steps=5, seed=5)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(str(path), result.params, result.opt_state, 5, env.rng)
+    save_checkpoint(str(path), result.params, result.opt_state, 5, env.worlds.rng)
     data = dict(np.load(str(path)))
     data["version"] = np.array(99)
     np.savez(str(path), **data)
