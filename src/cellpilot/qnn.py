@@ -9,7 +9,6 @@ finite differences.
 
 from __future__ import annotations
 
-import collections
 import json
 from dataclasses import dataclass
 
@@ -171,19 +170,45 @@ def rmsprop_step(
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO of (s, a, r, s') transitions, uniform sampling."""
+    """Fixed-capacity FIFO of (s, a, r, s') transitions, uniform sampling.
+
+    A circular buffer: four arrays allocated on the first push, the slot of
+    the oldest transition and the count held. States keep the dtype and
+    shape of the first pushed state; actions are int64, rewards float64.
+    """
 
     def __init__(self, capacity: int):
-        self._store = collections.deque(maxlen=capacity)
+        self.capacity = capacity
+        self._head = 0
+        self._count = 0
+        self._s = self._a = self._r = self._s2 = None
 
     def __len__(self):
-        return len(self._store)
+        return self._count
 
     def push(self, state, action, reward, next_state):
-        self._store.append((state, int(action), float(reward), next_state))
+        state = np.asarray(state)
+        if self._s is None:
+            self._s = np.empty((self.capacity, *state.shape), dtype=state.dtype)
+            self._s2 = np.empty_like(self._s)
+            self._a = np.empty(self.capacity, dtype=np.int64)
+            self._r = np.empty(self.capacity)
+        slot = (self._head + self._count) % self.capacity
+        self._s[slot] = state
+        self._a[slot] = int(action)
+        self._r[slot] = float(reward)
+        self._s2[slot] = next_state
+        if self._count < self.capacity:
+            self._count += 1
+        else:  # overwrote the oldest
+            self._head = (self._head + 1) % self.capacity
 
     def ready(self, batch_size: int) -> bool:
-        return len(self._store) >= batch_size
+        return self._count >= batch_size
+
+    def _slots(self, fifo_idx):
+        """Array slots of the given positions in FIFO order (0 = oldest)."""
+        return (self._head + fifo_idx) % self.capacity
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         """batch_size distinct transitions, uniform without replacement.
@@ -192,16 +217,13 @@ class ReplayBuffer:
         """
         if not self.ready(batch_size):
             return None
-        idx = rng.choice(len(self._store), size=batch_size, replace=False)
-        items = [self._store[i] for i in idx]
-        s = np.stack([it[0] for it in items])
-        a = np.array([it[1] for it in items])
-        r = np.array([it[2] for it in items])
-        s2 = np.stack([it[3] for it in items])
-        return s, a, r, s2
+        slots = self._slots(rng.choice(self._count, size=batch_size, replace=False))
+        return self._s[slots], self._a[slots], self._r[slots], self._s2[slots]
 
     def snapshot(self) -> list:
-        return list(self._store)
+        """The stored (s, a, r, s') tuples, oldest first."""
+        return [(self._s[k], int(self._a[k]), float(self._r[k]), self._s2[k])
+                for k in self._slots(np.arange(self._count))]
 
 
 def epsilon(t: int, schedule: TrainingSchedule) -> float:
