@@ -120,7 +120,8 @@ def backward(
         inp = fc_cache[i - 1][1] if i > 0 else x0
         grads[f"fc{i}.W"] = gpre.T @ inp
         grads[f"fc{i}.b"] = gpre.sum(axis=0)
-        gh = gpre @ params[f"fc{i}.W"]
+        if i > 0:  # the input itself takes no gradient
+            gh = gpre @ params[f"fc{i}.W"]
     return grads, loss
 
 
