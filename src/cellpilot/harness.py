@@ -226,6 +226,19 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
+def _remove_earlier_run(out_dir: Path):
+    """Delete the files that a run manifest already in out_dir lists."""
+    path = out_dir / "manifest.json"
+    if not path.exists():
+        return
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict) or "config_hash" not in manifest:
+        return  # not a run manifest
+    for name in manifest.get("files", []):
+        if Path(name).name == name:  # only plain names inside out_dir
+            (out_dir / name).unlink(missing_ok=True)
+
+
 def run_experiment(
     preset: ExperimentPreset,
     master_seed: int,
@@ -244,10 +257,13 @@ def run_experiment(
     drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
     columns of the one per-step record train returns), per-method
     assignment/overhead text files, and manifest.json tying everything to
-    the config hash and seed. out_dir defaults to run_<preset name>.
+    the config hash and seed. out_dir defaults to run_<preset name>. The
+    files an earlier run's manifest lists are deleted first, so none of
+    them outlives the run that wrote it.
     """
     out_dir = Path(out_dir) if out_dir is not None else Path(f"run_{preset.name}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_earlier_run(out_dir)
 
     cfg_dict = _config_dict(preset)
     manifest = {

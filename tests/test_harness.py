@@ -267,14 +267,38 @@ def test_emit_plot_data_without_training_log(tmp_path):
     assert any("drl_training_log" in w for w in pm["warnings"])
 
 
+def test_rerun_removes_files_of_earlier_run(tmp_path):
+    # a drl-free rerun into the same directory deletes what only the
+    # earlier run wrote, so every file left is one the new manifest lists
+    run = tmp_path / "rerun"
+    run_experiment(_tiny_preset(methods=("spr_like", "drl"), total_steps=20), 1, run)
+    assert {"drl_training_log.csv", "assignment_drl.txt",
+            "overhead_spr_like.txt"} <= {p.name for p in run.iterdir()}
+    run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert sorted(p.name for p in run.iterdir()) == sorted(
+        manifest["files"] + ["manifest.json"])
+
+
+def test_rerun_keeps_files_of_a_foreign_manifest(tmp_path):
+    run = tmp_path / "foreign"
+    run.mkdir()
+    (run / "notes.txt").write_text("mine\n")
+    (run / "manifest.json").write_text(json.dumps({"files": ["notes.txt"]}))
+    run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
+    assert (run / "notes.txt").read_text() == "mine\n"
+
+
 def test_emit_plot_data_ignores_stale_training_log(tmp_path):
-    # a later run without drl into the same directory leaves the earlier
-    # drl_training_log.csv behind; plotdata follows the manifest instead
+    # a training log that the run manifest does not list, such as one
+    # copied in by hand, is not read; plotdata follows the manifest
     run = tmp_path / "rerun"
     run_experiment(_tiny_preset(methods=("drl",), total_steps=20), 1, run)
     assert (emit_plot_data(run) / "reward.csv").exists()
+    log = (run / "drl_training_log.csv").read_text()
     run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
-    assert (run / "drl_training_log.csv").exists()
+    assert not (run / "drl_training_log.csv").exists()
+    (run / "drl_training_log.csv").write_text(log)
     plots = emit_plot_data(run)
     assert not (plots / "reward.csv").exists()
     pm = json.loads((plots / "manifest.json").read_text())
