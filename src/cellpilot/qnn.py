@@ -5,6 +5,11 @@ stack of two-layer residual blocks with identity shortcuts, then a linear
 head with one output per action. Gradients are exact reverse-mode
 derivatives of the squared TD error, which keeps them checkable against
 finite differences.
+
+`forward`, `backward` and `rmsprop_step` compute in the dtype of the
+parameters they are given. `train` runs the network in float32: it casts
+the float64 initial draws once, and the states it acts on and replays are
+float32. Float64 parameters give the float64 reference of the same net.
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ def init_params(
     hidden: int = 128,
     n_blocks: int = 2,
 ) -> dict:
-    """Scaled-uniform fan-in initialization, double precision throughout.
+    """Scaled-uniform fan-in initialization, drawn in float64.
+
+    `train` casts the draws to float32 once, so the stream of draws does
+    not depend on the training precision.
 
     Returns {name: array} in forward order: fc0.W, fc0.b, fc1.*, then
     block{i}.a.* and block{i}.b.* per residual block, then out.W, out.b.
@@ -46,6 +54,11 @@ def _depth(params: dict) -> tuple[int, int]:
     """(fully connected layers, residual blocks) named in params."""
     return (sum(name.startswith("fc") for name in params) // 2,
             sum(name.startswith("block") for name in params) // 4)
+
+
+def _dtype(params: dict) -> np.dtype:
+    """The dtype every computation on params runs in."""
+    return params["out.W"].dtype
 
 
 def _forward_cached(params: dict, x: np.ndarray):
@@ -70,8 +83,11 @@ def _forward_cached(params: dict, x: np.ndarray):
 
 
 def forward(params: dict, x: np.ndarray) -> np.ndarray:
-    """Action values for one feature vector (F,) or a batch (N, F)."""
-    x = np.asarray(x, dtype=float)
+    """Action values for one feature vector (F,) or a batch (N, F).
+
+    x is cast to the dtype of params, and so are the values.
+    """
+    x = np.asarray(x, dtype=_dtype(params))
     single = x.ndim == 1
     q, _ = _forward_cached(params, np.atleast_2d(x))
     return q[0] if single else q
@@ -86,11 +102,13 @@ def backward(
     """Gradients of the mean squared TD error over a batch.
 
     Loss = mean_b (target_b - q(x_b)[action_b])^2. Only the selected action
-    head receives error signal. Returns ({name: grad}, loss).
+    head receives error signal. Returns ({name: grad}, loss). x, targets
+    and the grads take the dtype of params.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dtype = _dtype(params)
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
     actions = np.atleast_1d(actions)
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=dtype))
     N = x.shape[0]
     q, (x0, fc_cache, block_cache, h_last) = _forward_cached(params, x)
     picked = q[np.arange(N), actions]
@@ -154,7 +172,8 @@ def rmsprop_step(
     v holds one second-moment accumulator per parameter name and starts
     each at zeros the first time that name is updated.
     v <- decay*v + (1-decay)*g^2;  p <- p - lr * g / (sqrt(v) + eps).
-    Returns True when the step was applied.
+    Returns True when the step was applied. The arithmetic stays in each
+    parameter's dtype.
     """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
@@ -272,7 +291,8 @@ def train(
     one RMSprop update on a uniform mini-batch once the buffer holds a full
     batch (targets from the frozen copy), and a target sync every
     target_sync_period updates. Everything is driven by substreams of the
-    seed, so identical (env, seed) runs produce identical logs.
+    seed, so identical (env, seed) runs produce identical logs. The
+    network, its RMSprop state and the replayed states are float32.
     step_callback(t, env) runs after each step and must not change env.
 
     The result's `rows` hold one dict per step: `step`, the dict env.step
@@ -286,10 +306,10 @@ def train(
     rng_act = substream(seed, "qnn", "act")
     rng_replay = substream(seed, "qnn", "replay")
 
-    feats = env.encode()
-    params = init_params(feats.size, env.n_actions, rng_init,
-                         hidden=schedule.hidden_width,
-                         n_blocks=schedule.residual_blocks)
+    feats = env.encode().astype(np.float32)
+    params = {name: arr.astype(np.float32) for name, arr in init_params(
+        feats.size, env.n_actions, rng_init, hidden=schedule.hidden_width,
+        n_blocks=schedule.residual_blocks).items()}
     target = sync_target(params)
     opt = {}
     replay = ReplayBuffer(schedule.replay_capacity)
@@ -300,7 +320,7 @@ def train(
         eps_t = epsilon(t, schedule)
         action, explored = act(params, feats, eps_t, rng_act, env.n_actions)
         row = env.step(action)
-        next_feats = env.encode()
+        next_feats = env.encode().astype(np.float32)
         replay.push(feats, action, row["reward"], next_feats)
 
         loss = None
@@ -371,7 +391,7 @@ def load_checkpoint(path: str):
             raise ValueError(f"unsupported checkpoint version {version}")
 
         def take(prefix):
-            return {key[len(prefix):]: data[key].astype(float)
+            return {key[len(prefix):]: data[key]
                     for key in data.files if key.startswith(prefix)}
 
         rng = np.random.Generator(np.random.PCG64())
