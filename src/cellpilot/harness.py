@@ -227,13 +227,17 @@ def _fmt(v) -> str:
 
 
 def _remove_earlier_run(out_dir: Path):
-    """Delete the files that a run manifest already in out_dir lists."""
-    path = out_dir / "manifest.json"
-    if not path.exists():
+    """Delete the files that a run manifest already in out_dir lists.
+
+    A manifest.json that is not a run's (no JSON object with a
+    config_hash) is only overwritten, and its files are left alone.
+    """
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+    except (FileNotFoundError, ValueError):
         return
-    manifest = json.loads(path.read_text())
     if not isinstance(manifest, dict) or "config_hash" not in manifest:
-        return  # not a run manifest
+        return
     for name in manifest.get("files", []):
         if Path(name).name == name:  # only plain names inside out_dir
             (out_dir / name).unlink(missing_ok=True)

@@ -1,8 +1,14 @@
-"""Shared helpers: small worlds and synthetic angular supports."""
+"""Shared helpers: small worlds, synthetic angular supports, BLAS runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellpilot
 from cellpilot import (
     AoAInterval,
     ScenarioBundle,
@@ -23,6 +29,22 @@ def make_world(config: SystemConfig, seed: int) -> ScenarioBundle:
     layout = build_layout(config.L, config.R)
     drop = drop_users(layout, config.K, config.exclusion_radius, rng)
     return ScenarioBundle.build(config, layout, drop)
+
+
+def outputs_per_blas_threads(script: str) -> tuple:
+    """stdout of `script` in a fresh interpreter with OpenBLAS at its default
+    thread count and at one thread. The script finds cellpilot and this
+    directory in sys.argv[1:]."""
+    paths = [str(Path(cellpilot.__file__).parents[1]), str(Path(__file__).parent)]
+    out = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out.append(subprocess.run(
+            [sys.executable, "-c", script, *paths], env=env,
+            capture_output=True, text=True, check=True, timeout=300).stdout)
+    return tuple(out)
 
 
 MS = (1, 2, 3, 4, 8, 16, 64, 100)

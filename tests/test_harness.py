@@ -280,11 +280,12 @@ def test_rerun_removes_files_of_earlier_run(tmp_path):
         manifest["files"] + ["manifest.json"])
 
 
-def test_rerun_keeps_files_of_a_foreign_manifest(tmp_path):
+@pytest.mark.parametrize("foreign", ['{"files": ["notes.txt"]}', "not json"])
+def test_rerun_keeps_files_of_a_foreign_manifest(tmp_path, foreign):
     run = tmp_path / "foreign"
     run.mkdir()
     (run / "notes.txt").write_text("mine\n")
-    (run / "manifest.json").write_text(json.dumps({"files": ["notes.txt"]}))
+    (run / "manifest.json").write_text(foreign)
     run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
     assert (run / "notes.txt").read_text() == "mine\n"
 

@@ -1,15 +1,10 @@
 """Q-network: forward/backward, optimizer, replay, schedule, training loop."""
 
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cellpilot
 from cellpilot import (
     EnvOptions,
     ReplayBuffer,
@@ -30,7 +25,7 @@ from cellpilot import (
 )
 from cellpilot.harness import write_csv
 from cellpilot.qnn import TRAINING_LOG_FIELDS
-from conftest import small_config
+from conftest import outputs_per_blas_threads, small_config
 
 
 def _zero_params(in_dim, out_dim, hidden=8, n_blocks=2):
@@ -426,7 +421,7 @@ import sys
 import numpy as np
 sys.path[:0] = sys.argv[1:]
 from cellpilot import EnvOptions, TrainingSchedule, make_env, train
-from conftest import small_config
+from conftest import outputs_per_blas_threads, small_config
 env = make_env(small_config(L=3, K=3, M=16),
                EnvOptions(redraw="smallscale", threshold_samples=50), 8)
 sched = TrainingSchedule(batch_size=128, replay_capacity=256,
@@ -441,17 +436,9 @@ for name, arr in result.params.items():
 def test_train_independent_of_blas_threads():
     # the float32 matmuls of a full-width net on full batches must not
     # depend on how many threads OpenBLAS splits them over
-    paths = [str(Path(cellpilot.__file__).parents[1]), str(Path(__file__).parent)]
-    out = {}
-    for threads in (None, "1"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out[threads] = subprocess.run(
-            [sys.executable, "-c", _TRAIN_SCRIPT, *paths], env=env,
-            capture_output=True, text=True, check=True, timeout=300).stdout
-    assert "float32" in out[None] and "'loss': None" in out[None]
-    assert out[None] == out["1"]
+    default, single = outputs_per_blas_threads(_TRAIN_SCRIPT)
+    assert "float32" in default and "'loss': None" in default
+    assert default == single
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0])

@@ -1,14 +1,8 @@
 """Uplink rate benchmark: moving average, SINR scaling, contamination effects."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import cellpilot
 from cellpilot import (
     RateOptions,
     covariance,
@@ -21,7 +15,7 @@ from cellpilot import (
     steering,
 )
 from cellpilot.rate import _draw_channels
-from conftest import make_world, small_config
+from conftest import make_world, outputs_per_blas_threads, small_config
 
 
 # ----------------------------------------------------------- moving average
@@ -163,7 +157,7 @@ import sys
 import numpy as np
 sys.path[:0] = sys.argv[1:]
 from cellpilot import RateOptions, min_rate
-from conftest import make_world, small_config
+from conftest import make_world, outputs_per_blas_threads, small_config
 world = make_world(small_config(L=3, K=3, M=64), seed=2)
 rep = min_rate(world, np.array([[0, 1, 2]] * 3), 3, np.random.default_rng(4),
                RateOptions(n_mc=20, paths=50))
@@ -174,16 +168,8 @@ print(rep.rates.tobytes().hex())
 def test_rates_independent_of_blas_threads():
     # the stacked matmul and the combining must not depend on how many
     # threads OpenBLAS splits them over
-    paths = [str(Path(cellpilot.__file__).parents[1]), str(Path(__file__).parent)]
-    out = {}
-    for threads in (None, "1"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out[threads] = subprocess.run(
-            [sys.executable, "-c", _RATES_SCRIPT, *paths], env=env,
-            capture_output=True, text=True, check=True, timeout=300).stdout
-    assert out[None] and out[None] == out["1"]
+    default, single = outputs_per_blas_threads(_RATES_SCRIPT)
+    assert default and default == single
 
 
 def test_draws_follow_path_gain_mode():
