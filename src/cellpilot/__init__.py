@@ -73,9 +73,7 @@ from .qnn import (
     epsilon,
     forward,
     init_params,
-    load_checkpoint,
     rmsprop_step,
-    save_checkpoint,
     sync_target,
     td_targets,
     train,
@@ -151,8 +149,6 @@ __all__ = [
     "epsilon",
     "act",
     "train",
-    "save_checkpoint",
-    "load_checkpoint",
     "RateReport",
     "min_rate",
     "moving_average",

@@ -7,6 +7,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .assignment import PilotAssignment, baseline_assignment
 from .config import (
     BudgetError,
@@ -22,7 +24,7 @@ from .config import (
 from .contamination import extended_user_costs, total_costs
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
 from .harness import emit_plot_data, presets, run_experiment, write_csv
-from .qnn import TRAINING_LOG_FIELDS, save_checkpoint, train
+from .qnn import TRAINING_LOG_FIELDS, train
 from .rate import min_rate
 
 
@@ -45,8 +47,7 @@ def cmd_train(args) -> None:
     result = train(env, schedule, args.steps, args.seed)
     write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.rows)
     write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.rows)
-    save_checkpoint(str(out / "checkpoint.npz"), result.params,
-                    result.opt_state, args.steps, env.worlds.rng)
+    np.savez(out / "checkpoint.npz", **result.params)
     (out / "assignment.txt").write_text(env.assignment.to_text())
     final = result.rows[-1]
     print(f"trained {args.steps} steps (seed {args.seed}); "
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run the Q-learning loop and checkpoint it")
+    p = sub.add_parser("train", help="run the Q-learning loop and save the trained weights")
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="INI file overriding defaults")

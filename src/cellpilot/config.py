@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 # Equal to [project].version in pyproject.toml (a test checks it); recorded
-# in run manifests and checkpoints.
+# in run manifests.
 PACKAGE_VERSION = "0.1.0"
 
 

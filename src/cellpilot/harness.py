@@ -226,17 +226,28 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
+def _run_manifest(run_dir: Path) -> dict | None:
+    """run_dir's manifest.json if it is a run's, else None.
+
+    A run manifest is a JSON object with a config_hash.
+    """
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except (FileNotFoundError, ValueError):
+        return None
+    if isinstance(manifest, dict) and "config_hash" in manifest:
+        return manifest
+    return None
+
+
 def _remove_earlier_run(out_dir: Path):
     """Delete the files that a run manifest already in out_dir lists.
 
-    A manifest.json that is not a run's (no JSON object with a
-    config_hash) is only overwritten, and its files are left alone.
+    A manifest.json that is not a run's is only overwritten, and its files
+    are left alone.
     """
-    try:
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-    except (FileNotFoundError, ValueError):
-        return
-    if not isinstance(manifest, dict) or "config_hash" not in manifest:
+    manifest = _run_manifest(out_dir)
+    if manifest is None:
         return
     for name in manifest.get("files", []):
         if Path(name).name == name:  # only plain names inside out_dir
@@ -341,12 +352,11 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     """
     run_dir = Path(run_dir)
     results_path = run_dir / "results.csv"
-    manifest_path = run_dir / "manifest.json"
-    for path in (results_path, manifest_path):
-        if not path.exists():
-            raise ConfigError(f"no {path.name} under {run_dir}; not a run directory")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    if not results_path.exists():
+        raise ConfigError(f"no results.csv under {run_dir}; not a run directory")
+    manifest = _run_manifest(run_dir)
+    if manifest is None:
+        raise ConfigError(f"no run manifest.json under {run_dir}; not a run directory")
     eval_every = manifest["config"]["rate"]["eval_every"]
     window = max(1, SHORT_TERM_STEPS // eval_every)
     plots = run_dir / "plots"

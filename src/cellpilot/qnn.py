@@ -14,7 +14,6 @@ float32. Float64 parameters give the float64 reference of the same net.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,7 +272,6 @@ TRAINING_LOG_FIELDS = (
 @dataclass
 class TrainResult:
     params: dict
-    opt_state: dict
     rows: list  # one dict per step; see train
     skipped_updates: int
 
@@ -350,50 +348,4 @@ def train(
         if step_callback is not None:
             step_callback(t, env)
         feats = next_feats
-    return TrainResult(params=params, opt_state=opt, rows=rows,
-                       skipped_updates=skipped)
-
-
-CHECKPOINT_VERSION = 2
-
-
-def save_checkpoint(
-    path: str,
-    params: dict,
-    opt_state: dict,
-    step: int,
-    rng: np.random.Generator,
-):
-    """Weights, optimizer state, step counter and the state of one RNG.
-
-    Arrays are stored under their own names as param.<name> and
-    opt.<name>. `cellpilot train` passes env.worlds.rng. The action and replay
-    streams, the replay buffer, the target network and the environment
-    state are not stored, so resuming from this file does not reproduce an
-    uninterrupted run bit for bit.
-    """
-    payload = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "step": np.array(step),
-        "rng_state": np.frombuffer(
-            json.dumps(rng.bit_generator.state).encode(), dtype=np.uint8),
-    }
-    payload.update({"param." + name: arr for name, arr in params.items()})
-    payload.update({"opt." + name: arr for name, arr in opt_state.items()})
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path: str):
-    """Inverse of save_checkpoint: (params, opt_state, step, rng)."""
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-
-        def take(prefix):
-            return {key[len(prefix):]: data[key]
-                    for key in data.files if key.startswith(prefix)}
-
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())
-        return take("param."), take("opt."), int(data["step"]), rng
+    return TrainResult(params=params, rows=rows, skipped_updates=skipped)

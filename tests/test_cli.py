@@ -5,6 +5,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from cellpilot import (
@@ -14,6 +15,7 @@ from cellpilot import (
     SystemConfig,
     TrainingSchedule,
     emit_plot_data,
+    forward,
     load_config_file,
     make_env,
     run_experiment,
@@ -50,6 +52,15 @@ paths = 5
 """
 
 
+def _train(ini, steps, seed):
+    """The in-process train run that `cellpilot train` makes of ini."""
+    base = {"scenario": SystemConfig(), "training": TrainingSchedule(),
+            "env": EnvOptions(), "rate": RateOptions()}
+    opts = load_config_file(ini, base)
+    return train(make_env(opts["scenario"], opts["env"], seed), opts["training"],
+                 steps, seed)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -77,6 +88,36 @@ def test_train_command(tmp_path, ini):
     assert len(log) == 13
     assign = PilotAssignment.from_text((out / "assignment.txt").read_text())
     assert assign.shape == (2, 2)
+
+
+def test_train_saves_the_trained_weights(tmp_path, ini):
+    out = tmp_path / "run"
+    code, _, _ = _run(["train", "--steps", "12", "--seed", "3",
+                       "--config", ini, "--out", str(out)])
+    assert code == 0
+    params = _train(ini, 12, 3).params
+    with np.load(out / "checkpoint.npz") as data:
+        weights = {name: data[name] for name in data.files}
+    assert list(weights) == list(params)  # every tensor, in init order
+    for name, arr in weights.items():
+        assert arr.dtype == params[name].dtype == np.float32, name
+        assert arr.shape == params[name].shape, name
+        assert arr.tobytes() == params[name].tobytes(), name
+    x = np.random.default_rng(0).standard_normal((5, params["fc0.W"].shape[1]))
+    assert np.array_equal(forward(weights, x), forward(params, x))
+
+
+def test_non_finite_loss_exit_code(tmp_path):
+    diverging = tmp_path / "diverging.ini"
+    diverging.write_text(TINY_INI.replace("[training]\n",
+                                          "[training]\nlearning_rate = 1e30\n"))
+    out = tmp_path / "run"
+    # the diverging net overflows float32 on its way to a non-finite loss
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        code, _, stderr = _run(["train", "--steps", "40", "--seed", "3",
+                                "--config", str(diverging), "--out", str(out)])
+    assert code == 4
+    assert "error: non-finite training loss" in stderr
 
 
 @pytest.mark.parametrize("steps", ["0", "-5"])
@@ -297,11 +338,7 @@ def test_every_csv_shares_one_format(tmp_path, ini):
                     assert f"{float(row[name]):.17g}" == row[name], (path.name, name)
 
     # the train output reads back as exactly the rows the same run holds
-    base = {"scenario": SystemConfig(), "training": TrainingSchedule(),
-            "env": EnvOptions(), "rate": RateOptions()}
-    opts = load_config_file(ini, base)
-    result = train(make_env(opts["scenario"], opts["env"], 3), opts["training"],
-                   12, 3)
+    result = _train(ini, 12, 3)
     for fname, fields, held in (
             ("training_log.csv", TRAINING_LOG_FIELDS, result.rows),
             ("trajectory.csv", TRAJECTORY_FIELDS, result.rows)):

@@ -290,6 +290,19 @@ def test_rerun_keeps_files_of_a_foreign_manifest(tmp_path, foreign):
     assert (run / "notes.txt").read_text() == "mine\n"
 
 
+@pytest.mark.parametrize("foreign", ['{"files": []}', "[1, 2]"])
+def test_emit_plot_data_rejects_a_foreign_manifest(tiny_run, tmp_path, foreign):
+    # JSON that is not a run manifest (no object with a config_hash) makes
+    # the directory no run directory, as a missing manifest does
+    run = tmp_path / "foreign"
+    run.mkdir()
+    (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
+    (run / "manifest.json").write_text(foreign)
+    with pytest.raises(ConfigError, match="not a run directory"):
+        emit_plot_data(run)
+    assert not (run / "plots").exists()
+
+
 def test_emit_plot_data_ignores_stale_training_log(tmp_path):
     # a training log that the run manifest does not list, such as one
     # copied in by hand, is not read; plotdata follows the manifest

@@ -14,10 +14,8 @@ from cellpilot import (
     epsilon,
     forward,
     init_params,
-    load_checkpoint,
     make_env,
     rmsprop_step,
-    save_checkpoint,
     substream,
     sync_target,
     td_targets,
@@ -370,38 +368,6 @@ def test_train_updates_and_syncs():
     assert synced_at == [9, 19, 29, 39]  # every target_sync_period steps
     assert result.skipped_updates == 0
     assert len(result.rows) == 40
-
-
-def test_checkpoint_round_trip(tmp_path):
-    env = _tiny_env(seed=4)
-    result = train(env, _TINY_SCHED, total_steps=30, seed=4)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(str(path), result.params, result.opt_state, 30, env.worlds.rng)
-    cont = env.worlds.rng.random(5)  # what the saved stream produces next
-    params, opt, step, rng2 = load_checkpoint(str(path))
-    assert step == 30
-    for (name, arr), (_, ref) in zip(params.items(), result.params.items()):
-        assert np.array_equal(arr, ref), name
-    assert list(params) == list(result.params)
-    for name in params:  # stored as trained, in float32
-        assert params[name].dtype == result.params[name].dtype == np.float32
-    assert list(opt) == list(result.opt_state)
-    for name in opt:
-        assert opt[name].dtype == np.float32
-        assert np.array_equal(opt[name], result.opt_state[name])
-    assert np.array_equal(rng2.random(5), cont)
-
-
-def test_checkpoint_version_gate(tmp_path):
-    env = _tiny_env(seed=5)
-    result = train(env, _TINY_SCHED, total_steps=5, seed=5)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(str(path), result.params, result.opt_state, 5, env.worlds.rng)
-    data = dict(np.load(str(path)))
-    data["version"] = np.array(99)
-    np.savez(str(path), **data)
-    with pytest.raises(ValueError):
-        load_checkpoint(str(path))
 
 
 def test_training_log_csv_format(tmp_path):
