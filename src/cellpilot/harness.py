@@ -229,13 +229,14 @@ def _fmt(v) -> str:
 def _run_manifest(run_dir: Path) -> dict | None:
     """run_dir's manifest.json if it is a run's, else None.
 
-    A run manifest is a JSON object with a config_hash.
+    A run manifest is a JSON object with a config_hash and a files list.
     """
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
     except (FileNotFoundError, ValueError):
         return None
-    if isinstance(manifest, dict) and "config_hash" in manifest:
+    if (isinstance(manifest, dict) and "config_hash" in manifest
+            and isinstance(manifest.get("files"), list)):
         return manifest
     return None
 
@@ -249,7 +250,7 @@ def _remove_earlier_run(out_dir: Path):
     manifest = _run_manifest(out_dir)
     if manifest is None:
         return
-    for name in manifest.get("files", []):
+    for name in manifest["files"]:
         if Path(name).name == name:  # only plain names inside out_dir
             (out_dir / name).unlink(missing_ok=True)
 
@@ -345,7 +346,8 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     method; plots/reward.csv carries the raw per-step reward, its
     short-term moving average, the long-term (cumulative) mean, and the
     cumulative ratio of negative rewards. results.csv and manifest.json
-    (whose eval_every sets the smoothing window) are required. The training
+    (whose eval_every, a positive integer, sets the smoothing window) are
+    required; a malformed manifest raises ConfigError. The training
     log is read only when the manifest lists it, so a stale log of an
     earlier run into the same directory is ignored; without it the reward
     series are skipped with a warning recorded in plots/manifest.json.
@@ -357,7 +359,13 @@ def emit_plot_data(run_dir: str | Path) -> Path:
     manifest = _run_manifest(run_dir)
     if manifest is None:
         raise ConfigError(f"no run manifest.json under {run_dir}; not a run directory")
-    eval_every = manifest["config"]["rate"]["eval_every"]
+    try:
+        eval_every = manifest["config"]["rate"]["eval_every"]
+    except (KeyError, TypeError):
+        eval_every = None
+    if type(eval_every) is not int or eval_every < 1:
+        raise ConfigError(f"{run_dir / 'manifest.json'}: config.rate.eval_every "
+                          f"must be a positive integer, not {eval_every!r}")
     window = max(1, SHORT_TERM_STEPS // eval_every)
     plots = run_dir / "plots"
     plots.mkdir(exist_ok=True)

@@ -14,6 +14,9 @@ float32. Float64 parameters give the float64 reference of the same net.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +176,11 @@ def rmsprop_step(
     v <- decay*v + (1-decay)*g^2;  p <- p - lr * g / (sqrt(v) + eps).
     Returns True when the step was applied. The arithmetic stays in each
     parameter's dtype.
+
+    Entries of v that fall below the dtype's smallest normal number are
+    set to 0. An entry whose gradient stays 0 decays into the subnormal
+    range, where x86 arithmetic is many times slower. There sqrt(v) is
+    far below half an ulp of eps, so the step on p is unchanged.
     """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
@@ -184,6 +192,7 @@ def rmsprop_step(
             acc = v[name] = np.zeros_like(p)
         acc *= decay
         acc += (1.0 - decay) * g * g
+        np.copyto(acc, 0, where=acc < np.finfo(acc.dtype).tiny)
         p -= lr * g / (np.sqrt(acc) + eps)
     return True
 
@@ -269,6 +278,46 @@ TRAINING_LOG_FIELDS = (
 )
 
 
+@functools.cache
+def _openblas_thread_fns():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    dlsym on numpy's BLAS-linked extension also searches the libraries it
+    links. The names are those of the scipy-openblas wheels, then of
+    64-bit-integer and plain OpenBLAS builds. Other BLAS libraries (MKL,
+    Accelerate) give None.
+    """
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, then restore its count.
+
+    Does nothing when numpy's BLAS is not OpenBLAS.
+    """
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 @dataclass
 class TrainResult:
     params: dict
@@ -276,6 +325,7 @@ class TrainResult:
     skipped_updates: int
 
 
+@_one_blas_thread()
 def train(
     env,
     schedule: TrainingSchedule,
@@ -292,6 +342,13 @@ def train(
     seed, so identical (env, seed) runs produce identical logs. The
     network, its RMSprop state and the replayed states are float32.
     step_callback(t, env) runs after each step and must not change env.
+
+    train runs with OpenBLAS held at one thread, step_callback included,
+    and restores its caller's thread count on return or raise. Its matrix
+    products (batch x width x width, 200 x 128 x 128 by default) gain
+    almost no wall time from a second thread, which then spins through
+    the Python work between calls. The outputs are the same bytes at any
+    thread count.
 
     The result's `rows` hold one dict per step: `step`, the dict env.step
     returned, `epsilon`, `explored` (whether the action was a random one),

@@ -24,7 +24,7 @@ from cellpilot import (
 from cellpilot.cli import main
 from cellpilot.env import TRAJECTORY_FIELDS
 from cellpilot.qnn import TRAINING_LOG_FIELDS
-from test_harness import _tiny_preset
+from test_harness import BAD_RUN_MANIFESTS, _tiny_preset
 
 TINY_INI = """\
 [scenario]
@@ -282,6 +282,20 @@ def test_plotdata_command(tmp_path):
     assert (run_dir / "plots" / "min_rate.csv").exists()
     code, _, stderr = _run(["plotdata", str(tmp_path / "empty")])
     assert code == 2
+
+
+@pytest.mark.parametrize("manifest", BAD_RUN_MANIFESTS.values(),
+                         ids=BAD_RUN_MANIFESTS.keys())
+def test_plotdata_malformed_run_manifest_exit_code(tmp_path, manifest):
+    # a usage error on exit 2, not a traceback on exit 1
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "results.csv").write_text("method,seed,step,min_rate,overhead_factor\n")
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    code, _, stderr = _run(["plotdata", str(run)])
+    assert code == 2
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert not (run / "plots").exists()
 
 
 def test_experiment_config_lays_keys_over_the_preset(tmp_path, monkeypatch):

@@ -280,14 +280,18 @@ def test_rerun_removes_files_of_earlier_run(tmp_path):
         manifest["files"] + ["manifest.json"])
 
 
-@pytest.mark.parametrize("foreign", ['{"files": ["notes.txt"]}', "not json"])
+@pytest.mark.parametrize("foreign", ['{"files": ["notes.txt"]}', "not json",
+                                     '{"config_hash": "x", "files": "notes.txt"}'])
 def test_rerun_keeps_files_of_a_foreign_manifest(tmp_path, foreign):
+    # a files string is no file list: its letters name no file to delete
     run = tmp_path / "foreign"
     run.mkdir()
-    (run / "notes.txt").write_text("mine\n")
+    for name in ("notes.txt", "t"):
+        (run / name).write_text("mine\n")
     (run / "manifest.json").write_text(foreign)
     run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
-    assert (run / "notes.txt").read_text() == "mine\n"
+    for name in ("notes.txt", "t"):
+        assert (run / name).read_text() == "mine\n"
 
 
 @pytest.mark.parametrize("foreign", ['{"files": []}', "[1, 2]"])
@@ -299,6 +303,38 @@ def test_emit_plot_data_rejects_a_foreign_manifest(tiny_run, tmp_path, foreign):
     (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
     (run / "manifest.json").write_text(foreign)
     with pytest.raises(ConfigError, match="not a run directory"):
+        emit_plot_data(run)
+    assert not (run / "plots").exists()
+
+
+# manifests with a config_hash that plotdata cannot use
+BAD_RUN_MANIFESTS = {
+    "no config": {"config_hash": "x", "files": []},
+    "no rate": {"config_hash": "x", "files": [], "config": {}},
+    "config not an object": {"config_hash": "x", "files": [], "config": []},
+    "eval_every 0": {"config_hash": "x", "files": [],
+                     "config": {"rate": {"eval_every": 0}}},
+    "eval_every negative": {"config_hash": "x", "files": [],
+                            "config": {"rate": {"eval_every": -5}}},
+    "eval_every a string": {"config_hash": "x", "files": [],
+                            "config": {"rate": {"eval_every": "50"}}},
+    "eval_every a float": {"config_hash": "x", "files": [],
+                           "config": {"rate": {"eval_every": 2.5}}},
+    "no files": {"config_hash": "x", "config": {"rate": {"eval_every": 10}}},
+    "files a string": {"config_hash": "x", "files": "results.csv",
+                       "config": {"rate": {"eval_every": 10}}},
+}
+
+
+@pytest.mark.parametrize("manifest", BAD_RUN_MANIFESTS.values(),
+                         ids=BAD_RUN_MANIFESTS.keys())
+def test_emit_plot_data_rejects_a_malformed_run_manifest(tiny_run, tmp_path,
+                                                          manifest):
+    run = tmp_path / "malformed"
+    run.mkdir()
+    (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="manifest.json"):
         emit_plot_data(run)
     assert not (run / "plots").exists()
 

@@ -7,6 +7,7 @@ import pytest
 
 from cellpilot import (
     EnvOptions,
+    NumericError,
     ReplayBuffer,
     TrainingSchedule,
     act,
@@ -22,7 +23,7 @@ from cellpilot import (
     train,
 )
 from cellpilot.harness import write_csv
-from cellpilot.qnn import TRAINING_LOG_FIELDS
+from cellpilot.qnn import TRAINING_LOG_FIELDS, _openblas_thread_fns
 from conftest import outputs_per_blas_threads, small_config
 
 
@@ -258,6 +259,37 @@ def test_rmsprop_skips_nonfinite():
     assert state == {}
 
 
+def _subnormal(arr):
+    return (arr != 0) & (np.abs(arr) < np.finfo(arr.dtype).tiny)
+
+
+def test_rmsprop_flush_leaves_the_unflushed_params():
+    # accumulators that hold subnormals or decay into them under exact-zero
+    # gradients: flushing them to 0 leaves every parameter byte of the
+    # textbook update, whose accumulators keep the subnormals
+    rng = np.random.default_rng(11)
+    n = 4096
+    p = {"w": rng.standard_normal(n).astype(np.float32)}
+    ref_p = p["w"].copy()
+    v = {"w": np.where(rng.random(n) < 0.5, np.float32(1e-40),
+                       np.float32(1e-6))}
+    ref_v = v["w"].copy()
+    subnormals = 0
+    for _ in range(1500):
+        # most gradients exactly 0, a few of ordinary size, some tiny
+        g = np.where(rng.random(n) < 0.97, 0.0,
+                     rng.standard_normal(n) * 10.0 ** rng.uniform(-22, -1, n))
+        g = g.astype(np.float32)
+        assert rmsprop_step(p, {"w": g}, v, lr=1e-3, decay=0.9, eps=1e-8)
+        ref_v *= 0.9
+        ref_v += (1.0 - 0.9) * g * g
+        ref_p -= 1e-3 * g / (np.sqrt(ref_v) + 1e-8)
+        subnormals += int(_subnormal(ref_v).sum())
+        assert not _subnormal(v["w"]).any()
+        assert p["w"].tobytes() == ref_p.tobytes()
+    assert subnormals > 0  # the reference did run on subnormals
+
+
 # ------------------------------------------------------------------- replay
 
 def test_replay_fifo_eviction():
@@ -405,6 +437,61 @@ def test_train_independent_of_blas_threads():
     default, single = outputs_per_blas_threads(_TRAIN_SCRIPT)
     assert "float32" in default and "'loss': None" in default
     assert default == single
+
+
+def test_train_leaves_no_subnormal_accumulator(monkeypatch):
+    # long enough that dead units' accumulators decay past 1e-38 unflushed
+    accumulators = []
+
+    def spy(params, grads, v, **kw):
+        accumulators.append(v)
+        return rmsprop_step(params, grads, v, **kw)
+
+    monkeypatch.setattr("cellpilot.qnn.rmsprop_step", spy)
+    train(_tiny_env(seed=5), _TINY_SCHED, total_steps=1500, seed=5)
+    v = accumulators[-1]
+    assert all(acc is v for acc in accumulators)  # updated in place
+    assert {arr.dtype for arr in v.values()} == {np.dtype(np.float32)}
+    for name, acc in v.items():
+        assert not _subnormal(acc).any(), name
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test; yields its count getter."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_openblas_thread_functions_found():
+    # a renamed symbol fails here instead of silently unpinning train
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")).lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')}")
+    assert _openblas_thread_fns() is not None
+
+
+def test_train_holds_one_blas_thread(two_blas_threads):
+    counts = []
+    train(_tiny_env(seed=4), _TINY_SCHED, total_steps=20, seed=4,
+          step_callback=lambda t, env: counts.append(two_blas_threads()))
+    assert counts == [1] * 20
+    assert two_blas_threads() == 2  # the caller's count is back
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_train_restores_blas_threads_on_error(two_blas_threads):
+    sched = dataclasses.replace(_TINY_SCHED, learning_rate=1e30)
+    with pytest.raises(NumericError):
+        train(_tiny_env(seed=4), sched, total_steps=100, seed=4)
+    assert two_blas_threads() == 2
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0])
