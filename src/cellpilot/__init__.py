@@ -81,7 +81,6 @@ from .qnn import (
 from .rate import RateReport, min_rate, moving_average
 from .harness import (
     ExperimentPreset,
-    emit_plot_data,
     presets,
     run_experiment,
 )
@@ -155,5 +154,4 @@ __all__ = [
     "ExperimentPreset",
     "presets",
     "run_experiment",
-    "emit_plot_data",
 ]

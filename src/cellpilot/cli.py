@@ -1,4 +1,4 @@
-"""Command-line entry points: train, baseline, evaluate, experiment, plotdata."""
+"""Command-line entry points: train, baseline, evaluate, experiment."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .config import (
 )
 from .contamination import extended_user_costs, total_costs
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
-from .harness import emit_plot_data, presets, run_experiment, write_csv
+from .harness import presets, run_experiment, write_csv
 from .qnn import TRAINING_LOG_FIELDS, train
 from .rate import min_rate
 
@@ -111,11 +111,6 @@ def cmd_experiment(args) -> None:
     print(f"experiment '{preset.name}' (seed {args.seed}) written to {out}")
 
 
-def cmd_plotdata(args) -> None:
-    plots = emit_plot_data(args.dir)
-    print(f"plot tables written to {plots}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellpilot",
@@ -157,10 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long-run", action="store_true",
                    help="also run methods gated for compute (exhaustive at scale)")
     p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("plotdata", help="emit tidy plot tables from a run dir")
-    p.add_argument("dir")
-    p.set_defaults(func=cmd_plotdata)
     return parser
 
 

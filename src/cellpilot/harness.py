@@ -1,14 +1,13 @@
-"""Experiment presets, method runners, result files, and plot-data tables.
+"""Experiment presets, method runners, result files, and plot tables.
 
 An experiment runs several assignment methods (learned and baselines) on
 identical world streams and writes everything as plain CSV plus a JSON
-manifest. Nothing here plots; the tidy tables in plots/ are meant to be
-fed straight into any plotting tool.
+manifest. Nothing here plots; the tidy plot_*.csv tables a run writes are
+meant to be fed straight into any plotting tool.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -37,7 +36,7 @@ METHODS = ("drl", "random", "exhaustive", "spr_like")
 # Window, in environment steps, for the short-term moving averages.
 SHORT_TERM_STEPS = 50
 
-# Columns of results.csv, costs.csv and the plots/ tables.
+# Columns of results.csv, costs.csv and the plot_*.csv tables.
 RESULTS_FIELDS = ("method", "seed", "step", "min_rate", "overhead_factor")
 COSTS_FIELDS = ("method", "seed", "step", "global_max")
 PLOT_FIELDS = ("step", "series", "value")
@@ -226,33 +225,52 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
-def _run_manifest(run_dir: Path) -> dict | None:
-    """run_dir's manifest.json if it is a run's, else None.
+def _min_rate_series(rates: dict, eval_every: int) -> list:
+    """The short-term moving average of each method's minimum rate, by name."""
+    window = max(1, SHORT_TERM_STEPS // eval_every)
+    rows = []
+    for name in sorted(rates):
+        ma = moving_average([mr for _, mr, _ in rates[name]], window)
+        rows += [{"step": t, "series": name, "value": v}
+                 for (t, _, _), v in zip(rates[name], ma)]
+    return rows
 
-    A run manifest is a JSON object with a config_hash and a files list.
-    """
-    try:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-    except (FileNotFoundError, ValueError):
-        return None
-    if (isinstance(manifest, dict) and "config_hash" in manifest
-            and isinstance(manifest.get("files"), list)):
-        return manifest
-    return None
+
+def _reward_series(training_rows: list) -> list:
+    """The per-step reward, its short-term moving average, the long-term
+    (cumulative) mean, and the cumulative ratio of negative rewards."""
+    reward = np.array([float(row["reward"]) for row in training_rows])
+    n = np.arange(1, reward.size + 1)
+    series = {
+        "reward": reward,
+        "reward_short_term": moving_average(reward, SHORT_TERM_STEPS),
+        "reward_long_term": np.cumsum(reward) / n,
+        "negative_ratio": np.cumsum(reward < 0) / n,
+    }
+    return [{"step": row["step"], "series": name, "value": v}
+            for name, values in series.items()
+            for row, v in zip(training_rows, values)]
 
 
 def _remove_earlier_run(out_dir: Path):
     """Delete the files that a run manifest already in out_dir lists.
 
-    A manifest.json that is not a run's is only overwritten, and its files
-    are left alone.
+    A run manifest is a JSON object with a config_hash and a files list of
+    strings. Any other manifest.json is only overwritten, and its files are
+    left alone. Only regular files directly inside out_dir are deleted.
     """
-    manifest = _run_manifest(out_dir)
-    if manifest is None:
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+    except (FileNotFoundError, ValueError):
         return
-    for name in manifest["files"]:
-        if Path(name).name == name:  # only plain names inside out_dir
-            (out_dir / name).unlink(missing_ok=True)
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if (not isinstance(files, list) or "config_hash" not in manifest
+            or not all(isinstance(name, str) for name in files)):
+        return
+    for name in files:
+        path = out_dir / name
+        if Path(name).name == name and path.is_file():
+            path.unlink()
 
 
 def run_experiment(
@@ -271,11 +289,14 @@ def run_experiment(
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and
     drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
-    columns of the one per-step record train returns), per-method
-    assignment/overhead text files, and manifest.json tying everything to
-    the config hash and seed. out_dir defaults to run_<preset name>. The
-    files an earlier run's manifest lists are deleted first, so none of
-    them outlives the run that wrote it.
+    columns of the one per-step record train returns), the tidy
+    step,series,value plot tables plot_min_rate.csv (each method's minimum
+    rate, smoothed over SHORT_TERM_STEPS) and, when drl ran, plot_reward.csv
+    (drl's reward, its short- and long-term means and the negative-reward
+    ratio), per-method assignment/overhead text files, and manifest.json
+    tying everything to the config hash and seed. out_dir defaults to
+    run_<preset name>. The files an earlier run's manifest lists are
+    deleted first, so none of them outlives the run that wrote it.
     """
     out_dir = Path(out_dir) if out_dir is not None else Path(f"run_{preset.name}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,6 +316,7 @@ def run_experiment(
 
     results_rows = []
     cost_rows = []
+    rates = {}  # method -> its rate_rows, for the min-rate plot table
     for name in preset.active_methods(long_run):
         try:
             res = _run_method(name, preset, master_seed, long_run)
@@ -309,6 +331,7 @@ def run_experiment(
             "world_digest": res.world_digest,
             "final_cost": float(res.cost_rows[-1][1]),
         }
+        rates[name] = res.rate_rows
         results_rows += [{"method": name, "seed": master_seed, "step": step,
                           "min_rate": mr, "overhead_factor": ov}
                          for step, mr, ov in res.rate_rows]
@@ -322,94 +345,18 @@ def run_experiment(
                       res.training.rows)
             write_csv(out_dir / "drl_trajectory.csv", TRAJECTORY_FIELDS,
                       res.training.rows)
-            manifest["files"] += ["drl_training_log.csv", "drl_trajectory.csv"]
+            write_csv(out_dir / "plot_reward.csv", PLOT_FIELDS,
+                      _reward_series(res.training.rows))
+            manifest["files"] += ["drl_training_log.csv", "drl_trajectory.csv",
+                                  "plot_reward.csv"]
 
     write_csv(out_dir / "results.csv", RESULTS_FIELDS, results_rows)
     write_csv(out_dir / "costs.csv", COSTS_FIELDS, cost_rows)
-    manifest["files"] += ["results.csv", "costs.csv"]
+    write_csv(out_dir / "plot_min_rate.csv", PLOT_FIELDS,
+              _min_rate_series(rates, preset.rate.eval_every))
+    manifest["files"] += ["results.csv", "costs.csv", "plot_min_rate.csv"]
     manifest["files"].sort()
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out_dir
-
-
-def _read_csv(path: Path) -> list:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def emit_plot_data(run_dir: str | Path) -> Path:
-    """Distill a run directory into tidy (step, series, value) tables.
-
-    plots/min_rate.csv carries one short-term moving-average series per
-    method; plots/reward.csv carries the raw per-step reward, its
-    short-term moving average, the long-term (cumulative) mean, and the
-    cumulative ratio of negative rewards. results.csv and manifest.json
-    (whose eval_every, a positive integer, sets the smoothing window) are
-    required; a malformed manifest raises ConfigError. The training
-    log is read only when the manifest lists it, so a stale log of an
-    earlier run into the same directory is ignored; without it the reward
-    series are skipped with a warning recorded in plots/manifest.json.
-    """
-    run_dir = Path(run_dir)
-    results_path = run_dir / "results.csv"
-    if not results_path.exists():
-        raise ConfigError(f"no results.csv under {run_dir}; not a run directory")
-    manifest = _run_manifest(run_dir)
-    if manifest is None:
-        raise ConfigError(f"no run manifest.json under {run_dir}; not a run directory")
-    try:
-        eval_every = manifest["config"]["rate"]["eval_every"]
-    except (KeyError, TypeError):
-        eval_every = None
-    if type(eval_every) is not int or eval_every < 1:
-        raise ConfigError(f"{run_dir / 'manifest.json'}: config.rate.eval_every "
-                          f"must be a positive integer, not {eval_every!r}")
-    window = max(1, SHORT_TERM_STEPS // eval_every)
-    plots = run_dir / "plots"
-    plots.mkdir(exist_ok=True)
-    warnings = []
-
-    results = _read_csv(results_path)
-    rate_rows = []
-    for m in sorted({row["method"] for row in results}):
-        mine = [row for row in results if row["method"] == m]
-        steps = np.array([int(row["step"]) for row in mine])
-        vals = np.array([float(row["min_rate"]) for row in mine])
-        order = np.argsort(steps, kind="stable")
-        steps, vals = steps[order], vals[order]
-        ma = moving_average(vals, window)
-        rate_rows += [{"step": t, "series": m, "value": v}
-                      for t, v in zip(steps, ma)]
-    write_csv(plots / "min_rate.csv", PLOT_FIELDS, rate_rows)
-    written = ["min_rate.csv"]
-
-    if "drl_training_log.csv" in manifest["files"]:
-        log = _read_csv(run_dir / "drl_training_log.csv")
-        steps = np.array([int(row["step"]) for row in log])
-        reward = np.array([float(row["reward"]) for row in log])
-        n = np.arange(1, reward.size + 1)
-        series = {
-            "reward": reward,
-            "reward_short_term": moving_average(reward, SHORT_TERM_STEPS),
-            "reward_long_term": np.cumsum(reward) / n,
-            "negative_ratio": np.cumsum(reward < 0) / n,
-        }
-        reward_rows = []
-        for name in ("reward", "reward_short_term", "reward_long_term",
-                     "negative_ratio"):
-            reward_rows += [{"step": t, "series": name, "value": v}
-                            for t, v in zip(steps, series[name])]
-        write_csv(plots / "reward.csv", PLOT_FIELDS, reward_rows)
-        written.append("reward.csv")
-    else:
-        (plots / "reward.csv").unlink(missing_ok=True)  # of an earlier run
-        warnings.append("drl_training_log.csv not in the run manifest; "
-                        "reward series omitted")
-
-    with open(plots / "manifest.json", "w") as fh:
-        json.dump({"files": written, "warnings": warnings}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    return plots

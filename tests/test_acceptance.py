@@ -373,7 +373,8 @@ def test_criterion_9_overhead_accounting():
 
 def test_criterion_10_experiment_determinism(tmp_path):
     files = ("results.csv", "costs.csv", "drl_training_log.csv",
-             "drl_trajectory.csv", "manifest.json")
+             "drl_trajectory.csv", "plot_min_rate.csv", "plot_reward.csv",
+             "manifest.json")
     outs = []
     for i in (0, 1):
         out = tmp_path / f"run{i}"

@@ -14,7 +14,6 @@ from cellpilot import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
-    emit_plot_data,
     forward,
     load_config_file,
     make_env,
@@ -24,7 +23,7 @@ from cellpilot import (
 from cellpilot.cli import main
 from cellpilot.env import TRAJECTORY_FIELDS
 from cellpilot.qnn import TRAINING_LOG_FIELDS
-from test_harness import BAD_RUN_MANIFESTS, _tiny_preset
+from test_harness import _tiny_preset
 
 TINY_INI = """\
 [scenario]
@@ -213,23 +212,18 @@ def test_unplaceable_users_exit_code(tmp_path):
     assert "could not place user 0 in cell 0 after 10000 draws" in stderr
 
 
-@pytest.mark.parametrize("command", ["train", "baseline", "experiment", "plotdata"])
+@pytest.mark.parametrize("command", ["train", "baseline", "experiment"])
 def test_unwritable_output_exit_code(tmp_path, ini, command):
     # an output path through a regular file is an error line and exit 2,
     # not a traceback
     afile = tmp_path / "afile"
     afile.write_text("")
-    if command == "plotdata":
-        run_dir = run_experiment(_tiny_preset(methods=("random",), total_steps=10),
-                                 master_seed=2, out_dir=tmp_path / "run")
-        (run_dir / "plots").write_text("")
     argv = {
         "train": ["train", "--steps", "3", "--config", ini, "--out", str(afile)],
         "baseline": ["baseline", "--method", "random", "--config", ini,
                      "--out", str(afile / "x")],
         "experiment": ["experiment", "--preset", "desk", "--seed", "1",
                        "--out", str(afile)],
-        "plotdata": ["plotdata", str(tmp_path / "run")],
     }[command]
     code, _, stderr = _run(argv)
     assert code == 2
@@ -273,31 +267,6 @@ def test_missing_required_arg_is_usage_error():
             main(["experiment", "--preset", "desk"])  # --seed is required
 
 
-def test_plotdata_command(tmp_path):
-    run_dir = run_experiment(_tiny_preset(methods=("random",), total_steps=10),
-                             master_seed=2, out_dir=tmp_path / "run")
-    code, stdout, _ = _run(["plotdata", str(run_dir)])
-    assert code == 0
-    assert "plot tables" in stdout
-    assert (run_dir / "plots" / "min_rate.csv").exists()
-    code, _, stderr = _run(["plotdata", str(tmp_path / "empty")])
-    assert code == 2
-
-
-@pytest.mark.parametrize("manifest", BAD_RUN_MANIFESTS.values(),
-                         ids=BAD_RUN_MANIFESTS.keys())
-def test_plotdata_malformed_run_manifest_exit_code(tmp_path, manifest):
-    # a usage error on exit 2, not a traceback on exit 1
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "results.csv").write_text("method,seed,step,min_rate,overhead_factor\n")
-    (run / "manifest.json").write_text(json.dumps(manifest))
-    code, _, stderr = _run(["plotdata", str(run)])
-    assert code == 2
-    assert stderr.startswith("error: ") and "Traceback" not in stderr
-    assert not (run / "plots").exists()
-
-
 def test_experiment_config_lays_keys_over_the_preset(tmp_path, monkeypatch):
     monkeypatch.setattr("cellpilot.cli.presets",
                         lambda: {"tiny": _tiny_preset(methods=("random",))})
@@ -316,8 +285,8 @@ def test_experiment_config_lays_keys_over_the_preset(tmp_path, monkeypatch):
 CSV_FIELDS = {
     "results.csv": ("method", "seed", "step", "min_rate", "overhead_factor"),
     "costs.csv": ("method", "seed", "step", "global_max"),
-    "min_rate.csv": ("step", "series", "value"),
-    "reward.csv": ("step", "series", "value"),
+    "plot_min_rate.csv": ("step", "series", "value"),
+    "plot_reward.csv": ("step", "series", "value"),
     "drl_training_log.csv": TRAINING_LOG_FIELDS,
     "training_log.csv": TRAINING_LOG_FIELDS,
     "drl_trajectory.csv": TRAJECTORY_FIELDS,
@@ -334,8 +303,7 @@ def _read(path):
 
 
 def test_every_csv_shares_one_format(tmp_path, ini):
-    emit_plot_data(run_experiment(_tiny_preset(), master_seed=5,
-                                  out_dir=tmp_path / "run"))
+    run_experiment(_tiny_preset(), master_seed=5, out_dir=tmp_path / "run")
     code, _, _ = _run(["train", "--steps", "12", "--seed", "3",
                        "--config", ini, "--out", str(tmp_path / "train")])
     assert code == 0

@@ -1,10 +1,11 @@
-"""Experiment harness: presets, result files, reruns, plot-data tables."""
+"""Experiment harness: presets, result files, reruns, plot tables."""
 
 import csv
 import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cellpilot import (
@@ -14,12 +15,12 @@ from cellpilot import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
-    emit_plot_data,
+    moving_average,
     presets,
     run_experiment,
 )
 from cellpilot.env import TRAJECTORY_FIELDS
-from cellpilot.harness import _run_method
+from cellpilot.harness import SHORT_TERM_STEPS, _run_method
 from cellpilot.qnn import TRAINING_LOG_FIELDS
 
 RUN_FILES = (
@@ -27,6 +28,7 @@ RUN_FILES = (
     "drl_training_log.csv", "drl_trajectory.csv",
     "assignment_drl.txt", "assignment_exhaustive.txt",
     "assignment_spr_like.txt", "overhead_spr_like.txt",
+    "plot_min_rate.csv", "plot_reward.csv",
 )
 
 
@@ -45,6 +47,11 @@ def _tiny_preset(methods=("random", "spr_like", "exhaustive", "drl"),
         methods=methods,
         total_steps=total_steps,
     )
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ------------------------------------------------------------------ presets
@@ -95,6 +102,17 @@ def tiny_run(tmp_path_factory):
     return run_experiment(_tiny_preset(), master_seed=5, out_dir=out)
 
 
+@pytest.fixture(scope="module")
+def moving_run(tmp_path_factory):
+    # a new drop every step, over more steps than both smoothing windows
+    preset = dataclasses.replace(
+        _tiny_preset(total_steps=80),
+        env=EnvOptions(redraw="positions", threshold_samples=30),
+        rate=RateOptions(n_mc=2, eval_every=20, paths=5))
+    out = tmp_path_factory.mktemp("runs") / "moving"
+    return run_experiment(preset, master_seed=5, out_dir=out)
+
+
 def test_run_writes_all_files(tiny_run):
     for fname in RUN_FILES:
         assert (tiny_run / fname).exists(), fname
@@ -115,13 +133,10 @@ def test_run_manifest_statuses_and_digests(tiny_run):
     assert len(manifest["config_hash"]) == 64
 
 
-def test_positions_run_shares_one_world_stream(tiny_run, tmp_path):
-    # a new drop every step: every method still sees the same worlds, and
-    # they are not the smallscale run's (same seed, same world 0)
-    preset = dataclasses.replace(
-        _tiny_preset(), env=EnvOptions(redraw="positions", threshold_samples=30))
-    out = run_experiment(preset, master_seed=5, out_dir=tmp_path / "moving")
-    methods = json.loads((out / "manifest.json").read_text())["methods"]
+def test_positions_run_shares_one_world_stream(tiny_run, moving_run):
+    # every method still sees the same worlds, and they are not the
+    # smallscale run's (same seed, same world 0)
+    methods = json.loads((moving_run / "manifest.json").read_text())["methods"]
     assert set(methods) == {"random", "spr_like", "exhaustive", "drl"}
     assert all(m["status"] == "ok" for m in methods.values())
     digests = {m["world_digest"] for m in methods.values()}
@@ -159,13 +174,9 @@ def test_run_spr_overhead_factor(tiny_run):
 def test_drl_costs_are_the_step_record(tiny_run):
     # drl's costs.csv rows come through train's step callback; step by step
     # they are the g_next and g_max of the one record both drl files project
-    def read(name):
-        with open(tiny_run / name, newline="") as fh:
-            return list(csv.DictReader(fh))
-
-    costs = [row for row in read("costs.csv") if row["method"] == "drl"]
-    trajectory = read("drl_trajectory.csv")
-    log = read("drl_training_log.csv")
+    costs = [row for row in _read(tiny_run / "costs.csv") if row["method"] == "drl"]
+    trajectory = _read(tiny_run / "drl_trajectory.csv")
+    log = _read(tiny_run / "drl_training_log.csv")
     assert len(costs) == len(trajectory) == len(log) == 30
     for t, (cost, traj, entry) in enumerate(zip(costs, trajectory, log)):
         assert int(cost["step"]) == int(traj["step"]) == int(entry["step"]) == t
@@ -197,8 +208,7 @@ def test_rate_cadence_is_every_eval_every_steps(tmp_path):
         "method,seed,step,min_rate,overhead_factor\n")
     long = dataclasses.replace(short, total_steps=400)
     out = run_experiment(long, master_seed=1, out_dir=tmp_path / "long")
-    with open(out / "results.csv", newline="") as fh:
-        assert {int(row["step"]) for row in csv.DictReader(fh)} == {199, 399}
+    assert {int(row["step"]) for row in _read(out / "results.csv")} == {199, 399}
 
 
 def test_method_failure_is_isolated(tmp_path):
@@ -224,47 +234,53 @@ def test_method_failure_is_isolated(tmp_path):
 
 # ------------------------------------------------------------ plot tables
 
-def test_emit_plot_data(tiny_run):
-    plots = emit_plot_data(tiny_run)
-    rate = (plots / "min_rate.csv").read_text().strip().splitlines()
-    assert rate[0] == "step,series,value"
-    series = {r.split(",")[1] for r in rate[1:]}
-    assert series == {"random", "spr_like", "exhaustive", "drl"}
-    assert len(rate) == 1 + 4 * 3
-    reward = (plots / "reward.csv").read_text().strip().splitlines()
-    rseries = {r.split(",")[1] for r in reward[1:]}
-    assert rseries == {"reward", "reward_short_term", "reward_long_term",
-                       "negative_ratio"}
-    assert len(reward) == 1 + 4 * 30
-    pm = json.loads((plots / "manifest.json").read_text())
-    assert pm["warnings"] == []
-    assert set(pm["files"]) == {"min_rate.csv", "reward.csv"}
+def _plot_tables_from_csv(run):
+    """Both plot tables, recomputed from the run's CSV files and manifest."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    eval_every = manifest["config"]["rate"]["eval_every"]
+    results = _read(run / "results.csv")
+    rate = ["step,series,value"]
+    for m in sorted({row["method"] for row in results}):
+        mine = sorted((row for row in results if row["method"] == m),
+                      key=lambda row: int(row["step"]))
+        ma = moving_average([float(row["min_rate"]) for row in mine],
+                            max(1, SHORT_TERM_STEPS // eval_every))
+        rate += [f"{row['step']},{m},{v:.17g}" for row, v in zip(mine, ma)]
+    log = _read(run / "drl_training_log.csv")
+    reward = np.array([float(row["reward"]) for row in log])
+    n = np.arange(1, reward.size + 1)
+    series = {"reward": reward,
+              "reward_short_term": moving_average(reward, SHORT_TERM_STEPS),
+              "reward_long_term": np.cumsum(reward) / n,
+              "negative_ratio": np.cumsum(reward < 0) / n}
+    rewards = ["step,series,value"] + [
+        f"{row['step']},{name},{v:.17g}"
+        for name, values in series.items() for row, v in zip(log, values)]
+    return "\n".join(rate) + "\n", "\n".join(rewards) + "\n"
 
 
-def test_emit_plot_data_rejects_non_run_dir(tmp_path):
-    with pytest.raises(ConfigError):
-        emit_plot_data(tmp_path)
+@pytest.mark.parametrize("run", ["tiny_run", "moving_run"])
+def test_plot_tables_match_the_csv_oracle(request, run):
+    run = request.getfixturevalue(run)
+    rate, reward = _plot_tables_from_csv(run)
+    assert (run / "plot_min_rate.csv").read_text() == rate
+    assert (run / "plot_reward.csv").read_text() == reward
+    assert {row["series"] for row in _read(run / "plot_min_rate.csv")} == {
+        "random", "spr_like", "exhaustive", "drl"}
+    assert {row["series"] for row in _read(run / "plot_reward.csv")} == {
+        "reward", "reward_short_term", "reward_long_term", "negative_ratio"}
 
 
-def test_emit_plot_data_requires_manifest(tiny_run, tmp_path):
-    # the manifest's eval_every sets the smoothing window; without it the
-    # directory is not a run directory
-    run = tmp_path / "no_manifest"
-    run.mkdir()
-    (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
-    with pytest.raises(ConfigError, match="manifest.json"):
-        emit_plot_data(run)
-    assert not (run / "plots").exists()
-
-
-def test_emit_plot_data_without_training_log(tmp_path):
-    preset = _tiny_preset(methods=("random",), total_steps=10)
-    out = run_experiment(preset, master_seed=1, out_dir=tmp_path / "nolog")
-    plots = emit_plot_data(out)
-    assert (plots / "min_rate.csv").exists()
-    assert not (plots / "reward.csv").exists()
-    pm = json.loads((plots / "manifest.json").read_text())
-    assert any("drl_training_log" in w for w in pm["warnings"])
+def test_drl_free_run_writes_no_reward_table(tmp_path):
+    # and a drl-free rerun removes the reward table of an earlier drl run
+    run = tmp_path / "rerun"
+    run_experiment(_tiny_preset(methods=("drl",), total_steps=20), 1, run)
+    assert (run / "plot_reward.csv").exists()
+    run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
+    assert (run / "plot_min_rate.csv").exists()
+    assert not (run / "plot_reward.csv").exists()
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert "plot_reward.csv" not in manifest["files"]
 
 
 def test_rerun_removes_files_of_earlier_run(tmp_path):
@@ -280,77 +296,24 @@ def test_rerun_removes_files_of_earlier_run(tmp_path):
         manifest["files"] + ["manifest.json"])
 
 
-@pytest.mark.parametrize("foreign", ['{"files": ["notes.txt"]}', "not json",
-                                     '{"config_hash": "x", "files": "notes.txt"}'])
+@pytest.mark.parametrize("foreign", [
+    '{"files": ["notes.txt"]}', "not json", "[1, 2]", '{"config_hash": "x"}',
+    '{"config_hash": "x", "files": "notes.txt"}',
+    '{"config_hash": "x", "files": [1]}',
+    '{"config_hash": "x", "files": ["notes.txt", 1]}',
+    '{"config_hash": "x", "files": [""]}',
+    '{"config_hash": "x", "files": [".."]}',
+    '{"config_hash": "x", "files": ["sub"]}',
+])
 def test_rerun_keeps_files_of_a_foreign_manifest(tmp_path, foreign):
-    # a files string is no file list: its letters name no file to delete
+    # a files string is no file list: its letters name no file to delete; a
+    # list holding a non-string is no run's; and a name that is not a
+    # regular file directly inside the directory is never deleted
     run = tmp_path / "foreign"
-    run.mkdir()
-    for name in ("notes.txt", "t"):
+    (run / "sub").mkdir(parents=True)
+    for name in ("notes.txt", "t", "sub/notes.txt"):
         (run / name).write_text("mine\n")
     (run / "manifest.json").write_text(foreign)
     run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
-    for name in ("notes.txt", "t"):
+    for name in ("notes.txt", "t", "sub/notes.txt"):
         assert (run / name).read_text() == "mine\n"
-
-
-@pytest.mark.parametrize("foreign", ['{"files": []}', "[1, 2]"])
-def test_emit_plot_data_rejects_a_foreign_manifest(tiny_run, tmp_path, foreign):
-    # JSON that is not a run manifest (no object with a config_hash) makes
-    # the directory no run directory, as a missing manifest does
-    run = tmp_path / "foreign"
-    run.mkdir()
-    (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
-    (run / "manifest.json").write_text(foreign)
-    with pytest.raises(ConfigError, match="not a run directory"):
-        emit_plot_data(run)
-    assert not (run / "plots").exists()
-
-
-# manifests with a config_hash that plotdata cannot use
-BAD_RUN_MANIFESTS = {
-    "no config": {"config_hash": "x", "files": []},
-    "no rate": {"config_hash": "x", "files": [], "config": {}},
-    "config not an object": {"config_hash": "x", "files": [], "config": []},
-    "eval_every 0": {"config_hash": "x", "files": [],
-                     "config": {"rate": {"eval_every": 0}}},
-    "eval_every negative": {"config_hash": "x", "files": [],
-                            "config": {"rate": {"eval_every": -5}}},
-    "eval_every a string": {"config_hash": "x", "files": [],
-                            "config": {"rate": {"eval_every": "50"}}},
-    "eval_every a float": {"config_hash": "x", "files": [],
-                           "config": {"rate": {"eval_every": 2.5}}},
-    "no files": {"config_hash": "x", "config": {"rate": {"eval_every": 10}}},
-    "files a string": {"config_hash": "x", "files": "results.csv",
-                       "config": {"rate": {"eval_every": 10}}},
-}
-
-
-@pytest.mark.parametrize("manifest", BAD_RUN_MANIFESTS.values(),
-                         ids=BAD_RUN_MANIFESTS.keys())
-def test_emit_plot_data_rejects_a_malformed_run_manifest(tiny_run, tmp_path,
-                                                          manifest):
-    run = tmp_path / "malformed"
-    run.mkdir()
-    (run / "results.csv").write_bytes((tiny_run / "results.csv").read_bytes())
-    (run / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="manifest.json"):
-        emit_plot_data(run)
-    assert not (run / "plots").exists()
-
-
-def test_emit_plot_data_ignores_stale_training_log(tmp_path):
-    # a training log that the run manifest does not list, such as one
-    # copied in by hand, is not read; plotdata follows the manifest
-    run = tmp_path / "rerun"
-    run_experiment(_tiny_preset(methods=("drl",), total_steps=20), 1, run)
-    assert (emit_plot_data(run) / "reward.csv").exists()
-    log = (run / "drl_training_log.csv").read_text()
-    run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1, run)
-    assert not (run / "drl_training_log.csv").exists()
-    (run / "drl_training_log.csv").write_text(log)
-    plots = emit_plot_data(run)
-    assert not (plots / "reward.csv").exists()
-    pm = json.loads((plots / "manifest.json").read_text())
-    assert pm["files"] == ["min_rate.csv"]
-    assert any("drl_training_log" in w for w in pm["warnings"])
