@@ -42,9 +42,8 @@ def main():
         single = total_costs(
             world, random_assignment(CFG.L, CFG.K, substream(seed, "one")).pilot_to_user,
             pairwise=pairwise).global_max
-        ext, report = spr_like_assignment(world)
-        _, split_cost = extended_user_costs(world, ext.user_to_pilot,
-                                            pairwise=pairwise)
+        split_map, report = spr_like_assignment(world)
+        _, split_cost = extended_user_costs(world, split_map, pairwise=pairwise)
         print(f"  {seed}    {table.global_max:9.3f}   {best_probe:20.3f}"
               f"   {single:13.3f}   {split_cost:10.3f} ({report.required_pilots})")
 

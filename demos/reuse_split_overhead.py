@@ -14,10 +14,10 @@ CFG = SystemConfig(L=7, K=4, M=64)
 
 def main():
     world = fresh_world(CFG, substream(SEED, "world"))
-    ext, report = spr_like_assignment(world, edge_ratio=1.0 / 3.0)
+    user_to_pilot, report = spr_like_assignment(world, edge_ratio=1.0 / 3.0)
     print(report)
-    print(f"\npilot map ({ext.n_pilots} pilots):")
-    for l, row in enumerate(ext.user_to_pilot):
+    print(f"\npilot map ({report.required_pilots} pilots):")
+    for l, row in enumerate(user_to_pilot):
         print(f"  cell {l}: " + " ".join(f"{p:2d}" for p in row))
 
     print("\nedge ratio sweep:")

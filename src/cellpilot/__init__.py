@@ -46,7 +46,6 @@ from .contamination import (
     total_costs,
 )
 from .assignment import (
-    ExtendedAssignment,
     OverheadReport,
     PilotAssignment,
     apply_swap,
@@ -122,7 +121,6 @@ __all__ = [
     "total_costs",
     "extended_user_costs",
     "PilotAssignment",
-    "ExtendedAssignment",
     "OverheadReport",
     "random_assignment",
     "apply_swap",

@@ -41,8 +41,7 @@ class PilotAssignment:
 
     def to_text(self) -> str:
         """L lines with K space-separated user indices (row = cell)."""
-        return "\n".join(" ".join(str(u) for u in row)
-                         for row in self.pilot_to_user) + "\n"
+        return _rows_text(self.pilot_to_user)
 
     @classmethod
     def from_text(cls, text: str) -> "PilotAssignment":
@@ -54,6 +53,11 @@ class PilotAssignment:
         except ValueError as exc:
             raise ValueError(f"malformed assignment text: {exc}") from exc
         return cls(mat)
+
+
+def _rows_text(rows: np.ndarray) -> str:
+    """One line of space-separated integers per row."""
+    return "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
 
 
 def random_assignment(L: int, K: int, rng: np.random.Generator) -> PilotAssignment:
@@ -168,21 +172,6 @@ def exhaustive_search(
 
 
 @dataclass
-class ExtendedAssignment:
-    """Pilot map allowed to use more than K pilot ids (for reuse splitting)."""
-
-    user_to_pilot: np.ndarray  # (L, K) int, ids in [0, n_pilots)
-    n_pilots: int
-    edge_mask: np.ndarray      # (L, K) bool, True for cluster-edge users
-
-    def to_text(self) -> str:
-        """An "n_pilots N" line, then L lines of K pilot ids (row = cell)."""
-        return (f"n_pilots {self.n_pilots}\n"
-                + "\n".join(" ".join(str(p) for p in row)
-                            for row in self.user_to_pilot) + "\n")
-
-
-@dataclass
 class OverheadReport:
     """Pilot budget of a reuse-split scheme versus the K-pilot baseline.
 
@@ -219,50 +208,30 @@ class OverheadReport:
 def spr_like_assignment(
     bundle: ScenarioBundle,
     edge_ratio: float = 1.0 / 3.0,
-) -> tuple[ExtendedAssignment, OverheadReport]:
+) -> tuple[np.ndarray, OverheadReport]:
     """Reuse split: edge users get cluster-wide dedicated pilots.
 
     In each cell the users farthest from their BS are marked as edge users
     so that edge:central matches edge_ratio. Central users reuse one shared
     pilot block across cells; every edge user receives its own orthogonal
     pilot, eliminating its contamination at the price of a longer pilot
-    block.
+    block. Returns the (L, K) user -> pilot map and its OverheadReport. The
+    user of stable rank r near -> far in cell l gets pilot r if central,
+    else r + l * edge_per_cell: edge users hold pilots >= central_per_cell.
     """
     if edge_ratio < 0:
         raise ValueError("edge_ratio must be non-negative")
     L, K = bundle.drop.shape
-    frac = edge_ratio / (1.0 + edge_ratio)
-    n_edge = min(K, int(round(K * frac)))
+    n_edge = min(K, int(round(K * edge_ratio / (1.0 + edge_ratio))))
     n_central = K - n_edge
-
-    dist = np.zeros((L, K))
-    for l in range(L):
-        bs = bundle.layout.bs_positions[l]
-        dist[l] = np.hypot(*(bundle.drop.positions[l] - bs).T)
-
-    user_to_pilot = np.zeros((L, K), dtype=int)
-    edge_mask = np.zeros((L, K), dtype=bool)
-    next_edge_pilot = n_central
-    for l in range(L):
-        order = np.argsort(dist[l], kind="stable")      # near -> far
-        central, edge = order[:n_central], order[n_central:]
-        for p, user in enumerate(central):
-            user_to_pilot[l, user] = p
-        for user in edge:
-            user_to_pilot[l, user] = next_edge_pilot
-            edge_mask[l, user] = True
-            next_edge_pilot += 1
-
-    required = n_central + L * n_edge
-    report = OverheadReport(
-        base_pilots=K,
-        required_pilots=required,
-        edge_per_cell=n_edge,
-        central_per_cell=n_central,
-    )
-    ext = ExtendedAssignment(user_to_pilot=user_to_pilot,
-                             n_pilots=required, edge_mask=edge_mask)
-    return ext, report
+    offset = bundle.drop.positions - bundle.layout.bs_positions[:, None]
+    order = np.argsort(np.hypot(offset[..., 0], offset[..., 1]), axis=1,
+                       kind="stable")
+    rank = np.argsort(order, axis=1)
+    user_to_pilot = rank + (rank >= n_central) * np.arange(L)[:, None] * n_edge
+    return user_to_pilot, OverheadReport(
+        base_pilots=K, required_pilots=n_central + L * n_edge,
+        edge_per_cell=n_edge, central_per_cell=n_central)
 
 
 def baseline_assignment(
@@ -276,11 +245,14 @@ def baseline_assignment(
 
     name is "random" (a fresh draw from rng), "exhaustive" (the min-max
     optimum; allow_long_run lifts its budget) or "spr_like" (the reuse
-    split, the only one with an OverheadReport; text is the file format).
+    split, the only one with an OverheadReport). text is the file format:
+    PilotAssignment.to_text, or for spr_like an "n_pilots N" line over L
+    rows of K pilot ids.
     """
     if name == "spr_like":
-        ext, report = spr_like_assignment(bundle)
-        return ext.user_to_pilot, ext.n_pilots, ext.to_text(), report
+        u2p, report = spr_like_assignment(bundle)
+        n_pilots = report.required_pilots
+        return u2p, n_pilots, f"n_pilots {n_pilots}\n" + _rows_text(u2p), report
     if name == "random":
         assign = random_assignment(*bundle.drop.shape, rng)
     elif name == "exhaustive":

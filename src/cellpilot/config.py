@@ -143,6 +143,8 @@ _SECTION_TYPES = {
     "env": EnvOptions,
     "rate": RateOptions,
 }
+# how an INI value is parsed, by field annotation; other fields take the text
+_FIELD_KINDS = {"int": int, "float": float, "float | None": float, "bool": bool}
 
 
 def _coerce(raw: str, kind):
@@ -154,9 +156,12 @@ def _coerce(raw: str, kind):
             return False
         raise ConfigError(f"cannot parse boolean from {raw!r}")
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {kind.__name__} from {raw!r}") from exc
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"float values must be finite, got {raw!r}")
+    return value
 
 
 def load_config_file(path: str, base: dict) -> dict:
@@ -187,15 +192,8 @@ def load_config_file(path: str, base: dict) -> dict:
         for key, raw in parser.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            hint = known[key]
-            if hint == "int":
-                kwargs[key] = _coerce(raw, int)
-            elif hint in ("float", "float | None"):
-                kwargs[key] = _coerce(raw, float)
-            elif hint in ("bool",):
-                kwargs[key] = _coerce(raw, bool)
-            else:
-                kwargs[key] = raw
+            kind = _FIELD_KINDS.get(known[key])
+            kwargs[key] = raw if kind is None else _coerce(raw, kind)
         out[section] = replace(base[section], **kwargs)
     return out
 

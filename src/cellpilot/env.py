@@ -45,7 +45,8 @@ def calibrate_thresholds(
     sample when the evolution mode redraws positions, otherwise one world
     is reused, matching what the run will see: the world whose pair-cost
     matrix the caller passes as `pairwise`, or one freshly built. On a
-    reused world all samples are scored in one batched call.
+    reused world one random_assignment of n*L rows draws all n sample maps,
+    and one batched call scores them.
     Degenerate quantiles are widened by 5% so the middle band is never empty.
     """
     layout = build_layout(config.L, config.R)
@@ -60,10 +61,9 @@ def calibrate_thresholds(
     else:
         C = pairwise if pairwise is not None else \
             pairwise_cost_matrix(fresh_world(config, rng, layout))
-        # the same draws as n successive random_assignment calls
-        p2u = rng.permuted(np.tile(np.arange(config.K), (n * config.L, 1)), axis=1)
-        maps = np.argsort(p2u.reshape(n, config.L, config.K), axis=2)
-        samples = _copilot_costs(C, maps).max(axis=(1, 2))
+        # one draw of n*L rows: the same as n successive L-row draws
+        maps = random_assignment(n * config.L, config.K, rng).user_to_pilot()
+        samples = _copilot_costs(C, maps.reshape(n, config.L, -1)).max(axis=(1, 2))
     g1 = float(np.quantile(samples, opts.q_low))
     g2 = float(np.quantile(samples, opts.q_high))
     # Cost landscapes with heavy ties can pull the quantiles down onto the

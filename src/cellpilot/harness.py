@@ -172,11 +172,11 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
     for t in range(preset.total_steps):
         worlds.advance()
         world, pairwise = worlds.world, worlds.pairwise
-        # exhaustive and spr_like solve each world once; random draws anew
+        # random draws anew; exhaustive and spr_like solve and score a world once
         if t == 0 or opts.redraw == "positions" or name == "random":
             u2p, n_pilots, text, report = baseline_assignment(
                 name, world, rng_assign, pairwise, allow_long_run=long_run)
-        _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
+            _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
         record(t, world, u2p, n_pilots, g_max)
 
     out.world_digest = worlds.digest()

@@ -3,8 +3,8 @@
 Ten numbered criteria, each printing one `ACCEPTANCE n PASS/FAIL: ...`
 line with its measured figures. Criteria 5 and 6 share three full
 training runs of the desk preset (seeds 0, 1, 2); criterion 10 performs
-two more runs through the command-line interface. The whole suite is
-seeded and deterministic.
+one more seed-0 run through the command-line interface and compares it
+with theirs. The whole suite is seeded and deterministic.
 """
 
 import contextlib
@@ -371,22 +371,22 @@ def test_criterion_9_overhead_accounting():
 
 # -------------------------------------------------------------- criterion 10
 
-def test_criterion_10_experiment_determinism(tmp_path):
+def test_criterion_10_experiment_determinism(tmp_path, desk_runs):
+    # a CLI run against the in-process seed-0 run of the shared fixture: a
+    # rerun reproduces every byte, and the CLI writes what the API writes
     files = ("results.csv", "costs.csv", "drl_training_log.csv",
              "drl_trajectory.csv", "plot_min_rate.csv", "plot_reward.csv",
              "manifest.json")
-    outs = []
-    for i in (0, 1):
-        out = tmp_path / f"run{i}"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["experiment", "--preset", "desk", "--seed", "7",
-                             "--out", str(out)])
-        assert code == 0
-        outs.append(out)
-    same = {f: (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+    api_run = desk_runs[0][0]
+    out = tmp_path / "cli_run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["experiment", "--preset", "desk", "--seed", "0",
+                         "--out", str(out)])
+    assert code == 0
+    same = {f: (api_run / f).read_bytes() == (out / f).read_bytes()
             for f in files}
     ok = all(same.values())
-    detail = ("two desk runs at seed 7 byte-identical across " + ", ".join(files)
-              if ok else
+    detail = ("a CLI desk run at seed 0 byte-identical to the API run across "
+              + ", ".join(files) if ok else
               f"mismatching files: {[f for f, s in same.items() if not s]}")
     _report(10, ok, detail)

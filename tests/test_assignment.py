@@ -8,7 +8,10 @@ import pytest
 from cellpilot import (
     BudgetError,
     PilotAssignment,
+    ScenarioBundle,
+    UserDrop,
     apply_swap,
+    build_layout,
     exhaustive_search,
     extended_user_costs,
     pairwise_cost_matrix,
@@ -16,7 +19,7 @@ from cellpilot import (
     spr_like_assignment,
     total_costs,
 )
-from conftest import make_world, small_config
+from conftest import make_world, random_world, small_config
 
 
 # ------------------------------------------------------------ representation
@@ -245,34 +248,34 @@ def test_exhaustive_matches_plain_enumeration(L, K, kind):
 def test_spr_overhead_worked_example():
     cfg = small_config(L=7, K=4, M=16)
     world = make_world(cfg, seed=0)
-    ext, report = spr_like_assignment(world, edge_ratio=1.0 / 3.0)
+    u2p, report = spr_like_assignment(world, edge_ratio=1.0 / 3.0)
     assert report.base_pilots == 4
     assert report.required_pilots == 3 + 7 * 1
     assert report.edge_per_cell == 1 and report.central_per_cell == 3
     assert report.extra_pct == pytest.approx(150.0)
     assert report.total_pct == pytest.approx(250.0)
     assert "150%" in str(report) and "250%" in str(report)
-    assert ext.n_pilots == 10
-    assert ext.edge_mask.sum() == 7
+    assert report.required_pilots == 10
+    assert (u2p >= report.central_per_cell).sum() == 7
 
 
 def test_spr_zero_edge_ratio_degenerates():
     cfg = small_config(L=3, K=4, M=16)
     world = make_world(cfg, seed=1)
-    ext, report = spr_like_assignment(world, edge_ratio=0.0)
+    u2p, report = spr_like_assignment(world, edge_ratio=0.0)
     assert report.required_pilots == 4
     assert report.extra_pct == 0.0
-    assert not ext.edge_mask.any()
+    assert not (u2p >= report.central_per_cell).any()
     for l in range(3):
-        assert np.array_equal(np.sort(ext.user_to_pilot[l]), np.arange(4))
+        assert np.array_equal(np.sort(u2p[l]), np.arange(4))
 
 
 def test_spr_all_edge_users_cost_free():
     cfg = small_config(L=3, K=2, M=16)
     world = make_world(cfg, seed=4)
-    ext, report = spr_like_assignment(world, edge_ratio=1e9)
-    assert ext.edge_mask.all()
-    costs, worst = extended_user_costs(world, ext.user_to_pilot)
+    u2p, report = spr_like_assignment(world, edge_ratio=1e9)
+    assert (u2p >= report.central_per_cell).all()
+    costs, worst = extended_user_costs(world, u2p)
     assert worst == 0.0
     assert np.array_equal(costs, np.zeros((3, 2)))
 
@@ -280,12 +283,13 @@ def test_spr_all_edge_users_cost_free():
 def test_spr_edge_users_are_farthest():
     cfg = small_config(L=2, K=4, M=16)
     world = make_world(cfg, seed=5)
-    ext, _ = spr_like_assignment(world, edge_ratio=1.0 / 3.0)
+    u2p, report = spr_like_assignment(world, edge_ratio=1.0 / 3.0)
+    edge = u2p >= report.central_per_cell
     for l in range(2):
         bs = world.layout.bs_positions[l]
         d = np.hypot(*(world.drop.positions[l] - bs).T)
-        edge_d = d[ext.edge_mask[l]]
-        central_d = d[~ext.edge_mask[l]]
+        edge_d = d[edge[l]]
+        central_d = d[~edge[l]]
         assert edge_d.min() >= central_d.max() - 1e-9
 
 
@@ -299,9 +303,63 @@ def test_spr_rejects_negative_ratio():
 def test_spr_worst_user_cost():
     cfg = small_config(L=3, K=3, M=16)
     world = make_world(cfg, seed=9)
-    ext, _ = spr_like_assignment(world)
-    costs, worst = extended_user_costs(world, ext.user_to_pilot)
+    u2p, _ = spr_like_assignment(world)
+    costs, worst = extended_user_costs(world, u2p)
     assert worst == costs.max()
     C = pairwise_cost_matrix(world)
-    assert extended_user_costs(world, ext.user_to_pilot, pairwise=C)[1] == \
+    assert extended_user_costs(world, u2p, pairwise=C)[1] == \
         pytest.approx(worst)
+
+
+def _loop_spr_map(bundle, edge_ratio):
+    """The reuse split as two per-cell loops: (user_to_pilot, edge set)."""
+    L, K = bundle.drop.shape
+    n_edge = min(K, int(round(K * edge_ratio / (1.0 + edge_ratio))))
+    n_central = K - n_edge
+    user_to_pilot = np.zeros((L, K), dtype=int)
+    edge = np.zeros((L, K), dtype=bool)
+    next_edge_pilot = n_central
+    for l in range(L):
+        d = np.hypot(*(bundle.drop.positions[l] - bundle.layout.bs_positions[l]).T)
+        order = np.argsort(d, kind="stable")
+        for p, user in enumerate(order[:n_central]):
+            user_to_pilot[l, user] = p
+        for user in order[n_central:]:
+            user_to_pilot[l, user] = next_edge_pilot
+            edge[l, user] = True
+            next_edge_pilot += 1
+    return user_to_pilot, edge
+
+
+SPR_RATIOS = (0.0, 1.0 / 3.0, 0.5, 1.0, 3.0, 1e9)
+
+
+def _assert_spr_matches_loop(world):
+    for ratio in SPR_RATIOS:
+        u2p, report = spr_like_assignment(world, edge_ratio=ratio)
+        want, edge = _loop_spr_map(world, ratio)
+        assert np.array_equal(u2p, want)
+        assert np.array_equal(u2p >= report.central_per_cell, edge)
+        assert report.required_pilots == want.max() + 1
+
+
+def test_spr_matches_loop_on_random_worlds():
+    rng = np.random.default_rng(19)
+    for seed in range(200):
+        _assert_spr_matches_loop(random_world(rng, seed))
+
+
+def test_spr_equal_distances_keep_user_order():
+    # users 0 and 2 of cell 0 mirror each other across the BS's x axis, so
+    # their distances are equal; the stable sort ranks user 0 first, which
+    # keeps it central and makes user 2 the edge user
+    cfg = small_config(L=2, K=3, M=8)
+    layout = build_layout(cfg.L, cfg.R)
+    pos = np.empty((2, 3, 2))
+    pos[0] = [[250.0, 150.0], [0.0, 150.0], [250.0, -150.0]]
+    pos[1] = layout.bs_positions[1] + [[300.0, 0.0], [0.0, 200.0], [-150.0, -150.0]]
+    world = ScenarioBundle.build(cfg, layout, UserDrop(positions=pos))
+    u2p, report = spr_like_assignment(world, edge_ratio=0.5)
+    assert report.central_per_cell == 2 and report.edge_per_cell == 1
+    assert np.array_equal(u2p, [[1, 0, 2], [3, 0, 1]])
+    _assert_spr_matches_loop(world)

@@ -14,10 +14,12 @@ from cellpilot import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
+    WorldStream,
     forward,
     load_config_file,
     make_env,
     run_experiment,
+    spr_like_assignment,
     train,
 )
 from cellpilot.cli import main
@@ -51,11 +53,16 @@ paths = 5
 """
 
 
-def _train(ini, steps, seed):
-    """The in-process train run that `cellpilot train` makes of ini."""
+def _options(ini):
+    """The options the CLI loads from ini over the defaults."""
     base = {"scenario": SystemConfig(), "training": TrainingSchedule(),
             "env": EnvOptions(), "rate": RateOptions()}
-    opts = load_config_file(ini, base)
+    return load_config_file(ini, base)
+
+
+def _train(ini, steps, seed):
+    """The in-process train run that `cellpilot train` makes of ini."""
+    opts = _options(ini)
     return train(make_env(opts["scenario"], opts["env"], seed), opts["training"],
                  steps, seed)
 
@@ -145,6 +152,12 @@ def test_baseline_commands(tmp_path, ini, method, fname):
     if method == "spr":
         assert (out / "overhead_spr_like.txt").exists()
         assert "%" in stdout
+        opts = _options(ini)
+        world = WorldStream(opts["scenario"], opts["env"].redraw, 1).world
+        want, report = spr_like_assignment(world)
+        head, *rows = (out / fname).read_text().splitlines()
+        assert head == f"n_pilots {report.required_pilots}"
+        assert np.array_equal([[int(p) for p in row.split()] for row in rows], want)
 
 
 def test_baseline_exhaustive_budget_gate():
@@ -193,6 +206,21 @@ def test_bad_config_exit_code(tmp_path):
         code, _, stderr = _run(["baseline", "--method", "random",
                                 "--config", str(bad)])
         assert code == 2 and stderr.startswith("error: "), text
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("gamma_snr_db = nan", ["baseline", "--method", "random"]),
+    ("spacing = inf", ["baseline", "--method", "random"]),
+    ("[rate]\npilot_snr_db = nan", ["evaluate", "ASSIGN", "--rate"]),
+])
+def test_non_finite_config_exit_code(tmp_path, line, argv):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[scenario]\nL = 2\nK = 2\nM = 8\n{line}\n")
+    assignment = tmp_path / "assign.txt"
+    assignment.write_text("0 1\n1 0\n")
+    argv = [str(assignment) if a == "ASSIGN" else a for a in argv]
+    code, stdout, stderr = _run(argv + ["--seed", "0", "--config", str(bad)])
+    assert code == 2 and stderr.startswith("error: ") and stdout == ""
 
 
 def test_evaluate_missing_assignment_exit_code(tmp_path):

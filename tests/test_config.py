@@ -148,6 +148,12 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "L = 3\n",                        # no section header
     "[scenario]\nL 3\n",              # no delimiter
     "[env]\nredraw = 5%\n",           # % is literal, then fails validation
+    "[scenario]\ngamma_snr_db = nan\n",  # floats must be finite
+    "[scenario]\neta = NaN\n",
+    "[scenario]\nspacing = inf\n",
+    "[scenario]\ngamma_snr_db = -inf\n",
+    "[rate]\npilot_snr_db = nan\n",
+    "[rate]\npilot_snr_db = -Infinity\n",
 ])
 def test_load_config_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.ini"
@@ -187,7 +193,8 @@ def test_package_surface():
     # folded into the one generator, rate._draw_channels
     for gone in ("EnvState", "StepOutcome", "SwapAction", "NullBounds",
                  "NullBoundsError", "first_null_bounds", "approx_gain",
-                 "response_overlap", "load_config_overrides", "realize_channel"):
+                 "response_overlap", "load_config_overrides", "realize_channel",
+                 "ExtendedAssignment"):
         assert gone not in names and not hasattr(cellpilot, gone)
 
 

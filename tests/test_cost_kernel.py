@@ -191,9 +191,9 @@ def _assert_costs_match(world, rng):
         costs, worst = extended_user_costs(world, u2p, pairwise=C)
         want_costs, want_worst = _ref_extended(C, u2p)
         assert np.array_equal(costs, want_costs) and worst == want_worst
-    ext, _ = spr_like_assignment(world)
-    costs, worst = extended_user_costs(world, ext.user_to_pilot, pairwise=C)
-    want_costs, want_worst = _ref_extended(C, ext.user_to_pilot)
+    split_map, _ = spr_like_assignment(world)
+    costs, worst = extended_user_costs(world, split_map, pairwise=C)
+    want_costs, want_worst = _ref_extended(C, split_map)
     assert np.array_equal(costs, want_costs) and worst == want_worst
 
 

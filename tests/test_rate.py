@@ -324,10 +324,10 @@ def test_stacked_pass_matches_per_user_loop(monkeypatch, L, K, M):
     # identity, a random and the spr_like pilot map
     bundle = make_world(small_config(L=L, K=K, M=M), seed=L * 100 + K * 10 + M)
     opts = RateOptions(n_mc=7, paths=10)
-    ext, _ = spr_like_assignment(bundle)
+    split_map, split = spr_like_assignment(bundle)
     random_map = random_assignment(L, K, np.random.default_rng(M)).user_to_pilot()
     for u2p, n_pilots in ((_identity_pilots(L, K), K), (random_map, K),
-                          (ext.user_to_pilot, ext.n_pilots)):
+                          (split_map, split.required_pilots)):
         _assert_matches_loop(monkeypatch, bundle, u2p, n_pilots, opts)
 
 
