@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BudgetError
-from .contamination import CostTable, pairwise_cost_matrix, total_costs
+from .contamination import CostTable, extended_user_costs, pairwise_cost_matrix, total_costs
 from .scenario import ScenarioBundle
 
 
@@ -238,26 +238,32 @@ def baseline_assignment(
     name: str,
     bundle: ScenarioBundle,
     rng: np.random.Generator,
-    pairwise: np.ndarray | None = None,
+    pairwise: np.ndarray,
     allow_long_run: bool = False,
-) -> tuple[np.ndarray, int, str, OverheadReport | None]:
-    """(user_to_pilot, n_pilots, text, report) of a non-learned method.
+) -> tuple[np.ndarray, int, float, dict]:
+    """(user_to_pilot, n_pilots, worst-user cost, files) of a non-learned method.
 
     name is "random" (a fresh draw from rng), "exhaustive" (the min-max
     optimum; allow_long_run lifts its budget) or "spr_like" (the reuse
-    split, the only one with an OverheadReport). text is the file format:
-    PilotAssignment.to_text, or for spr_like an "n_pilots N" line over L
-    rows of K pilot ids.
+    split). The cost is extended_user_costs' maximum. files maps file name
+    to text: first assignment_<name>.txt (PilotAssignment.to_text, or for
+    spr_like an "n_pilots N" line over L rows of K pilot ids), then for
+    spr_like the overhead file, its OverheadReport line.
     """
     if name == "spr_like":
         u2p, report = spr_like_assignment(bundle)
         n_pilots = report.required_pilots
-        return u2p, n_pilots, f"n_pilots {n_pilots}\n" + _rows_text(u2p), report
-    if name == "random":
-        assign = random_assignment(*bundle.drop.shape, rng)
-    elif name == "exhaustive":
-        assign, _ = exhaustive_search(bundle, pairwise,
-                                      allow_long_run=allow_long_run)
+        files = {f"assignment_{name}.txt": f"n_pilots {n_pilots}\n" + _rows_text(u2p),
+                 "overhead_spr_like.txt": f"{report}\n"}
     else:
-        raise ValueError(f"unknown baseline {name!r}")
-    return assign.user_to_pilot(), assign.shape[1], assign.to_text(), None
+        if name == "random":
+            assign = random_assignment(*bundle.drop.shape, rng)
+        elif name == "exhaustive":
+            assign, _ = exhaustive_search(bundle, pairwise,
+                                          allow_long_run=allow_long_run)
+        else:
+            raise ValueError(f"unknown baseline {name!r}")
+        u2p, n_pilots = assign.user_to_pilot(), assign.shape[1]
+        files = {f"assignment_{name}.txt": assign.to_text()}
+    _, g_max = extended_user_costs(bundle, u2p, pairwise=pairwise)
+    return u2p, n_pilots, g_max, files

@@ -21,7 +21,7 @@ from .config import (
     load_config_file,
     substream,
 )
-from .contamination import extended_user_costs, total_costs
+from .contamination import total_costs
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
 from .harness import presets, run_experiment, write_csv
 from .qnn import TRAINING_LOG_FIELDS, train
@@ -63,19 +63,17 @@ def cmd_baseline(args) -> None:
         out.mkdir(parents=True, exist_ok=True)
 
     method = "spr_like" if args.method == "spr" else args.method
-    u2p, _, text, report = baseline_assignment(
+    _, _, g_max, files = baseline_assignment(
         method, worlds.world, substream(args.seed, "baseline", method),
         worlds.pairwise, allow_long_run=args.long_run)
-    _, g_max = extended_user_costs(worlds.world, u2p, pairwise=worlds.pairwise)
-    if report is not None:
-        print(report)
+    assignment_file, *overhead_files = files
+    for name in overhead_files:
+        print(files[name], end="")
     print(f"{args.method} baseline (seed {args.seed}): worst-user cost {g_max:.6g}")
     if out:
-        name = f"assignment_{method}.txt"
-        (out / name).write_text(text)
-        if report is not None:
-            (out / "overhead_spr_like.txt").write_text(str(report) + "\n")
-        print(f"assignment written to {out / name}")
+        for name, text in files.items():
+            (out / name).write_text(text)
+        print(f"assignment written to {out / assignment_file}")
 
 
 def cmd_evaluate(args) -> None:

@@ -24,6 +24,14 @@ class NumericError(RuntimeError):
     """Non-finite values encountered where finite math was required."""
 
 
+def _check_finite(options):
+    """Raise ConfigError if a float field of the dataclass is nan or +-inf."""
+    for f in fields(options):
+        value = getattr(options, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class SystemConfig:
     """Static description of the multi-cell uplink scenario.
@@ -47,6 +55,7 @@ class SystemConfig:
     path_gain: str = "phase"      # per-path amplitude: "phase" or "complex_normal"
 
     def __post_init__(self):
+        _check_finite(self)
         if self.L < 1 or self.K < 1 or self.M < 1:
             raise ConfigError("L, K and M must be positive integers")
         if self.eta <= 0 or self.R <= 0 or self.sigma2 <= 0 or self.spacing <= 0:
@@ -82,6 +91,7 @@ class TrainingSchedule:
     residual_blocks: int = 2
 
     def __post_init__(self):
+        _check_finite(self)
         checks = (
             (0 <= self.discount <= 1, "discount must lie in [0, 1]"),
             (0 <= self.eps_start <= 1, "eps_start must lie in [0, 1]"),
@@ -112,6 +122,7 @@ class EnvOptions:
     q_high: float = 0.7           # quantile for the upper reward threshold
 
     def __post_init__(self):
+        _check_finite(self)
         if self.redraw not in ("smallscale", "positions"):
             raise ConfigError("redraw must be smallscale or positions")
         if not 0 < self.q_low < self.q_high < 1:
@@ -131,6 +142,7 @@ class RateOptions:
     paths: int = 200              # scattering paths per channel draw
 
     def __post_init__(self):
+        _check_finite(self)
         if self.n_mc < 1 or self.eval_every < 1:
             raise ConfigError("n_mc and eval_every must be >= 1")
         if self.paths < 1:
@@ -143,25 +155,6 @@ _SECTION_TYPES = {
     "env": EnvOptions,
     "rate": RateOptions,
 }
-# how an INI value is parsed, by field annotation; other fields take the text
-_FIELD_KINDS = {"int": int, "float": float, "float | None": float, "bool": bool}
-
-
-def _coerce(raw: str, kind):
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {raw!r}")
-    try:
-        value = kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {kind.__name__} from {raw!r}") from exc
-    if kind is float and not np.isfinite(value):
-        raise ConfigError(f"float values must be finite, got {raw!r}")
-    return value
 
 
 def load_config_file(path: str, base: dict) -> dict:
@@ -173,7 +166,9 @@ def load_config_file(path: str, base: dict) -> dict:
     values, and every replaced dataclass is validated again. A file that
     is missing, unreadable or malformed, or names an unknown section or
     key, raises ConfigError so a typo cannot silently fall back to a
-    default. Values are taken literally (no % interpolation).
+    default. Values are taken literally (no % interpolation) and read by
+    the ConfigParser getter (getint, getfloat, getboolean) that the field's
+    annotation names; a value it rejects raises ConfigError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # field names are case sensitive (L, K, M, R)
@@ -183,17 +178,21 @@ def load_config_file(path: str, base: dict) -> dict:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
+    getters = {"int": parser.getint, "float": parser.getfloat,
+               "float | None": parser.getfloat, "bool": parser.getboolean}
     out = dict(base)
     for section in parser.sections():
         if section not in _SECTION_TYPES:
             raise ConfigError(f"unknown config section [{section}]")
         known = {f.name: f.type for f in fields(_SECTION_TYPES[section])}
         kwargs = {}
-        for key, raw in parser.items(section):
+        for key in parser.options(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind = _FIELD_KINDS.get(known[key])
-            kwargs[key] = raw if kind is None else _coerce(raw, kind)
+            try:
+                kwargs[key] = getters.get(known[key], parser.get)(section, key)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
         out[section] = replace(base[section], **kwargs)
     return out
 

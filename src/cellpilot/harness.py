@@ -26,7 +26,6 @@ from .config import (
     TrainingSchedule,
     substream,
 )
-from .contamination import extended_user_costs
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
 from .qnn import TRAINING_LOG_FIELDS, TrainResult, train
 from .rate import min_rate, moving_average
@@ -114,15 +113,6 @@ def presets() -> dict:
     return {"desk": desk, "full": full}
 
 
-def _eval_steps(total_steps: int, every: int) -> frozenset:
-    """Steps at which the rate benchmark runs: every-1, 2*every-1, ...
-
-    A run shorter than `every` steps evaluates no rate at all, and the last
-    step is included only when `every` divides the step count.
-    """
-    return frozenset(range(every - 1, total_steps, every))
-
-
 @dataclass
 class MethodResult:
     """Everything one method contributes to the experiment outputs."""
@@ -142,15 +132,15 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
     its own WorldStream of the same seed, so all methods see identical
     worlds, and their world digests prove it. Every step goes
     through `record`: its worst-user cost, and at the rate-evaluation steps
-    the minimum rate with the pilot overhead n_pilots / K.
+    every-1, 2*every-1, ... the minimum rate with the overhead n_pilots / K.
     """
     cfg, opts = preset.config, preset.env
-    eval_at = _eval_steps(preset.total_steps, preset.rate.eval_every)
+    every = preset.rate.eval_every
     out = MethodResult()
 
     def record(t, world, user_to_pilot, n_pilots, g_max):
         out.cost_rows.append((t, g_max))
-        if t in eval_at:
+        if t % every == every - 1:
             report = min_rate(world, user_to_pilot, n_pilots,
                               substream(master_seed, "rate", t),
                               options=preset.rate)
@@ -174,16 +164,13 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
         world, pairwise = worlds.world, worlds.pairwise
         # random draws anew; exhaustive and spr_like solve and score a world once
         if t == 0 or opts.redraw == "positions" or name == "random":
-            u2p, n_pilots, text, report = baseline_assignment(
+            u2p, n_pilots, g_max, files = baseline_assignment(
                 name, world, rng_assign, pairwise, allow_long_run=long_run)
-            _, g_max = extended_user_costs(world, u2p, pairwise=pairwise)
         record(t, world, u2p, n_pilots, g_max)
 
     out.world_digest = worlds.digest()
-    if name != "random":
-        out.text_files[f"assignment_{name}.txt"] = text
-    if report is not None:
-        out.text_files["overhead_spr_like.txt"] = str(report) + "\n"
+    if name != "random":  # a run keeps no file of its last random draw
+        out.text_files.update(files)
     return out
 
 

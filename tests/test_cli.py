@@ -10,6 +10,7 @@ import pytest
 
 from cellpilot import (
     EnvOptions,
+    ExperimentPreset,
     PilotAssignment,
     RateOptions,
     SystemConfig,
@@ -158,6 +159,26 @@ def test_baseline_commands(tmp_path, ini, method, fname):
         head, *rows = (out / fname).read_text().splitlines()
         assert head == f"n_pilots {report.required_pilots}"
         assert np.array_equal([[int(p) for p in row.split()] for row in rows], want)
+
+
+@pytest.mark.parametrize("method, name", [("exhaustive", "exhaustive"),
+                                          ("spr", "spr_like")])
+def test_baseline_command_writes_the_run_files(tmp_path, ini, method, name):
+    # redraw = smallscale: the command's world is the run's step-0 world
+    code, stdout, _ = _run(["baseline", "--method", method, "--seed", "4",
+                            "--config", ini, "--out", str(tmp_path / "cli")])
+    assert code == 0
+    opts = _options(ini)
+    preset = ExperimentPreset(
+        name="one_step", config=opts["scenario"], schedule=opts["training"],
+        env=opts["env"], rate=opts["rate"], methods=(name,), total_steps=1)
+    run = run_experiment(preset, 4, tmp_path / "run")
+    written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert written == sorted(p.name for p in run.glob("*.txt")) != []
+    for fname in written:
+        assert (tmp_path / "cli" / fname).read_bytes() == (run / fname).read_bytes()
+    _, rows = _read(run / "costs.csv")
+    assert f"worst-user cost {float(rows[0]['global_max']):.6g}\n" in stdout
 
 
 def test_baseline_exhaustive_budget_gate():

@@ -37,6 +37,9 @@ def test_cell_edge_snr_linear():
     dict(scatter_radius=0.0),
     dict(exclusion_radius=-1.0), dict(exclusion_radius=500.0),
     dict(path_gain="rayleigh"),
+    # floats built in Python must be finite, as in an INI file
+    dict(eta=np.nan), dict(gamma_snr_db=np.nan), dict(scatter_radius=np.nan),
+    dict(sigma2=np.inf), dict(spacing=np.inf), dict(R=np.inf),
 ])
 def test_system_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -47,6 +50,7 @@ def test_system_config_rejects(kw):
     dict(discount=1.5), dict(discount=-0.1),
     dict(batch_size=600, replay_capacity=500),
     dict(target_sync_period=0),
+    dict(learning_rate=np.inf), dict(rms_eps=np.inf),
 ])
 def test_training_schedule_rejects(kw):
     with pytest.raises(ConfigError):
@@ -63,7 +67,10 @@ def test_env_options_rejects(kw):
         EnvOptions(**kw)
 
 
-@pytest.mark.parametrize("kw", [dict(n_mc=0), dict(eval_every=0), dict(paths=0)])
+@pytest.mark.parametrize("kw", [
+    dict(n_mc=0), dict(eval_every=0), dict(paths=0),
+    dict(pilot_snr_db=np.nan), dict(pilot_snr_db=-np.inf),
+])
 def test_rate_options_rejects(kw):
     with pytest.raises(ConfigError):
         RateOptions(**kw)
@@ -113,6 +120,11 @@ def test_load_config_file_round_trip(tmp_path):
     assert opts["rate"].n_mc == 7
     assert opts["rate"].pilot_snr_db == 10.0
     assert opts["rate"].ergodic is False
+    # booleans take ConfigParser's words, in any case
+    for word, want in (("1", True), ("yes", True), ("TRUE", True), ("On", True),
+                       ("0", False), ("no", False), ("False", False), ("off", False)):
+        path.write_text(f"[scenario]\nclamp_aoa = {word}\n")
+        assert load_config_file(str(path), _defaults())["scenario"].clamp_aoa is want
 
 
 def test_load_config_file_lays_keys_over_base(tmp_path):
@@ -154,6 +166,8 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "[scenario]\ngamma_snr_db = -inf\n",
     "[rate]\npilot_snr_db = nan\n",
     "[rate]\npilot_snr_db = -Infinity\n",
+    "[scenario]\nL = 3.0\n",           # an int field takes no float text
+    "[scenario]\neta = x\n",
 ])
 def test_load_config_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.ini"
