@@ -31,8 +31,8 @@ def main():
     print("assignment class          worst cost    min rate [b/s/Hz]")
     for label, u2p in classes.items():
         _, cost = extended_user_costs(world, u2p)
-        rep = min_rate(world, u2p, CFG.K, substream(SEED, "rate", label),
-                       RateOptions(n_mc=N_MC, paths=25))
+        rep, = min_rate(world, [(u2p, CFG.K)], substream(SEED, "rate", label),
+                        RateOptions(n_mc=N_MC, paths=25))
         print(f"  {label}   {cost:10.3f}   {rep.min_rate:17.3f}")
 
     best = min(classes.values(),
@@ -40,8 +40,8 @@ def main():
     print("\npilot SNR sweep on the low-cost class:")
     print("  pilot SNR [dB]   min rate [b/s/Hz]")
     for snr_db in (0, 10, 20, 30):
-        rep = min_rate(world, best, CFG.K, substream(SEED, "sweep", snr_db),
-                       RateOptions(n_mc=N_MC, paths=25, pilot_snr_db=float(snr_db)))
+        rep, = min_rate(world, [(best, CFG.K)], substream(SEED, "sweep", snr_db),
+                        RateOptions(n_mc=N_MC, paths=25, pilot_snr_db=float(snr_db)))
         print(f"  {snr_db:14d}   {rep.min_rate:17.3f}")
 
 

@@ -29,7 +29,6 @@ from .scenario import (
     build_layout,
     drop_users,
     fresh_world,
-    hexagon_vertices,
     in_hexagon,
     large_scale,
 )
@@ -60,7 +59,6 @@ from .env import (
     WorldStream,
     calibrate_thresholds,
     encode_state,
-    encoded_size,
     make_env,
     reward_components,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "AoAInterval",
     "ScenarioBundle",
     "build_layout",
-    "hexagon_vertices",
     "in_hexagon",
     "drop_users",
     "large_scale",
@@ -132,7 +129,6 @@ __all__ = [
     "WorldStream",
     "calibrate_thresholds",
     "encode_state",
-    "encoded_size",
     "reward_components",
     "make_env",
     "ReplayBuffer",

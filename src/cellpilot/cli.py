@@ -18,6 +18,7 @@ from .config import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
+    _one_blas_thread,
     load_config_file,
     substream,
 )
@@ -90,8 +91,8 @@ def cmd_evaluate(args) -> None:
           f"(cell {table.worst_cell}, pilot {table.worst_pilot})")
     print(f"per-cell max cost: {cell_max}")
     if args.rate:
-        report = min_rate(worlds.world, assign.user_to_pilot(), cfg.K,
-                          substream(args.seed, "rate", 0), options=rate_opts)
+        report, = min_rate(worlds.world, [(assign.user_to_pilot(), cfg.K)],
+                           substream(args.seed, "rate", 0), options=rate_opts)
         print(f"min rate {report.min_rate:.6g} bits/s/Hz "
               f"over {report.n_mc} realizations")
 
@@ -157,7 +158,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with _one_blas_thread():
+            args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import configparser
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -195,6 +198,46 @@ def load_config_file(path: str, base: dict) -> dict:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
         out[section] = replace(base[section], **kwargs)
     return out
+
+
+@functools.cache
+def _openblas_thread_fns():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    dlsym on numpy's BLAS-linked extension also searches the libraries it
+    links. The names are those of the scipy-openblas wheels, then of
+    64-bit-integer and plain OpenBLAS builds. Other BLAS libraries (MKL,
+    Accelerate) give None.
+    """
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, then restore its count.
+
+    Does nothing when numpy's BLAS is not OpenBLAS.
+    """
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def substream(seed: int, *path) -> np.random.Generator:

@@ -107,10 +107,6 @@ def encode_state(
     return np.concatenate(parts)
 
 
-def encoded_size(L: int, K: int) -> int:
-    return L * K * K + 3 * L + 2 * K
-
-
 def reward_components(
     g_prev: float,
     g_next: float,

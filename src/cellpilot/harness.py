@@ -24,6 +24,7 @@ from .config import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
+    _one_blas_thread,
     substream,
 )
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
@@ -118,6 +119,8 @@ class MethodResult:
     """Everything one method contributes to the experiment outputs."""
 
     cost_rows: list = field(default_factory=list)   # (step, global_max)
+    # (step, world, user_to_pilot, n_pilots) at each rate-evaluation step
+    rate_steps: list = field(default_factory=list)
     rate_rows: list = field(default_factory=list)   # (step, min_rate, overhead)
     text_files: dict = field(default_factory=dict)  # filename -> content
     world_digest: str = ""
@@ -132,7 +135,8 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
     its own WorldStream of the same seed, so all methods see identical
     worlds, and their world digests prove it. Every step goes
     through `record`: its worst-user cost, and at the rate-evaluation steps
-    every-1, 2*every-1, ... the minimum rate with the overhead n_pilots / K.
+    every-1, 2*every-1, ... its world and pilot map, which run_experiment
+    scores (`rate_rows` stays empty here).
     """
     cfg, opts = preset.config, preset.env
     every = preset.rate.eval_every
@@ -141,10 +145,7 @@ def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
     def record(t, world, user_to_pilot, n_pilots, g_max):
         out.cost_rows.append((t, g_max))
         if t % every == every - 1:
-            report = min_rate(world, user_to_pilot, n_pilots,
-                              substream(master_seed, "rate", t),
-                              options=preset.rate)
-            out.rate_rows.append((t, report.min_rate, n_pilots / cfg.K))
+            out.rate_steps.append((t, world, user_to_pilot, n_pilots))
 
     if name == "drl":
         env = make_env(cfg, opts, master_seed)
@@ -260,6 +261,44 @@ def _remove_earlier_run(out_dir: Path):
             path.unlink()
 
 
+def _error(exc: Exception) -> dict:
+    return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _score_rates(runs: dict, preset: ExperimentPreset, master_seed: int,
+                 manifest: dict):
+    """Fill each run's rate_rows: one min_rate per evaluation step scores
+    every method's pilot map on the step's channel draws.
+
+    Every method sees the same world at a step (their digests prove it), so
+    the first run's serves all. If the shared call raises, each map is
+    scored alone, and a method whose lone call raises is dropped from `runs`
+    with its error in the manifest, as if it had raised while running.
+    """
+    K, every = preset.config.K, preset.rate.eval_every
+    for i, t in enumerate(range(every - 1, preset.total_steps, every)):
+        if not runs:
+            break
+        world = next(iter(runs.values())).rate_steps[i][1]
+        maps = {name: res.rate_steps[i][2:] for name, res in runs.items()}
+        try:
+            reports = dict(zip(maps, min_rate(
+                world, maps.values(), substream(master_seed, "rate", t), preset.rate)))
+        except Exception:
+            reports = {}
+            for name, pilot_map in maps.items():
+                try:
+                    reports[name], = min_rate(
+                        world, [pilot_map], substream(master_seed, "rate", t),
+                        preset.rate)
+                except Exception as exc:
+                    manifest["methods"][name] = _error(exc)
+                    del runs[name]
+        for name, report in reports.items():
+            runs[name].rate_rows.append((t, report.min_rate, maps[name][1] / K))
+
+
+@_one_blas_thread()
 def run_experiment(
     preset: ExperimentPreset,
     master_seed: int,
@@ -270,8 +309,13 @@ def run_experiment(
 
     All methods consume identical world streams (same substream of the
     master seed) and identical per-step channel realizations in the rate
-    benchmark, so their series are directly comparable. A method failure
-    is recorded in the manifest and the remaining methods still run.
+    benchmark, so their series are directly comparable. The methods run
+    first; then one min_rate call per evaluation step scores every
+    method's pilot map on one shared channel draw (see min_rate for the
+    chunk rule), each getting the bytes a call with its map alone gives. A
+    method failure, while running or in its rate evaluation, is recorded
+    in the manifest and the remaining methods still run. The run holds
+    OpenBLAS at one thread and restores the caller's count on return.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and
@@ -301,24 +345,22 @@ def run_experiment(
         "files": [],
     }
 
-    results_rows = []
-    cost_rows = []
-    rates = {}  # method -> its rate_rows, for the min-rate plot table
+    runs = {}
     for name in preset.active_methods(long_run):
         try:
-            res = _run_method(name, preset, master_seed, long_run)
+            runs[name] = _run_method(name, preset, master_seed, long_run)
         except Exception as exc:  # record and continue with the other methods
-            manifest["methods"][name] = {
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            continue
+            manifest["methods"][name] = _error(exc)
+    _score_rates(runs, preset, master_seed, manifest)
+
+    results_rows = []
+    cost_rows = []
+    for name, res in runs.items():
         manifest["methods"][name] = {
             "status": "ok",
             "world_digest": res.world_digest,
             "final_cost": float(res.cost_rows[-1][1]),
         }
-        rates[name] = res.rate_rows
         results_rows += [{"method": name, "seed": master_seed, "step": step,
                           "min_rate": mr, "overhead_factor": ov}
                          for step, mr, ov in res.rate_rows]
@@ -340,7 +382,8 @@ def run_experiment(
     write_csv(out_dir / "results.csv", RESULTS_FIELDS, results_rows)
     write_csv(out_dir / "costs.csv", COSTS_FIELDS, cost_rows)
     write_csv(out_dir / "plot_min_rate.csv", PLOT_FIELDS,
-              _min_rate_series(rates, preset.rate.eval_every))
+              _min_rate_series({name: res.rate_rows for name, res in runs.items()},
+                               preset.rate.eval_every))
     manifest["files"] += ["results.csv", "costs.csv", "plot_min_rate.csv"]
     manifest["files"].sort()
     with open(out_dir / "manifest.json", "w") as fh:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -111,12 +112,13 @@ def _draw_channels(
 
 def min_rate(
     bundle: ScenarioBundle,
-    user_to_pilot: np.ndarray,
-    n_pilots: int,
+    maps,
     rng: np.random.Generator,
     options: RateOptions | None = None,
-) -> RateReport:
-    """Worst ergodic uplink rate under pilot-contaminated channel estimation.
+) -> list:
+    """Worst ergodic uplink rate of each pilot map under pilot-contaminated
+    channel estimation: one RateReport per (user_to_pilot, n_pilots) pair
+    of `maps`, in order.
 
     The benchmark applies channel-inversion power control: every user's
     transmit power is scaled so its average received power at the serving
@@ -128,7 +130,16 @@ def min_rate(
     other cells (the contamination sources; orthogonal pilots keep the
     remaining streams separated) plus noise. Rates are log2(1+SINR)
     averaged over realizations (or log of the mean SINR with
-    ergodic=False); the report carries the minimum over all users.
+    ergodic=False); a report carries the minimum over all users.
+
+    Realizations are drawn in chunks of at most _DRAW_BUDGET path-antenna
+    products; a lone map draws each chunk's channels, then its noise. Every
+    map sees exactly that stream, so its report is the one a call with it
+    alone gives: in chunk 0 all maps share one channel draw, and each
+    distinct n_pilots draws its noise from the generator state right after
+    it; from chunk 1 on, each n_pilots continues on its own generator (the
+    first map's on `rng`, the others on copies). Maps with the same
+    n_pilots share every draw.
 
     One stacked pass, laid out (L, K, n, M), serves all users: one matmul
     applies the _filters, one einsum gives the numerators. A denominator is
@@ -140,45 +151,65 @@ def min_rate(
     options = options or RateOptions()
     cfg = bundle.config
     L, K = bundle.drop.shape
-    pilot_of = np.asarray(user_to_pilot)
-    if pilot_of.shape != (L, K) or not np.all((pilot_of >= 0) & (pilot_of < n_pilots)):
-        raise ValueError(f"user_to_pilot must be {L}x{K} with pilots in [0, {n_pilots})")
+    maps = [(np.asarray(pilot_of), n_pilots) for pilot_of, n_pilots in maps]
+    for pilot_of, n_pilots in maps:
+        if pilot_of.shape != (L, K) or not np.all((pilot_of >= 0) & (pilot_of < n_pilots)):
+            raise ValueError(f"user_to_pilot must be {L}x{K} with pilots in [0, {n_pilots})")
     noise_var = 1.0 / (10.0 ** (options.pilot_snr_db / 10.0)
                        if options.pilot_snr_db is not None else cfg.cell_edge_snr)
 
     # power control: normalize each user by its serving-BS gain
     geff = bundle.gains / np.einsum("llu->lu", bundle.gains)  # (L, L, K)
     filt = _filters(bundle)
+    acc = np.zeros((len(maps), L, K))
+    chunk = max(1, min(options.n_mc, int(_DRAW_BUDGET // (L * L * K * options.paths * cfg.M))))
+    for done in range(0, options.n_mc, chunk):
+        n = min(chunk, options.n_mc - done)
+        if done == 0:
+            g = _draw_channels(bundle, options.paths, rng, n, geff)
+            streams = {}
+            for _, n_pilots in maps:
+                if n_pilots not in streams:
+                    streams[n_pilots] = copy.deepcopy(rng) if streams else rng
+        for n_pilots, stream in streams.items():
+            if done > 0:
+                g = _draw_channels(bundle, options.paths, stream, n, geff)
+            noise = (stream.standard_normal((n, L, n_pilots, cfg.M))
+                     + 1j * stream.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
+            base = np.sqrt(noise_var) * noise
+            for i, (pilot_of, p) in enumerate(maps):
+                if p == n_pilots:
+                    acc[i] += _chunk_sum(g, base.copy(), pilot_of, filt, noise_var,
+                                         options.ergodic)
+    rates = acc / options.n_mc if options.ergodic else np.log2(1.0 + acc / options.n_mc)
+    return [RateReport(rates=r, min_rate=float(r.min()), n_mc=options.n_mc) for r in rates]
+
+
+def _chunk_sum(g, est, pilot_of, filt, noise_var, ergodic) -> np.ndarray:
+    """(L, K) sum over one chunk's realizations of log2(1+SINR) (of the SINR
+    with ergodic=False) for one pilot map; est holds the scaled noise of the
+    pilot block, (n, L, n_pilots, M), and gains the channels in place."""
+    n, L, _, _, M = g.shape
+    n_pilots = est.shape[2]
     cells = np.arange(L)
     # co-user of (j, k) in cell l: the first user of l on its pilot, if any
     shared = _copilot_mask(pilot_of)                          # (L, K, L, K)
     has_couser, couser = shared.any(axis=-1), shared.argmax(axis=-1)
-
-    acc = np.zeros((L, K))
-    chunk = max(1, min(options.n_mc, int(_DRAW_BUDGET // (L * L * K * options.paths * cfg.M))))
-    for done in range(0, options.n_mc, chunk):
-        n = min(chunk, options.n_mc - done)
-        g = _draw_channels(bundle, options.paths, rng, n, geff)  # (n, L, L, K, M)
-        noise = (rng.standard_normal((n, L, n_pilots, cfg.M))
-                 + 1j * rng.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
-        est = np.sqrt(noise_var) * noise
-        # est[:, j, p] gains g[:, j, l, k] for each user (l, k) on pilot p, in
-        # (l, k) order: np.add.at is unbuffered, flat indices its fast path
-        flat = est.reshape(-1)
-        rows = np.arange(n * L)[:, None, None] * n_pilots * cfg.M + np.arange(cfg.M)
-        for l in range(L):
-            at = rows + pilot_of[l][:, None] * cfg.M  # (n * L, K, M)
-            np.add.at(flat, at.ravel(), g[:, :, l].ravel())
-        v = np.moveaxis(est[:, cells[:, None], pilot_of], 0, 2) @ filt  # (L, K, n, M)
-        vc = v.conj()
-        own = np.moveaxis(g[:, cells, cells], 0, 2)
-        num = np.abs(np.einsum("...m,...m->...", vc, own)) ** 2
-        den = noise_var * (np.abs(v) ** 2).sum(axis=-1)
-        for l in range(L):
-            co = np.moveaxis(g[:, cells[:, None], l, couser[:, :, l]], 0, 2)
-            cross = np.abs(np.einsum("...m,...m->...", vc, co)) ** 2
-            den = den + np.where(has_couser[:, :, l, None], cross, 0.0)
-        sinr = num / den
-        acc += (np.log2(1.0 + sinr) if options.ergodic else sinr).sum(axis=-1)
-    rates = acc / options.n_mc if options.ergodic else np.log2(1.0 + acc / options.n_mc)
-    return RateReport(rates=rates, min_rate=float(rates.min()), n_mc=options.n_mc)
+    # est[:, j, p] gains g[:, j, l, k] for each user (l, k) on pilot p, in
+    # (l, k) order: np.add.at is unbuffered, flat indices its fast path
+    flat = est.reshape(-1)
+    rows = np.arange(n * L)[:, None, None] * n_pilots * M + np.arange(M)
+    for l in range(L):
+        at = rows + pilot_of[l][:, None] * M  # (n * L, K, M)
+        np.add.at(flat, at.ravel(), g[:, :, l].ravel())
+    v = np.moveaxis(est[:, cells[:, None], pilot_of], 0, 2) @ filt  # (L, K, n, M)
+    vc = v.conj()
+    own = np.moveaxis(g[:, cells, cells], 0, 2)
+    num = np.abs(np.einsum("...m,...m->...", vc, own)) ** 2
+    den = noise_var * (np.abs(v) ** 2).sum(axis=-1)
+    for l in range(L):
+        co = np.moveaxis(g[:, cells[:, None], l, couser[:, :, l]], 0, 2)
+        cross = np.abs(np.einsum("...m,...m->...", vc, co)) ** 2
+        den = den + np.where(has_couser[:, :, l, None], cross, 0.0)
+    sinr = num / den
+    return (np.log2(1.0 + sinr) if ergodic else sinr).sum(axis=-1)

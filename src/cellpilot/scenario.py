@@ -80,12 +80,6 @@ def build_layout(L: int, R: float) -> CellLayout:
     return CellLayout(bs_positions=pos, R=R)
 
 
-def hexagon_vertices(center: np.ndarray, R: float) -> np.ndarray:
-    """Six corners of a cell, circumradius R, flat sides facing the neighbours."""
-    angles = np.deg2rad(60.0 * np.arange(6))
-    return center + R * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
-
 def in_hexagon(points: np.ndarray, center: np.ndarray, R: float) -> np.ndarray:
     """Membership test for the hexagon with apothem sqrt(3)/2*R toward 30+60k deg."""
     rel = np.atleast_2d(points) - center

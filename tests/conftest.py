@@ -16,6 +16,7 @@ from cellpilot import (
     build_layout,
     drop_users,
 )
+from cellpilot.config import _openblas_thread_fns
 
 
 def small_config(L=2, K=2, M=16, **kw):
@@ -76,3 +77,16 @@ def random_interval(rng, min_width=0.02, max_width=0.4) -> AoAInterval:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test; yields its count getter."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

@@ -13,7 +13,6 @@ from cellpilot import (
     apply_swap,
     calibrate_thresholds,
     encode_state,
-    encoded_size,
     make_env,
     pairwise_cost_matrix,
     presets,
@@ -140,11 +139,13 @@ def _costs(L, K, cell_max=None, worst_pilot=0, worst_cell=0):
 
 
 def test_encoded_size_formula(rng):
-    assert encoded_size(7, 4) == 7 * 16 + 7 + 4 + 7 + 4 + 7 == 141
+    # L*K*K assignment one-hots, L cell costs, then the last pilot, last
+    # cell, worst pilot and worst cell one-hots
     th = RewardThresholds(g1=1.0, g2=2.0)
-    for L, K in ((1, 1), (3, 3), (7, 4)):
+    for L, K, size in ((1, 1, 6), (3, 3, 42), (7, 4, 141)):
+        assert L * K * K + 3 * L + 2 * K == size
         vec = encode_state(random_assignment(L, K, rng), _costs(L, K), 0, 0, th)
-        assert vec.shape == (encoded_size(L, K),)
+        assert vec.shape == (size,)
 
 
 def test_encoding_one_hots_and_costs(rng):

@@ -15,10 +15,13 @@ from cellpilot import (
     RateOptions,
     SystemConfig,
     TrainingSchedule,
+    min_rate,
     moving_average,
     presets,
     run_experiment,
+    substream,
 )
+from cellpilot import harness
 from cellpilot.env import TRAJECTORY_FIELDS
 from cellpilot.harness import SHORT_TERM_STEPS, _run_method
 from cellpilot.qnn import TRAINING_LOG_FIELDS
@@ -230,6 +233,85 @@ def test_method_failure_is_isolated(tmp_path):
     assert err["status"] == "error"
     assert "BudgetError" in err["error"]
     assert (out / "results.csv").exists()
+
+
+def _positions_preset(methods=("random", "spr_like", "exhaustive")):
+    # K=3, so spr_like's pilot count differs from the other maps'
+    return dataclasses.replace(
+        _tiny_preset(methods=methods, K=3),
+        env=EnvOptions(redraw="positions", threshold_samples=30))
+
+
+def test_shared_rate_pass_matches_lone_calls(tmp_path):
+    # each results.csv row is a lone min_rate of that method's map on that
+    # step's world, drawn from the step's rate substream
+    preset = _positions_preset()
+    out = run_experiment(preset, master_seed=4, out_dir=tmp_path / "run")
+    rows = [(row["method"], int(row["step"]), row["min_rate"], row["overhead_factor"])
+            for row in _read(out / "results.csv")]
+    expected = []
+    for name in preset.methods:
+        for t, world, u2p, n_pilots in _run_method(name, preset, 4, False).rate_steps:
+            report, = min_rate(world, [(u2p, n_pilots)],
+                               substream(4, "rate", t), preset.rate)
+            expected.append((name, t, f"{report.min_rate:.17g}", f"{n_pilots / 3:.17g}"))
+    assert rows == expected
+    assert len(rows) == 3 * 3
+    assert {ov for name, _, _, ov in rows if name == "spr_like"} != {"1"}
+
+
+@pytest.mark.parametrize("where", ["run", "rate"])
+def test_failing_method_leaves_the_others_rows(tmp_path, monkeypatch, where):
+    # at step 19, an evaluation step, exhaustive raises while running or
+    # hands the rate pass a map with a pilot out of range; either way
+    # random's and spr_like's rows are the bytes of a run without it, and
+    # its error is in the manifest
+    plain = run_experiment(_positions_preset(("random", "spr_like")), 4,
+                           out_dir=tmp_path / "plain")
+    real, calls = harness.baseline_assignment, []
+
+    def failing(name, *args, **kwargs):
+        u2p, n_pilots, g_max, files = real(name, *args, **kwargs)
+        if name == "exhaustive":
+            calls.append(name)
+            if len(calls) == 20:
+                if where == "run":
+                    raise RuntimeError("step 19")
+                n_pilots -= 1
+        return u2p, n_pilots, g_max, files
+
+    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    out = run_experiment(_positions_preset(), 4, out_dir=tmp_path / "failing")
+    for name in ("results.csv", "costs.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+    methods = json.loads((out / "manifest.json").read_text())["methods"]
+    assert methods["random"]["status"] == methods["spr_like"]["status"] == "ok"
+    assert methods["exhaustive"]["status"] == "error"
+    assert methods["exhaustive"]["error"] == (
+        "RuntimeError: step 19" if where == "run" else
+        "ValueError: user_to_pilot must be 2x3 with pilots in [0, 2)")
+
+
+def test_run_experiment_holds_one_blas_thread(two_blas_threads, tmp_path,
+                                              monkeypatch):
+    # the whole run, rate evaluation included, at one thread; the caller's
+    # count comes back on return and on raise
+    counts, real = [], harness.min_rate
+
+    def spy(*args, **kwargs):
+        counts.append(two_blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "min_rate", spy)
+    run_experiment(_tiny_preset(methods=("random", "spr_like"), total_steps=20),
+                   1, out_dir=tmp_path / "run")
+    assert counts == [1, 1]
+    assert two_blas_threads() == 2
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1,
+                       out_dir=tmp_path / "file")
+    assert two_blas_threads() == 2
 
 
 # ------------------------------------------------------------ plot tables

@@ -22,8 +22,9 @@ from cellpilot import (
     td_targets,
     train,
 )
+from cellpilot.config import _openblas_thread_fns
 from cellpilot.harness import write_csv
-from cellpilot.qnn import TRAINING_LOG_FIELDS, _openblas_thread_fns
+from cellpilot.qnn import TRAINING_LOG_FIELDS
 from conftest import outputs_per_blas_threads, small_config
 
 
@@ -454,19 +455,6 @@ def test_train_leaves_no_subnormal_accumulator(monkeypatch):
     assert {arr.dtype for arr in v.values()} == {np.dtype(np.float32)}
     for name, acc in v.items():
         assert not _subnormal(acc).any(), name
-
-
-@pytest.fixture
-def two_blas_threads():
-    """OpenBLAS at two threads for the test; yields its count getter."""
-    fns = _openblas_thread_fns()
-    if fns is None:
-        pytest.skip("numpy's BLAS is not OpenBLAS")
-    get, set_ = fns
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
 
 
 def test_openblas_thread_functions_found():

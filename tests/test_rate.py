@@ -146,9 +146,9 @@ def test_min_rate_matches_direct_exponential_over_chunks(monkeypatch):
     world = make_world(cfg, seed=5)
     u2p = np.array([[0, 1, 2, 3]] * 7)
     opts = RateOptions(n_mc=110, paths=50)
-    new = min_rate(world, u2p, 4, np.random.default_rng(9), opts).rates
+    new = min_rate(world, [(u2p, 4)], np.random.default_rng(9), opts)[0].rates
     monkeypatch.setattr(rate, "_draw_channels", _reference_draw_channels)
-    ref = min_rate(world, u2p, 4, np.random.default_rng(9), opts).rates
+    ref = min_rate(world, [(u2p, 4)], np.random.default_rng(9), opts)[0].rates
     assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -159,8 +159,8 @@ sys.path[:0] = sys.argv[1:]
 from cellpilot import RateOptions, min_rate
 from conftest import make_world, outputs_per_blas_threads, small_config
 world = make_world(small_config(L=3, K=3, M=64), seed=2)
-rep = min_rate(world, np.array([[0, 1, 2]] * 3), 3, np.random.default_rng(4),
-               RateOptions(n_mc=20, paths=50))
+rep, = min_rate(world, [(np.array([[0, 1, 2]] * 3), 3)], np.random.default_rng(4),
+                RateOptions(n_mc=20, paths=50))
 print(rep.rates.tobytes().hex())
 """
 
@@ -218,9 +218,9 @@ def _identity_pilots(L, K):
 
 def test_report_invariants():
     bundle = make_world(small_config(L=2, K=2, M=16), seed=0)
-    rep = min_rate(bundle, _identity_pilots(2, 2), 2,
-                   np.random.default_rng(0),
-                   RateOptions(n_mc=5, paths=10))
+    rep, = min_rate(bundle, [(_identity_pilots(2, 2), 2)],
+                    np.random.default_rng(0),
+                    RateOptions(n_mc=5, paths=10))
     assert rep.rates.shape == (2, 2)
     assert np.all(np.isfinite(rep.rates)) and np.all(rep.rates > 0)
     assert rep.min_rate == rep.rates.min()
@@ -234,16 +234,17 @@ def test_report_invariants():
     [[0, 1, 0], [1, 0, 1]],  # three users per cell
 ])
 def test_min_rate_rejects_bad_pilot_maps(u2p):
+    # alone, and after a good map
     bundle = make_world(small_config(L=2, K=2, M=8), seed=0)
-    with pytest.raises(ValueError):
-        min_rate(bundle, np.array(u2p), 2, np.random.default_rng(0),
-                 RateOptions(n_mc=2, paths=5))
+    for maps in ([(np.array(u2p), 2)], [(_identity_pilots(2, 2), 2), (np.array(u2p), 2)]):
+        with pytest.raises(ValueError):
+            min_rate(bundle, maps, np.random.default_rng(0), RateOptions(n_mc=2, paths=5))
 
 
 def test_rate_determinism():
     bundle = make_world(small_config(L=2, K=2, M=16), seed=3)
-    reports = [min_rate(bundle, _identity_pilots(2, 2), 2,
-                        np.random.default_rng(42), RateOptions(n_mc=8, paths=10))
+    reports = [min_rate(bundle, [(_identity_pilots(2, 2), 2)],
+                        np.random.default_rng(42), RateOptions(n_mc=8, paths=10))[0]
                for _ in range(2)]
     assert np.array_equal(reports[0].rates, reports[1].rates)
 
@@ -311,7 +312,7 @@ def _assert_matches_loop(monkeypatch, bundle, u2p, n_pilots, opts, chunk=3):
     L, K = bundle.drop.shape
     monkeypatch.setattr(rate, "_DRAW_BUDGET",
                         chunk * L * L * K * opts.paths * bundle.config.M)
-    new = min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts).rates
+    new = min_rate(bundle, [(u2p, n_pilots)], np.random.default_rng(3), opts)[0].rates
     ref = _reference_min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts)
     assert np.array_equal(new, ref)
 
@@ -347,6 +348,35 @@ def test_stacked_pass_matches_loop_on_irregular_maps(monkeypatch, u2p, n_pilots,
     _assert_matches_loop(monkeypatch, bundle, np.array(u2p), n_pilots, opts)
 
 
+@pytest.mark.parametrize("ergodic", [True, False])
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_shared_pass_matches_lone_per_user_loops(monkeypatch, ergodic, chunk):
+    # one call scores every map as the per-user loop scores it alone on a
+    # fresh generator of the same seed: K pilots, spr_like's 5 = 1 + 3 * 2,
+    # the all-on-one-pilot map and a repeated map, over one chunk of 7 and
+    # over chunks of 3, 3 and 1; the caller's generator ends where a lone
+    # call of the first map leaves it
+    bundle = make_world(small_config(L=3, K=3, M=16), seed=8)
+    monkeypatch.setattr(rate, "_DRAW_BUDGET", chunk * 3 * 3 * 3 * 10 * 16)
+    split_map, split = spr_like_assignment(bundle)
+    random_map = random_assignment(3, 3, np.random.default_rng(1)).user_to_pilot()
+    maps = [(split_map, split.required_pilots), (random_map, 3),
+            (np.zeros((3, 3), dtype=int), 1), (_identity_pilots(3, 3), 3),
+            (random_map, 3)]
+    assert split.required_pilots == 5
+    opts = RateOptions(n_mc=7, paths=10, ergodic=ergodic)
+    rng = np.random.default_rng(3)
+    reports = min_rate(bundle, maps, rng, opts)
+    assert len(reports) == len(maps)
+    for report, (u2p, n_pilots) in zip(reports, maps):
+        ref = _reference_min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts)
+        assert np.array_equal(report.rates, ref)
+        assert report.min_rate == ref.min() and report.n_mc == 7
+    lone = np.random.default_rng(3)
+    min_rate(bundle, maps[:1], lone, opts)
+    assert rng.random() == lone.random()
+
+
 # ------------------------------------------------------------ rate: physics
 
 def _mean_sinr_db(report):
@@ -362,9 +392,9 @@ def test_array_gain_doubling_antennas():
         per_m = {}
         for M in (32, 64):
             bundle = make_world(small_config(L=1, K=2, M=M), seed=seed)
-            rep = min_rate(bundle, _identity_pilots(1, 2), 2,
-                           np.random.default_rng(seed),
-                           RateOptions(n_mc=100, paths=20, ergodic=False))
+            rep, = min_rate(bundle, [(_identity_pilots(1, 2), 2)],
+                            np.random.default_rng(seed),
+                            RateOptions(n_mc=100, paths=20, ergodic=False))
             per_m[M] = _mean_sinr_db(rep)
         gains.append(np.mean(per_m[64] - per_m[32]))
     assert abs(np.mean(gains) - 3.0) < 0.5
@@ -377,10 +407,10 @@ def test_symmetric_pair_sinr_near_unity():
     bundle.gains = np.full_like(bundle.gains, 2.0)
     bundle.centers = np.full_like(bundle.centers, np.pi / 3)
     bundle.half_widths = np.full_like(bundle.half_widths, 0.1)
-    rep = min_rate(bundle, np.zeros((2, 1), dtype=int), 1,
-                   np.random.default_rng(7),
-                   RateOptions(n_mc=300, paths=20, pilot_snr_db=30.0,
-                               ergodic=False))
+    rep, = min_rate(bundle, [(np.zeros((2, 1), dtype=int), 1)],
+                    np.random.default_rng(7),
+                    RateOptions(n_mc=300, paths=20, pilot_snr_db=30.0,
+                                ergodic=False))
     sinr = 2.0 ** rep.rates - 1.0
     assert np.all(sinr > 0.5) and np.all(sinr < 2.0)
 
@@ -393,9 +423,9 @@ def test_low_cost_assignment_earns_higher_min_rate():
     bundle = make_world(cfg, seed=1)
     classes = [np.array([[0, 1], [0, 1]]), np.array([[0, 1], [1, 0]])]
     costs = [extended_user_costs(bundle, u2p)[1] for u2p in classes]
-    rates = [min_rate(bundle, u2p, 2, np.random.default_rng(11),
-                      RateOptions(n_mc=60, paths=20)).min_rate
-             for u2p in classes]
+    rates = [rep.min_rate for rep in min_rate(
+        bundle, [(u2p, 2) for u2p in classes], np.random.default_rng(11),
+        RateOptions(n_mc=60, paths=20))]
     lo, hi = int(np.argmin(costs)), int(np.argmax(costs))
     assert costs[hi] > 3.0 * costs[lo]  # the drop separates the classes
     assert rates[lo] > rates[hi]
@@ -406,9 +436,9 @@ def test_rate_increases_with_pilot_snr():
     for seed in range(6):
         bundle = make_world(small_config(L=2, K=2, M=16), seed=seed)
         for snr in mins:
-            rep = min_rate(bundle, _identity_pilots(2, 2), 2,
-                           np.random.default_rng(seed),
-                           RateOptions(n_mc=20, paths=10, pilot_snr_db=snr))
+            rep, = min_rate(bundle, [(_identity_pilots(2, 2), 2)],
+                            np.random.default_rng(seed),
+                            RateOptions(n_mc=20, paths=10, pilot_snr_db=snr))
             mins[snr].append(rep.min_rate)
     med = {snr: np.median(v) for snr, v in mins.items()}
     assert med[0.0] < med[10.0] < med[20.0]
@@ -423,10 +453,8 @@ def test_moving_interferer_to_private_pilot_helps_victim():
         shared = np.array([[0, 1], [0, 1]])
         private = np.array([[0, 1], [2, 1]])
         opts = RateOptions(n_mc=30, paths=15)
-        r_shared = min_rate(bundle, shared, 3, np.random.default_rng(seed),
-                            opts).rates[0, 0]
-        r_private = min_rate(bundle, private, 3, np.random.default_rng(seed),
-                             opts).rates[0, 0]
+        r_shared, r_private = (rep.rates[0, 0] for rep in min_rate(
+            bundle, [(shared, 3), (private, 3)], np.random.default_rng(seed), opts))
         improved += r_private > r_shared
     assert improved == 20
 
@@ -436,8 +464,8 @@ def test_ergodic_rate_below_mean_sinr_rate():
     # figure when both are computed from the same SINR samples
     bundle = make_world(small_config(L=2, K=2, M=16), seed=4)
     u2p = np.array([[0, 1], [0, 1]])
-    erg = min_rate(bundle, u2p, 2, np.random.default_rng(5),
-                   RateOptions(n_mc=40, paths=10, ergodic=True))
-    non = min_rate(bundle, u2p, 2, np.random.default_rng(5),
-                   RateOptions(n_mc=40, paths=10, ergodic=False))
+    erg, = min_rate(bundle, [(u2p, 2)], np.random.default_rng(5),
+                    RateOptions(n_mc=40, paths=10, ergodic=True))
+    non, = min_rate(bundle, [(u2p, 2)], np.random.default_rng(5),
+                    RateOptions(n_mc=40, paths=10, ergodic=False))
     assert np.all(erg.rates <= non.rates + 1e-12)

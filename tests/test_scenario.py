@@ -11,7 +11,6 @@ from cellpilot import (
     build_layout,
     drop_users,
     fresh_world,
-    hexagon_vertices,
     in_hexagon,
     large_scale,
 )
@@ -50,10 +49,16 @@ def test_layout_bounds():
         build_layout(8, 500.0)
 
 
+def _vertices(center, R):
+    """Six corners of a cell, circumradius R, flat sides facing the neighbours."""
+    angles = np.deg2rad(60.0 * np.arange(6))
+    return center + R * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
 def test_hexagon_membership():
     center = np.array([10.0, -5.0])
     R = 200.0
-    verts = hexagon_vertices(center, R)
+    verts = _vertices(center, R)
     assert verts.shape == (6, 2)
     # vertices sit on the boundary; pull them slightly inward
     inner = center + 0.999 * (verts - center)
@@ -69,7 +74,7 @@ def test_hexagon_membership_on_the_boundary():
     # within round-off of the apothem, where any change to them shows
     center = np.array([10.0, -5.0])
     R = 200.0
-    verts = hexagon_vertices(center, R)
+    verts = _vertices(center, R)
     edge = np.concatenate([verts, 0.5 * (verts + np.roll(verts, 1, axis=0))])
     pts = np.concatenate([center + s * (edge - center)
                           for s in np.linspace(1 - 1e-15, 1 + 1e-15, 9)])
