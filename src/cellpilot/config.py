@@ -40,7 +40,10 @@ class SystemConfig:
     """Static description of the multi-cell uplink scenario.
 
     Angles are radians, distances meters, powers linear unless the field
-    name carries a _db suffix.
+    name carries a _db suffix. Every user sits farther than
+    exclusion_radius from its own BS, so scatter_radius <= exclusion_radius
+    < R keeps every BS outside every user's scattering ring, where the
+    angular support is defined (see ScenarioBundle.build).
     """
 
     L: int = 7                    # number of cells / base stations
@@ -53,9 +56,6 @@ class SystemConfig:
     spacing: float = 0.5          # antenna spacing in wavelengths
     scatter_radius: float = 50.0  # scattering ring radius around each user
     exclusion_radius: float = 50.0  # min user distance from its BS
-    # behaviour switches not fixed by the model itself
-    clamp_aoa: bool = False       # clamp degenerate AoA half-widths instead of raising
-    path_gain: str = "phase"      # per-path amplitude: "phase" or "complex_normal"
 
     def __post_init__(self):
         _check_finite(self)
@@ -65,10 +65,10 @@ class SystemConfig:
             raise ConfigError("eta, R, sigma2 and spacing must be positive")
         if self.scatter_radius <= 0:
             raise ConfigError("scatter_radius must be positive")
-        if not 0 <= self.exclusion_radius < self.R:
-            raise ConfigError("exclusion_radius must lie in [0, R)")
-        if self.path_gain not in ("phase", "complex_normal"):
-            raise ConfigError("path_gain must be 'phase' or 'complex_normal'")
+        if not self.scatter_radius <= self.exclusion_radius < self.R:
+            raise ConfigError(
+                "need scatter_radius <= exclusion_radius < R, got "
+                f"{self.scatter_radius}, {self.exclusion_radius} and {self.R}")
 
     @property
     def cell_edge_snr(self) -> float:

@@ -266,14 +266,14 @@ def _error(exc: Exception) -> dict:
 
 
 def _score_rates(runs: dict, preset: ExperimentPreset, master_seed: int,
-                 manifest: dict):
+                 failures: dict):
     """Fill each run's rate_rows: one min_rate per evaluation step scores
     every method's pilot map on the step's channel draws.
 
     Every method sees the same world at a step (their digests prove it), so
     the first run's serves all. If the shared call raises, each map is
-    scored alone, and a method whose lone call raises is dropped from `runs`
-    with its error in the manifest, as if it had raised while running.
+    scored alone, and a method whose lone call raises moves from `runs` to
+    `failures` with its exception, as if it had raised while running.
     """
     K, every = preset.config.K, preset.rate.eval_every
     for i, t in enumerate(range(every - 1, preset.total_steps, every)):
@@ -292,7 +292,7 @@ def _score_rates(runs: dict, preset: ExperimentPreset, master_seed: int,
                         world, [pilot_map], substream(master_seed, "rate", t),
                         preset.rate)
                 except Exception as exc:
-                    manifest["methods"][name] = _error(exc)
+                    failures[name] = exc
                     del runs[name]
         for name, report in reports.items():
             runs[name].rate_rows.append((t, report.min_rate, maps[name][1] / K))
@@ -314,8 +314,10 @@ def run_experiment(
     method's pilot map on one shared channel draw (see min_rate for the
     chunk rule), each getting the bytes a call with its map alone gives. A
     method failure, while running or in its rate evaluation, is recorded
-    in the manifest and the remaining methods still run. The run holds
-    OpenBLAS at one thread and restores the caller's count on return.
+    in the manifest and the remaining methods still run; when no method
+    finishes, the first method's exception (in method order) is raised and
+    no run file is written. The run holds OpenBLAS at one thread and
+    restores the caller's count on return.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and
@@ -331,8 +333,19 @@ def run_experiment(
     """
     out_dir = Path(out_dir) if out_dir is not None else Path(f"run_{preset.name}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _remove_earlier_run(out_dir)
 
+    methods = preset.active_methods(long_run)
+    runs, failures = {}, {}
+    for name in methods:
+        try:
+            runs[name] = _run_method(name, preset, master_seed, long_run)
+        except Exception as exc:  # record and continue with the other methods
+            failures[name] = exc
+    _score_rates(runs, preset, master_seed, failures)
+    if not runs:
+        raise failures[methods[0]]
+
+    _remove_earlier_run(out_dir)
     cfg_dict = _config_dict(preset)
     manifest = {
         "preset": preset.name,
@@ -341,17 +354,9 @@ def run_experiment(
         "config": cfg_dict,
         "config_hash": _config_hash(cfg_dict),
         "long_run": long_run,
-        "methods": {},
+        "methods": {name: _error(exc) for name, exc in failures.items()},
         "files": [],
     }
-
-    runs = {}
-    for name in preset.active_methods(long_run):
-        try:
-            runs[name] = _run_method(name, preset, master_seed, long_run)
-        except Exception as exc:  # record and continue with the other methods
-            manifest["methods"][name] = _error(exc)
-    _score_rates(runs, preset, master_seed, manifest)
 
     results_rows = []
     cost_rows = []

@@ -89,23 +89,18 @@ def _draw_channels(
     """(n_mc, L, L, K, M) channel draws for every (BS, user) link: the one
     channel generator, g = sqrt(gain/P) * sum_p alpha_p * steering(w_p).
 
-    Path angles are uniform on each link's angular support; amplitudes
-    follow config.path_gain (unit-modulus random phases, or standard
-    complex normal), both of unit second moment, so each link is zero-mean
-    with covariance channel.covariance(interval, gain, M, spacing) for the
+    Path angles are uniform on each link's angular support and amplitudes
+    are unit-modulus random phases, so each link is zero-mean with
+    covariance channel.covariance(interval, gain, M, spacing) for the
     supplied (possibly power-controlled) link gains. Draw order: all
-    angles, then all amplitudes. _power_sum adds the paths' alpha * z^m,
-    which rounds about 1e-14 of max|g| (M=100) from a direct exponential.
+    angles, then all phases. _power_sum adds the paths' alpha * z^m, which
+    rounds about 1e-14 of max|g| (M=100) from a direct exponential.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
     omegas = ((bundle.centers - bundle.half_widths)[..., None]
               + (2.0 * bundle.half_widths)[..., None] * rng.random((n_mc, L, L, K, P)))
-    if cfg.path_gain == "phase":
-        alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
-    else:
-        re_im = rng.standard_normal((2, n_mc, L, L, K, P))
-        alphas = (re_im[0] + 1j * re_im[1]) / np.sqrt(2.0)
+    alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
     z = np.exp(-2j * np.pi * cfg.spacing * np.cos(omegas))  # (n, L, L, K, P)
     return np.sqrt(gains / P)[None, ..., None] * _power_sum(z, alphas, cfg.M)
 

@@ -169,34 +169,23 @@ def large_scale(distance: float | np.ndarray, config: SystemConfig):
     return out if out.ndim else float(out)
 
 
-def aoa_interval(
-    z_user: np.ndarray,
-    z_bs: np.ndarray,
-    scatter_radius: float,
-    clamp: bool = False,
-) -> AoAInterval:
+def aoa_interval(z_user: np.ndarray, z_bs: np.ndarray, scatter_radius: float) -> AoAInterval:
     """Angular support of a user's scattering ring as seen from a BS.
 
     Bearing comes from atan2 (quadrant aware); the half-width subtends the
-    scattering ring: arcsin(scatter_radius / distance). A user inside its
-    own ring has no well-defined support: error, or half-width clamped
-    just below pi/2 when clamp is set.
+    scattering ring: arcsin(scatter_radius / distance). A BS on or inside
+    the ring has no well-defined support: ValueError.
     """
     delta = np.asarray(z_user, dtype=float) - np.asarray(z_bs, dtype=float)
     dist = float(np.hypot(delta[0], delta[1]))
     if dist <= 0:
         raise ValueError("user and BS positions coincide")
-    ratio = scatter_radius / dist
-    if ratio >= 1.0:
-        if not clamp:
-            raise ValueError(
-                f"scatter radius {scatter_radius} >= distance {dist:.3f}; "
-                "angular support undefined (set clamp to saturate)"
-            )
-        half_width = np.pi / 2 - 1e-9
-    else:
-        half_width = float(np.arcsin(ratio))
-    return AoAInterval(center=float(np.arctan2(delta[1], delta[0])), half_width=half_width)
+    if scatter_radius >= dist:
+        raise ValueError(
+            f"scatter radius {scatter_radius} >= distance {dist:.3f}; "
+            "angular support undefined")
+    return AoAInterval(center=float(np.arctan2(delta[1], delta[0])),
+                       half_width=float(np.arcsin(scatter_radius / dist)))
 
 
 @dataclass
@@ -219,10 +208,12 @@ class ScenarioBundle:
         """Gains and angular supports of every link of one drop.
 
         One broadcast over [BS j, cell l, user k] gives, link for link, the
-        values of `large_scale` and `aoa_interval` (with config.clamp_aoa).
-        Raises aoa_interval's ValueError, naming the link, for the first
-        link in (j, l, k) order whose user sits on the BS or, without
-        clamp_aoa, inside its own scattering ring.
+        values of `large_scale` and `aoa_interval`. Raises aoa_interval's
+        ValueError, naming the link, for the first link in (j, l, k) order
+        whose BS sits on the user or inside its scattering ring. SystemConfig
+        rules that out for every link of a `drop_users` drop: a user is
+        farther than exclusion_radius from its own BS, and no nearer to any
+        other, since each hexagon is its BS's Voronoi cell.
         """
         L, K = drop.shape
         if L != layout.L:
@@ -234,24 +225,19 @@ class ScenarioBundle:
         # delta[j, l, k]: user (l, k) seen from BS j
         delta = drop.positions[None] - layout.bs_positions[:, None, None]
         dist = np.hypot(delta[..., 0], delta[..., 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = config.scatter_radius / dist
-            half_widths = np.where(ratio >= 1.0, np.pi / 2 - 1e-9, np.arcsin(ratio))
-        bad = dist <= 0
-        if not config.clamp_aoa:
-            bad |= ratio >= 1.0
+        bad = config.scatter_radius >= dist
         if bad.any():
             # the scalar oracle words the error of the first offending link
             j, l, k = np.argwhere(bad)[0]
             try:
                 aoa_interval(drop.positions[l, k], layout.bs_positions[j],
-                             config.scatter_radius, clamp=config.clamp_aoa)
+                             config.scatter_radius)
             except ValueError as exc:
                 raise ValueError(f"user {k} of cell {l} seen from BS {j}: {exc}") from None
         centers = np.arctan2(delta[..., 1], delta[..., 0])
         gains = large_scale(dist, config)
         return cls(config=config, layout=layout, drop=drop, gains=gains,
-                   centers=centers, half_widths=half_widths)
+                   centers=centers, half_widths=np.arcsin(config.scatter_radius / dist))
 
     def interval(self, j: int, l: int, k: int) -> AoAInterval:
         return AoAInterval(center=self.centers[j, l, k],

@@ -261,6 +261,36 @@ def test_unplaceable_users_exit_code(tmp_path):
     assert "could not place user 0 in cell 0 after 10000 draws" in stderr
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scatter_ring_wider_than_exclusion_disk_exit_code(tmp_path, seed):
+    # some drops of such radii put a user inside its own ring and others
+    # do not; the config is refused before any drop, on every seed
+    bad = tmp_path / "ring.ini"
+    bad.write_text("[scenario]\nexclusion_radius = 10\n")
+    code, stdout, stderr = _run(["baseline", "--method", "random",
+                                 "--seed", str(seed), "--config", str(bad)])
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: need scatter_radius <= exclusion_radius < R, "
+                      "got 50.0, 10.0 and 500.0\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("exclusion_radius = 499.99", "could not place user 0 in cell 0"),
+    ("L = 8", "supports at most 7 cells"),
+])
+def test_experiment_without_a_finished_method_exit_code(tmp_path, line, message):
+    # every method fails while building world 0: the first method's error
+    # and its exit code, and no run file
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[scenario]\n{line}\n")
+    out = tmp_path / "run"
+    code, stdout, stderr = _run(["experiment", "--preset", "desk", "--seed", "0",
+                                 "--config", str(bad), "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and message in stderr
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["train", "baseline", "experiment"])
 def test_unwritable_output_exit_code(tmp_path, ini, command):
     # an output path through a regular file is an error line and exit 2,

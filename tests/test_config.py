@@ -1,5 +1,6 @@
 """Configuration dataclasses, INI ingestion, and seed substreams."""
 
+import configparser
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from cellpilot import (
     SystemConfig,
     TrainingSchedule,
     load_config_file,
+    presets,
     substream,
 )
 
@@ -36,10 +38,11 @@ def test_cell_edge_snr_linear():
     dict(eta=-1.0), dict(R=0.0), dict(sigma2=0.0), dict(spacing=0.0),
     dict(scatter_radius=0.0),
     dict(exclusion_radius=-1.0), dict(exclusion_radius=500.0),
-    dict(path_gain="rayleigh"),
     # floats built in Python must be finite, as in an INI file
     dict(eta=np.nan), dict(gamma_snr_db=np.nan), dict(scatter_radius=np.nan),
     dict(sigma2=np.inf), dict(spacing=np.inf), dict(R=np.inf),
+    # a scattering ring wider than the exclusion disk could hold its own BS
+    dict(exclusion_radius=10.0), dict(scatter_radius=60.0),
 ])
 def test_system_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -82,8 +85,6 @@ L = 3
 K = 2
 M = 32
 R = 400.0
-clamp_aoa = true
-path_gain = complex_normal
 
 [training]
 eps_decay = 0.999
@@ -113,7 +114,6 @@ def test_load_config_file_round_trip(tmp_path):
     opts = load_config_file(str(path), _defaults())
     cfg = opts["scenario"]
     assert (cfg.L, cfg.K, cfg.M, cfg.R) == (3, 2, 32, 400.0)
-    assert cfg.clamp_aoa is True and cfg.path_gain == "complex_normal"
     assert cfg.eta == 2.5  # untouched fields keep their defaults
     assert opts["training"].eps_decay == 0.999
     assert opts["env"].redraw == "smallscale"
@@ -123,8 +123,8 @@ def test_load_config_file_round_trip(tmp_path):
     # booleans take ConfigParser's words, in any case
     for word, want in (("1", True), ("yes", True), ("TRUE", True), ("On", True),
                        ("0", False), ("no", False), ("False", False), ("off", False)):
-        path.write_text(f"[scenario]\nclamp_aoa = {word}\n")
-        assert load_config_file(str(path), _defaults())["scenario"].clamp_aoa is want
+        path.write_text(f"[rate]\nergodic = {word}\n")
+        assert load_config_file(str(path), _defaults())["rate"].ergodic is want
 
 
 def test_load_config_file_lays_keys_over_base(tmp_path):
@@ -154,7 +154,11 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "[nosuchsection]\nx = 1\n",
     "[scenario]\nnot_a_key = 1\n",
     "[scenario]\nL = not_an_int\n",
+    "[rate]\nergodic = maybe\n",     # not a boolean word
+    # keys of deleted fields are unknown keys, whatever their value
     "[scenario]\nclamp_aoa = maybe\n",
+    "[scenario]\nclamp_aoa = true\n",
+    "[scenario]\npath_gain = phase\n",
     "[scenario]\npaths = 50\n",
     "[scenario]\nL = 3\nL = 4\n",    # duplicate key
     "L = 3\n",                        # no section header
@@ -174,6 +178,26 @@ def test_load_config_rejects_bad_input(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError):
         load_config_file(str(path), _defaults())
+
+
+def test_readme_example_config_loads(tmp_path):
+    # the README's example loads over the defaults, and every key it names
+    # takes the desk preset's value
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.ini"
+    path.write_text(block)
+    opts = load_config_file(str(path), _defaults())
+    desk = presets()["desk"]
+    want = {"scenario": desk.config, "training": desk.schedule,
+            "env": desk.env, "rate": desk.rate}
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(block)
+    named = [(section, key) for section in parser.sections() for key in parser[section]]
+    assert len(named) == 14
+    for section, key in named:
+        assert getattr(opts[section], key) == getattr(want[section], key), key
 
 
 def test_load_config_missing_file():

@@ -235,6 +235,36 @@ def test_method_failure_is_isolated(tmp_path):
     assert (out / "results.csv").exists()
 
 
+def test_run_without_a_finished_method_raises(tmp_path, monkeypatch):
+    # no user fits between the exclusion disk and the hexagon: every method
+    # fails on world 0, and the run raises the first one's error and writes
+    # no file; an earlier run in the directory is left as it was
+    earlier = run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1,
+                             out_dir=tmp_path / "run")
+    before = {f.name: f.read_bytes() for f in earlier.iterdir()}
+    preset = _tiny_preset(exclusion_radius=499.99)
+    with pytest.raises(ConfigError, match="could not place user 0 in cell 0"):
+        run_experiment(preset, 1, out_dir=earlier)
+    assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
+    # method order, not the order of failure: spr_like raises while running,
+    # then the rate pass drops random, whose error is the one raised
+    real = harness._run_method
+
+    def run(name, *args):
+        if name == "spr_like":
+            raise RuntimeError("spr_like")
+        return real(name, *args)
+
+    def rate(*args):
+        raise ValueError("rate pass")
+
+    monkeypatch.setattr(harness, "_run_method", run)
+    monkeypatch.setattr(harness, "min_rate", rate)
+    with pytest.raises(ValueError, match="rate pass"):
+        run_experiment(_tiny_preset(methods=("random", "spr_like")), 1, out_dir=earlier)
+    assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
+
+
 def _positions_preset(methods=("random", "spr_like", "exhaustive")):
     # K=3, so spr_like's pilot count differs from the other maps'
     return dataclasses.replace(

@@ -50,12 +50,11 @@ def test_moving_average_rejects_bad_window():
 
 # ---------------------------------------------------------- channel draws
 
-@pytest.mark.parametrize("mode", ["phase", "complex_normal"])
-def test_draws_match_covariance(mode):
+def test_draws_match_covariance():
     # every link's sample covariance over 2e4 benchmark draws against the
     # quadrature covariance; on the same draws, each entry's mean is zero
     # within 3 sigma and the mean power is gain * M
-    cfg = small_config(L=2, K=1, M=8, path_gain=mode)
+    cfg = small_config(L=2, K=1, M=8)
     world = make_world(cfg, seed=3)
     gains = np.array([1.0, 0.5, 2.0, 4.0]).reshape(2, 2, 1)
     rng = np.random.default_rng(11)
@@ -108,11 +107,7 @@ def _reference_draw_channels(bundle, P, rng, n_mc, gains):
     lows = (bundle.centers - bundle.half_widths)[..., None]
     widths = (2.0 * bundle.half_widths)[..., None]
     omegas = lows + widths * rng.random((n_mc, L, L, K, P))
-    if cfg.path_gain == "phase":
-        alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
-    else:
-        re_im = rng.standard_normal((2, n_mc, L, L, K, P))
-        alphas = (re_im[0] + 1j * re_im[1]) / np.sqrt(2.0)
+    alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
     g = np.stack([
         np.einsum("jlkp,jlkpm->jlkm", a, np.exp(
             -2j * np.pi * cfg.spacing * np.cos(o)[..., None] * np.arange(M)))
@@ -126,18 +121,17 @@ def test_draws_match_direct_exponential(M):
     # power tables against one exp per (path, antenna), non-square M
     # included (Q*R > M), with the generator left where the reference
     # leaves it
-    for mode in ("phase", "complex_normal"):
-        for spacing in (0.1, 0.5, 1.0):
-            cfg = small_config(L=2, K=2, M=M, spacing=spacing, path_gain=mode)
-            world = make_world(cfg, seed=M)
-            gains = np.random.default_rng(M).uniform(0.1, 2.0, (2, 2, 2))
-            for P in (1, 25, 50):
-                rng_new, rng_ref = (np.random.default_rng(P + M) for _ in range(2))
-                g = _draw_channels(world, P, rng_new, 3, gains)
-                ref = _reference_draw_channels(world, P, rng_ref, 3, gains)
-                assert g.shape == ref.shape == (3, 2, 2, 2, M)
-                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
-                assert rng_new.random() == rng_ref.random()
+    for spacing in (0.1, 0.5, 1.0):
+        cfg = small_config(L=2, K=2, M=M, spacing=spacing)
+        world = make_world(cfg, seed=M)
+        gains = np.random.default_rng(M).uniform(0.1, 2.0, (2, 2, 2))
+        for P in (1, 25, 50):
+            rng_new, rng_ref = (np.random.default_rng(P + M) for _ in range(2))
+            g = _draw_channels(world, P, rng_new, 3, gains)
+            ref = _reference_draw_channels(world, P, rng_ref, 3, gains)
+            assert g.shape == ref.shape == (3, 2, 2, 2, M)
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert rng_new.random() == rng_ref.random()
 
 
 def test_min_rate_matches_direct_exponential_over_chunks(monkeypatch):
@@ -172,17 +166,11 @@ def test_rates_independent_of_blas_threads():
     assert default and default == single
 
 
-def test_draws_follow_path_gain_mode():
-    # a single path has constant power under unit-modulus phases and
-    # unit-mean exponential power under complex-normal amplitudes
-    unit = np.ones((2, 2, 1))
-    var = {}
-    for mode in ("phase", "complex_normal"):
-        world = make_world(small_config(L=2, K=1, M=8, path_gain=mode), seed=3)
-        g = _draw_channels(world, 1, np.random.default_rng(0), 2000, unit)
-        var[mode] = ((np.abs(g) ** 2).mean(axis=-1)).var()
-    assert var["phase"] < 1e-20
-    assert 0.8 < var["complex_normal"] < 1.2
+def test_single_path_has_constant_power():
+    # unit-modulus phases: one path's power does not vary between draws
+    world = make_world(small_config(L=2, K=1, M=8), seed=3)
+    g = _draw_channels(world, 1, np.random.default_rng(0), 2000, np.ones((2, 2, 1)))
+    assert ((np.abs(g) ** 2).mean(axis=-1)).var() < 1e-20
 
 
 # ---------------------------------------------------------- rate: filters

@@ -248,9 +248,6 @@ def test_aoa_degenerate():
     user = np.array([30.0, 0.0])
     with pytest.raises(ValueError):
         aoa_interval(user, np.zeros(2), 50.0)  # inside the scattering ring
-    iv = aoa_interval(user, np.zeros(2), 50.0, clamp=True)
-    assert iv.half_width < np.pi / 2
-    assert iv.half_width == pytest.approx(np.pi / 2, abs=1e-6)
     with pytest.raises(ValueError):
         aoa_interval(np.zeros(2), np.zeros(2), 50.0)
 
@@ -285,10 +282,7 @@ def _reference_build(config, layout, drop):
         bs = layout.bs_positions[j]
         for l in range(L):
             for k in range(K):
-                iv = aoa_interval(
-                    drop.positions[l, k], bs, config.scatter_radius,
-                    clamp=config.clamp_aoa,
-                )
+                iv = aoa_interval(drop.positions[l, k], bs, config.scatter_radius)
                 d = np.hypot(*(drop.positions[l, k] - bs))
                 gains[j, l, k] = large_scale(d, config)
                 centers[j, l, k] = iv.center
@@ -313,22 +307,18 @@ def _random_drop(rng, L, K, config, inside_ring):
 
 def test_bundle_matches_per_link_reference():
     rng = np.random.default_rng(2024)
-    saturated = 0
     for i in range(240):
         L, K = 1 + i % 7, 1 + (i // 7) % 5
-        clamp = i % 3 == 0
-        cfg = SystemConfig(L=L, K=K, M=16, clamp_aoa=clamp,
+        cfg = SystemConfig(L=L, K=K, M=16,
                            eta=rng.uniform(2.0, 4.0),
                            scatter_radius=rng.uniform(5.0, 100.0),
                            exclusion_radius=rng.uniform(100.0, 300.0))
-        layout, drop = _random_drop(rng, L, K, cfg, inside_ring=clamp)
+        layout, drop = _random_drop(rng, L, K, cfg, inside_ring=False)
         world = ScenarioBundle.build(cfg, layout, drop)
         gains, centers, half_widths = _reference_build(cfg, layout, drop)
         assert np.array_equal(world.gains, gains)
         assert np.array_equal(world.centers, centers)
         assert np.array_equal(world.half_widths, half_widths)
-        saturated += int((half_widths == np.pi / 2 - 1e-9).sum())
-    assert saturated > 80
 
 
 def _first_link_error(cfg, layout, drop):
@@ -338,15 +328,14 @@ def _first_link_error(cfg, layout, drop):
             for k in range(K):
                 try:
                     aoa_interval(drop.positions[l, k], layout.bs_positions[j],
-                                 cfg.scatter_radius, clamp=cfg.clamp_aoa)
+                                 cfg.scatter_radius)
                 except ValueError as exc:
                     return f"user {k} of cell {l} seen from BS {j}: {exc}"
     raise AssertionError("no link raises")
 
 
-@pytest.mark.parametrize("clamp", [False, True])
-def test_bundle_user_on_bs_raises(clamp):
-    cfg = small_config(L=3, K=2, clamp_aoa=clamp)
+def test_bundle_user_on_bs_raises():
+    cfg = small_config(L=3, K=2)
     layout, drop = _random_drop(np.random.default_rng(1), 3, 2, cfg, inside_ring=False)
     drop.positions[2, 1] = layout.bs_positions[1]
     drop.positions[1, 0] = layout.bs_positions[2]
