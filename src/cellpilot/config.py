@@ -35,6 +35,17 @@ def _check_finite(options):
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
+def _check_db(name: str, db: float, what: str = "its linear value"):
+    """Raise ConfigError naming `name` unless 10^(db/10) is a finite positive
+    float with a finite reciprocal (the rate benchmark divides by an SNR)."""
+    with np.errstate(over="ignore", under="ignore"):
+        linear = 10.0 ** np.float64(db / 10.0)
+    if not np.finfo(float).tiny <= linear <= np.finfo(float).max:
+        raise ConfigError(
+            f"{name} is out of range: {what} 10^({db:g}/10) = {linear:g} must be "
+            "a finite positive float with a finite reciprocal")
+
+
 @dataclass
 class SystemConfig:
     """Static description of the multi-cell uplink scenario.
@@ -69,11 +80,21 @@ class SystemConfig:
             raise ConfigError(
                 "need scatter_radius <= exclusion_radius < R, got "
                 f"{self.scatter_radius}, {self.exclusion_radius} and {self.R}")
+        _check_db("gamma_snr_db", self.gamma_snr_db)
+        _check_db("gamma_snr_db", self.gain_db,
+                  "with eta, R and sigma2, the path-gain constant")
 
     @property
     def cell_edge_snr(self) -> float:
         """Linear SNR a cell-edge user sees, 10^(gamma_snr_db/10)."""
         return 10.0 ** (self.gamma_snr_db / 10.0)
+
+    @property
+    def gain_db(self) -> float:
+        """large_scale's gain constant, dB: a user at distance R sees
+        gain/noise equal to the cell-edge SNR."""
+        return self.gamma_snr_db + 10.0 * self.eta * np.log10(self.R) \
+            + 10.0 * np.log10(self.sigma2)
 
 
 @dataclass
@@ -150,6 +171,8 @@ class RateOptions:
             raise ConfigError("n_mc and eval_every must be >= 1")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
+        if self.pilot_snr_db is not None:
+            _check_db("pilot_snr_db", self.pilot_snr_db)
 
 
 _SECTION_TYPES = {

@@ -81,13 +81,17 @@ def build_layout(L: int, R: float) -> CellLayout:
 
 
 def in_hexagon(points: np.ndarray, center: np.ndarray, R: float) -> np.ndarray:
-    """Membership test for the hexagon with apothem sqrt(3)/2*R toward 30+60k deg."""
-    rel = np.atleast_2d(points) - center
+    """Membership test for the hexagon with apothem sqrt(3)/2*R toward 30+60k deg.
+
+    Points of any shape (..., 2), against a center that broadcasts with them
+    (e.g. (L, n, 2) and (L, 1, 2)); returns bools of the leading shape.
+    """
+    rel = np.asarray(points) - center
     apothem = np.sqrt(3.0) / 2.0 * R
-    ok = np.ones(rel.shape[0], dtype=bool)
+    ok = np.ones(rel.shape[:-1], dtype=bool)
     for axis in _HEX_AXES:
         ok &= np.abs(rel @ axis) <= apothem + 1e-12
-    return ok if points.ndim > 1 else ok[0]
+    return ok
 
 
 def drop_users(
@@ -106,50 +110,45 @@ def drop_users(
     ConfigError (only possible with an exclusion disk nearly as large as
     the cell).
 
-    The candidates are drawn and tested in blocks: the generator's state is
-    saved, a block is drawn and tested in one batch, then the state is
-    restored and exactly the candidates that the per-draw loop consumes are
-    drawn again. So the positions and the generator's state afterwards are
-    those of the per-draw loop. A block starts at 2K + 8 candidates (the
-    hexagon covers 65% of its bounding square) and doubles on a shortfall.
+    The cluster is drawn as one block: with the generator's state saved, n
+    draws are offset by every BS and tested against every cell at once, and
+    cell l takes the first K hits of its row after cell l-1's last user.
+    Then the state is restored and exactly the draws that the per-draw loop
+    consumes are drawn again, so the positions and the generator's state
+    afterwards are those of the per-draw loop. A block starts at 2LK + 8
+    draws (the hexagon covers 65% of its bounding square); one short of
+    users doubles and the whole cluster is redrawn.
     """
-    L = layout.L
-    R = layout.R
-    positions = np.zeros((L, K, 2))
-    for cell in range(L):
-        center = layout.bs_positions[cell]
-        placed = 0
-        misses = 0  # rejections of the user being placed, from earlier blocks
-        n = 2 * K + 8
-        while placed < K:
-            state = rng.bit_generator.state
-            p = center + rng.uniform(-R, R, size=(n, 2))
-            rel = p - center
-            ok = in_hexagon(p, center, R) & (np.hypot(rel[:, 0], rel[:, 1]) > exclusion_radius)
-            hits = np.flatnonzero(ok)[:K - placed]
-            # first block index of each user's draws, and its rejections in
-            # this block; the last user is still unplaced unless all K are in
-            starts = np.append(-misses, hits + 1)
-            rejects = np.append(hits, n) - starts
-            done = placed + hits.size == K
-            failed = np.flatnonzero((rejects[:-1] if done else rejects) >= max_attempts)
-            if failed.size:
-                used = max(starts[failed[0]] + max_attempts, 0)
-            else:
-                used = hits[-1] + 1 if done else n
-            if used < n:
-                rng.bit_generator.state = state
-                rng.uniform(-R, R, size=(used, 2))
-            if failed.size:
-                raise ConfigError(
-                    f"could not place user {placed + failed[0]} in cell {cell} "
-                    f"after {max_attempts} draws"
-                )
-            positions[cell, placed:placed + hits.size] = p[hits]
-            placed += hits.size
-            misses = rejects[-1]
-            n *= 2
-    return UserDrop(positions=positions)
+    L, R = layout.L, layout.R
+    centers = layout.bs_positions[:, None]
+    n = 2 * L * K + 8
+    while True:
+        state = rng.bit_generator.state
+        p = centers + rng.uniform(-R, R, size=(n, 2))
+        rel = p - centers
+        ok = in_hexagon(p, centers, R) & (np.hypot(rel[..., 0], rel[..., 1]) > exclusion_radius)
+        hits = []  # block index of each placed user's draw, cell by cell
+        for row in ok:
+            start = hits[-1] + 1 if hits else 0
+            found = start + np.flatnonzero(row[start:])[:K]
+            hits.extend(found)
+            if found.size < K:
+                break
+        # each user's rejections; the first unplaced one rejects to the end
+        ends = np.array(hits + [n])[:L * K]
+        rejects = np.diff(ends, prepend=-1) - 1
+        failed = np.flatnonzero(rejects >= max_attempts)
+        rng.bit_generator.state = state
+        if failed.size or len(hits) == L * K:
+            break
+        n *= 2
+    if failed.size:
+        user = failed[0]
+        rng.uniform(-R, R, size=(ends[user] - rejects[user] + max_attempts, 2))
+        raise ConfigError(f"could not place user {user % K} in cell {user // K} "
+                          f"after {max_attempts} draws")
+    rng.uniform(-R, R, size=(len(hits) + rejects.sum(), 2))
+    return UserDrop(positions=p[np.arange(L).repeat(K), hits].reshape(L, K, 2))
 
 
 def large_scale(distance: float | np.ndarray, config: SystemConfig):
@@ -157,15 +156,14 @@ def large_scale(distance: float | np.ndarray, config: SystemConfig):
 
     The gain constant is chosen so that a user at distance R sees
     gain/noise equal to the linear cell-edge SNR:
-        c_db = gamma_snr_db + 10*eta*log10(R) + 10*log10(sigma2)
-        D(d) = 10^(c_db/10) * d^-eta
+        gain_db = gamma_snr_db + 10*eta*log10(R) + 10*log10(sigma2)
+        D(d) = 10^(gain_db/10) * d^-eta
+    (SystemConfig.gain_db; SystemConfig refuses a gain_db out of range).
     """
     distance = np.asarray(distance, dtype=float)
     if np.any(distance <= 0):
         raise ValueError("distance must be positive")
-    c_db = config.gamma_snr_db + 10.0 * config.eta * np.log10(config.R) \
-        + 10.0 * np.log10(config.sigma2)
-    out = 10.0 ** (c_db / 10.0) * distance ** (-config.eta)
+    out = 10.0 ** (config.gain_db / 10.0) * distance ** (-config.eta)
     return out if out.ndim else float(out)
 
 

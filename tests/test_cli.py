@@ -233,6 +233,11 @@ def test_bad_config_exit_code(tmp_path):
     ("gamma_snr_db = nan", ["baseline", "--method", "random"]),
     ("spacing = inf", ["baseline", "--method", "random"]),
     ("[rate]\npilot_snr_db = nan", ["evaluate", "ASSIGN", "--rate"]),
+    # linear SNRs that overflow or vanish
+    ("[rate]\npilot_snr_db = 4000", ["evaluate", "ASSIGN", "--rate"]),
+    ("[rate]\npilot_snr_db = -4000", ["evaluate", "ASSIGN", "--rate"]),
+    ("gamma_snr_db = 4000", ["evaluate", "ASSIGN", "--rate"]),
+    ("gamma_snr_db = 4000", ["baseline", "--method", "random"]),
 ])
 def test_non_finite_config_exit_code(tmp_path, line, argv):
     bad = tmp_path / "bad.ini"

@@ -43,6 +43,11 @@ def test_cell_edge_snr_linear():
     dict(sigma2=np.inf), dict(spacing=np.inf), dict(R=np.inf),
     # a scattering ring wider than the exclusion disk could hold its own BS
     dict(exclusion_radius=10.0), dict(scatter_radius=60.0),
+    # an SNR whose linear value or its reciprocal is not a finite float
+    dict(gamma_snr_db=4000.0), dict(gamma_snr_db=-4000.0), dict(gamma_snr_db=-3090.0),
+    # ... or whose path-gain constant (with eta, R and sigma2) is not
+    dict(gamma_snr_db=3080.0), dict(gamma_snr_db=300.0, eta=120.0),
+    dict(gamma_snr_db=-3000.0, sigma2=1e-20),
 ])
 def test_system_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -73,6 +78,7 @@ def test_env_options_rejects(kw):
 @pytest.mark.parametrize("kw", [
     dict(n_mc=0), dict(eval_every=0), dict(paths=0),
     dict(pilot_snr_db=np.nan), dict(pilot_snr_db=-np.inf),
+    dict(pilot_snr_db=4000.0), dict(pilot_snr_db=-4000.0), dict(pilot_snr_db=-3090.0),
 ])
 def test_rate_options_rejects(kw):
     with pytest.raises(ConfigError):
@@ -170,6 +176,9 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "[scenario]\ngamma_snr_db = -inf\n",
     "[rate]\npilot_snr_db = nan\n",
     "[rate]\npilot_snr_db = -Infinity\n",
+    "[scenario]\ngamma_snr_db = 4000\n",  # linear SNRs must be finite floats
+    "[scenario]\ngamma_snr_db = 3080\n",
+    "[rate]\npilot_snr_db = -4000\n",
     "[scenario]\nL = 3.0\n",           # an int field takes no float text
     "[scenario]\neta = x\n",
 ])

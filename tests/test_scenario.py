@@ -66,6 +66,22 @@ def test_hexagon_membership():
     outer = center + 1.001 * (verts - center)
     assert not in_hexagon(outer, center, R).any()
     assert in_hexagon(center, center, R)
+    # a list of coordinates is a point too
+    assert in_hexagon([0.0, 0.0], np.zeros(2), 500.0)
+    assert not in_hexagon([[0.0, 0.0], [500.0, 0.0]], np.zeros(2), 400.0)[1]
+
+
+def test_hexagon_membership_broadcasts_over_cells():
+    # (L, n, 2) points against (L, 1, 2) centers: row l in hexagon l, as
+    # the L per-cell calls
+    layout = build_layout(7, 500.0)
+    centers = layout.bs_positions[:, None]
+    points = centers + np.random.default_rng(1).uniform(-500, 500, (500, 2))
+    got = in_hexagon(points, centers, 500.0)
+    assert got.shape == (7, 500)
+    for l in range(7):
+        assert np.array_equal(got[l], in_hexagon(points[l], layout.bs_positions[l], 500.0))
+    assert 0 < got.sum() < got.size
 
 
 def test_hexagon_membership_on_the_boundary():
@@ -141,8 +157,10 @@ def _reference_drop(layout, K, exclusion_radius, rng, max_attempts=10000):
 
 
 # (L, K, exclusion radius): the near-hexagon disk accepts about 7% of the
-# square, so a block runs short and doubles, often more than once
-_DROP_SETTINGS = ((1, 1, 0.0), (3, 3, 150.0), (7, 4, 50.0), (2, 5, 430.0), (4, 2, 300.0))
+# square, so a block runs short and doubles, often more than once, and with
+# 7 cells often after earlier cells are placed
+_DROP_SETTINGS = ((1, 1, 0.0), (3, 3, 150.0), (7, 4, 50.0), (2, 5, 430.0), (4, 2, 300.0),
+                  (7, 4, 430.0))
 
 
 def test_drop_users_matches_per_draw_loop():
@@ -187,6 +205,15 @@ def test_drop_users_attempt_cap_matches_per_draw_loop():
             outcomes.add("placed")
         assert rng.random() == ref_rng.random(), seed
     assert outcomes == {"raise", "placed"}
+
+
+def test_drop_users_without_users():
+    layout = build_layout(7, 500.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    drop = drop_users(layout, 0, 50.0, rng)
+    assert drop.positions.shape == (7, 0, 2)
+    assert rng.bit_generator.state == state
 
 
 def test_drop_users_impossible_exclusion():
