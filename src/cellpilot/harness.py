@@ -1,7 +1,7 @@
 """Experiment presets, method runners, result files, and plot tables.
 
 An experiment runs several assignment methods (learned and baselines) on
-identical world streams and writes everything as plain CSV plus a JSON
+identical worlds and writes everything as plain CSV plus a JSON
 manifest. Nothing here plots; the tidy plot_*.csv tables a run writes are
 meant to be fed straight into any plotting tool.
 """
@@ -126,53 +126,79 @@ class MethodResult:
     world_digest: str = ""
     training: TrainResult | None = None             # drl only
 
-
-def _run_method(name: str, preset: ExperimentPreset, master_seed: int,
-                long_run: bool) -> MethodResult:
-    """Run one method on the preset's world stream and record every step.
-
-    drl trains on its environment's WorldStream and each baseline advances
-    its own WorldStream of the same seed, so all methods see identical
-    worlds, and their world digests prove it. Every step goes
-    through `record`: its worst-user cost, and at the rate-evaluation steps
-    every-1, 2*every-1, ... its world and pilot map, which run_experiment
-    scores (`rate_rows` stays empty here).
-    """
-    cfg, opts = preset.config, preset.env
-    every = preset.rate.eval_every
-    out = MethodResult()
-
-    def record(t, world, user_to_pilot, n_pilots, g_max):
-        out.cost_rows.append((t, g_max))
+    def record(self, t, world, user_to_pilot, n_pilots, g_max, every):
+        """Step t's worst-user cost, and at the rate-evaluation steps
+        every-1, 2*every-1, ... its world and pilot map, which
+        run_experiment scores (`rate_rows` stays empty until then)."""
+        self.cost_rows.append((t, g_max))
         if t % every == every - 1:
-            out.rate_steps.append((t, world, user_to_pilot, n_pilots))
+            self.rate_steps.append((t, world, user_to_pilot, n_pilots))
 
-    if name == "drl":
-        env = make_env(cfg, opts, master_seed)
-        out.training = train(
-            env, preset.schedule, preset.total_steps, master_seed,
-            step_callback=lambda t, _: record(
-                t, env.worlds.world, env.assignment.user_to_pilot(), cfg.K,
-                env.costs.global_max))
-        out.world_digest = env.worlds.digest()
-        out.text_files["assignment_drl.txt"] = env.assignment.to_text()
-        return out
 
-    worlds = WorldStream(cfg, opts.redraw, master_seed)
-    rng_assign = substream(master_seed, "baseline", name)
-    for t in range(preset.total_steps):
-        worlds.advance()
-        world, pairwise = worlds.world, worlds.pairwise
-        # random draws anew; exhaustive and spr_like solve and score a world once
-        if t == 0 or opts.redraw == "positions" or name == "random":
-            u2p, n_pilots, g_max, files = baseline_assignment(
-                name, world, rng_assign, pairwise, allow_long_run=long_run)
-        record(t, world, u2p, n_pilots, g_max)
+def _run_drl(preset: ExperimentPreset, master_seed: int) -> MethodResult:
+    """Train drl on its environment's own WorldStream and record every step.
 
-    out.world_digest = worlds.digest()
-    if name != "random":  # a run keeps no file of its last random draw
-        out.text_files.update(files)
+    The stream has the seed of the baselines' stream, so drl sees their
+    worlds, and the world digests prove it.
+    """
+    cfg, every = preset.config, preset.rate.eval_every
+    out = MethodResult()
+    env = make_env(cfg, preset.env, master_seed)
+    out.training = train(
+        env, preset.schedule, preset.total_steps, master_seed,
+        step_callback=lambda t, _: out.record(
+            t, env.worlds.world, env.assignment.user_to_pilot(), cfg.K,
+            env.costs.global_max, every))
+    out.world_digest = env.worlds.digest()
+    out.text_files["assignment_drl.txt"] = env.assignment.to_text()
     return out
+
+
+def _run_baselines(names, preset: ExperimentPreset, master_seed: int,
+                   long_run: bool, failures: dict) -> dict:
+    """Run the named baselines in lockstep on one WorldStream: name -> result.
+
+    The stream advances once per step, and every baseline still running is
+    scored on its world and pair-cost matrix, each with its own
+    substream(seed, "baseline", name). A baseline that raises moves to
+    `failures` with its exception and the others go on; if the stream
+    raises, every baseline still running gets its error, as each would
+    have from a stream of its own.
+    """
+    runs = {name: MethodResult() for name in names}
+    if not runs:
+        return runs
+    redraw, every = preset.env.redraw, preset.rate.eval_every
+    rngs = {name: substream(master_seed, "baseline", name) for name in runs}
+    solved = {}  # name -> its last baseline_assignment
+    try:
+        worlds = WorldStream(preset.config, redraw, master_seed)
+        for t in range(preset.total_steps):
+            if not runs:
+                return runs
+            worlds.advance()
+            for name in list(runs):
+                try:
+                    # random draws anew; exhaustive and spr_like solve and
+                    # score a world once
+                    if t == 0 or redraw == "positions" or name == "random":
+                        solved[name] = baseline_assignment(
+                            name, worlds.world, rngs[name], worlds.pairwise,
+                            allow_long_run=long_run)
+                    u2p, n_pilots, g_max, _ = solved[name]
+                    runs[name].record(t, worlds.world, u2p, n_pilots, g_max, every)
+                except Exception as exc:  # record and go on with the others
+                    failures[name] = exc
+                    del runs[name]
+    except Exception as exc:  # the stream failed every baseline still running
+        failures.update(dict.fromkeys(runs, exc))
+        return {}
+
+    for name, res in runs.items():
+        res.world_digest = worlds.digest()
+        if name != "random":  # a run keeps no file of its last random draw
+            res.text_files.update(solved[name][3])
+    return runs
 
 
 def _config_dict(preset: ExperimentPreset) -> dict:
@@ -307,17 +333,20 @@ def run_experiment(
 ) -> Path:
     """Run every method of the preset and write the result files.
 
-    All methods consume identical world streams (same substream of the
-    master seed) and identical per-step channel realizations in the rate
-    benchmark, so their series are directly comparable. The methods run
-    first; then one min_rate call per evaluation step scores every
-    method's pilot map on one shared channel draw (see min_rate for the
-    chunk rule), each getting the bytes a call with its map alone gives. A
-    method failure, while running or in its rate evaluation, is recorded
-    in the manifest and the remaining methods still run; when no method
-    finishes, the first method's exception (in method order) is raised and
-    no run file is written. The run holds OpenBLAS at one thread and
-    restores the caller's count on return.
+    All methods consume identical worlds (one substream of the master
+    seed) and identical per-step channel realizations in the rate
+    benchmark, so their series are directly comparable. The baselines run
+    in lockstep on one shared WorldStream, so each world is drawn and
+    pair-costed once, and drl trains on its own stream of the same seed;
+    every method's world digest is the same. The methods run first, and
+    their results go back in method order; then one min_rate call per
+    evaluation step scores every method's pilot map on one shared channel
+    draw (see min_rate for the chunk rule), each getting the bytes a call
+    with its map alone gives. A method failure, while running or in its
+    rate evaluation, is recorded in the manifest and the remaining methods
+    still run; when no method finishes, the first method's exception (in
+    method order) is raised and no run file is written. The run holds
+    OpenBLAS at one thread and restores the caller's count on return.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and
@@ -336,11 +365,14 @@ def run_experiment(
 
     methods = preset.active_methods(long_run)
     runs, failures = {}, {}
-    for name in methods:
+    if "drl" in methods:
         try:
-            runs[name] = _run_method(name, preset, master_seed, long_run)
-        except Exception as exc:  # record and continue with the other methods
-            failures[name] = exc
+            runs["drl"] = _run_drl(preset, master_seed)
+        except Exception as exc:  # record and continue with the baselines
+            failures["drl"] = exc
+    runs.update(_run_baselines([m for m in methods if m != "drl"], preset,
+                               master_seed, long_run, failures))
+    runs = {name: runs[name] for name in methods if name in runs}
     _score_rates(runs, preset, master_seed, failures)
     if not runs:
         raise failures[methods[0]]

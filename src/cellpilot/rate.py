@@ -28,6 +28,11 @@ class RateReport:
 # land in which realization: changing it changes every rate.
 _DRAW_BUDGET = 5e7
 
+# bytes of _draw_channels' two power tables per block of realizations: the
+# blocks bound its working memory (one full-scale realization takes about
+# 3.1 MB), and they never change a draw
+_BLOCK_BYTES = 2 ** 22
+
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean with truncated windows at the head.
@@ -94,15 +99,24 @@ def _draw_channels(
     covariance channel.covariance(interval, gain, M, spacing) for the
     supplied (possibly power-controlled) link gains. Draw order: all
     angles, then all phases. _power_sum adds the paths' alpha * z^m, which
-    rounds about 1e-14 of max|g| (M=100) from a direct exponential.
+    rounds about 1e-14 of max|g| (M=100) from a direct exponential. It
+    runs on blocks of as many realizations as _BLOCK_BYTES of power tables
+    hold (at least one), and each block gives the bytes of the whole chunk.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
     omegas = ((bundle.centers - bundle.half_widths)[..., None]
               + (2.0 * bundle.half_widths)[..., None] * rng.random((n_mc, L, L, K, P)))
     alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
-    z = np.exp(-2j * np.pi * cfg.spacing * np.cos(omegas))  # (n, L, L, K, P)
-    return np.sqrt(gains / P)[None, ..., None] * _power_sum(z, alphas, cfg.M)
+    R = math.ceil(math.sqrt(cfg.M))
+    rows = R + -(-cfg.M // R)  # the E and F tables of _power_sum
+    block = max(1, int(_BLOCK_BYTES // (rows * alphas[0].nbytes)))
+    scale = np.sqrt(gains / P)[..., None]
+    g = np.empty((n_mc, L, L, K, cfg.M), dtype=complex)
+    for b in range(0, n_mc, block):
+        z = np.exp(-2j * np.pi * cfg.spacing * np.cos(omegas[b:b + block]))
+        np.multiply(scale, _power_sum(z, alphas[b:b + block], cfg.M), out=g[b:b + block])
+    return g
 
 
 def min_rate(

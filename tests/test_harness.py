@@ -21,9 +21,9 @@ from cellpilot import (
     run_experiment,
     substream,
 )
-from cellpilot import harness
-from cellpilot.env import TRAJECTORY_FIELDS
-from cellpilot.harness import SHORT_TERM_STEPS, _run_method
+from cellpilot import env, harness
+from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
+from cellpilot.harness import SHORT_TERM_STEPS, _run_baselines, _run_drl
 from cellpilot.qnn import TRAINING_LOG_FIELDS
 
 RUN_FILES = (
@@ -185,7 +185,7 @@ def test_drl_costs_are_the_step_record(tiny_run):
         assert int(cost["step"]) == int(traj["step"]) == int(entry["step"]) == t
         assert cost["global_max"] == traj["g_next"] == entry["g_max"], t
 
-    res = _run_method("drl", _tiny_preset(), 5, long_run=False)
+    res = _run_drl(_tiny_preset(), 5)
     assert len(res.training.rows) == len(res.cost_rows) == 30
     for row, (t, g_max) in zip(res.training.rows, res.cost_rows):
         assert set(TRAINING_LOG_FIELDS) | set(TRAJECTORY_FIELDS) <= row.keys()
@@ -248,17 +248,17 @@ def test_run_without_a_finished_method_raises(tmp_path, monkeypatch):
     assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
     # method order, not the order of failure: spr_like raises while running,
     # then the rate pass drops random, whose error is the one raised
-    real = harness._run_method
+    real = harness.baseline_assignment
 
-    def run(name, *args):
+    def failing(name, *args, **kwargs):
         if name == "spr_like":
             raise RuntimeError("spr_like")
-        return real(name, *args)
+        return real(name, *args, **kwargs)
 
     def rate(*args):
         raise ValueError("rate pass")
 
-    monkeypatch.setattr(harness, "_run_method", run)
+    monkeypatch.setattr(harness, "baseline_assignment", failing)
     monkeypatch.setattr(harness, "min_rate", rate)
     with pytest.raises(ValueError, match="rate pass"):
         run_experiment(_tiny_preset(methods=("random", "spr_like")), 1, out_dir=earlier)
@@ -281,13 +281,86 @@ def test_shared_rate_pass_matches_lone_calls(tmp_path):
             for row in _read(out / "results.csv")]
     expected = []
     for name in preset.methods:
-        for t, world, u2p, n_pilots in _run_method(name, preset, 4, False).rate_steps:
+        alone = _run_baselines([name], preset, 4, False, {})[name]
+        for t, world, u2p, n_pilots in alone.rate_steps:
             report, = min_rate(world, [(u2p, n_pilots)],
                                substream(4, "rate", t), preset.rate)
             expected.append((name, t, f"{report.min_rate:.17g}", f"{n_pilots / 3:.17g}"))
     assert rows == expected
     assert len(rows) == 3 * 3
     assert {ov for name, _, _, ov in rows if name == "spr_like"} != {"1"}
+
+
+@pytest.mark.parametrize("redraw", ["positions", "smallscale"])
+def test_lockstep_baselines_match_lone_runs(tmp_path, redraw):
+    # the baselines share one world stream: each one's rows, files and
+    # manifest entry in a three-baseline run are those of a same-seed run
+    # with that baseline alone
+    preset = dataclasses.replace(
+        _positions_preset(), env=EnvOptions(redraw=redraw, threshold_samples=30))
+    together = run_experiment(preset, 4, out_dir=tmp_path / "together")
+    methods = json.loads((together / "manifest.json").read_text())["methods"]
+    for name in preset.methods:
+        alone = run_experiment(dataclasses.replace(preset, methods=(name,)), 4,
+                               out_dir=tmp_path / name)
+        for fname in ("costs.csv", "results.csv"):
+            rows = [line for line in (together / fname).read_text().splitlines()
+                    if line.startswith(f"{name},")]
+            assert rows and rows == (alone / fname).read_text().splitlines()[1:], (
+                name, fname)
+        manifest = json.loads((alone / "manifest.json").read_text())
+        assert methods[name] == manifest["methods"][name]
+        for fname in manifest["files"]:
+            if fname.startswith(("assignment_", "overhead_")):
+                assert (together / fname).read_bytes() == (alone / fname).read_bytes()
+
+
+def test_positions_run_draws_each_world_once(tmp_path, monkeypatch):
+    # T steps of three baselines draw T + 1 worlds, world 0 included, not
+    # T + 1 per baseline
+    real, calls = env.fresh_world, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(env, "fresh_world", spy)
+    preset = _positions_preset()
+    run_experiment(preset, 4, out_dir=tmp_path / "run")
+    assert len(calls) == preset.total_steps + 1
+
+
+def test_stream_failure_fails_every_baseline(tmp_path, monkeypatch):
+    # the world stream raises at step 7: no baseline finishes, so the run
+    # raises the stream's error and writes no file
+    real = WorldStream.advance
+
+    def advance(self):
+        if len(self.digests) == 8:  # world 0 and one per step so far
+            raise ConfigError("could not place user 1 in cell 0")
+        real(self)
+
+    monkeypatch.setattr(WorldStream, "advance", advance)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="could not place user 1 in cell 0"):
+        run_experiment(_positions_preset(("random", "spr_like")), 4, out_dir=out)
+    assert list(out.iterdir()) == []
+    # a baseline that failed before keeps its own error
+    real_assign, calls = harness.baseline_assignment, []
+
+    def failing(name, *args, **kwargs):
+        calls.append(name)
+        if name == "spr_like" and calls.count(name) == 3:
+            raise RuntimeError("spr_like")
+        return real_assign(name, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    failures = {}
+    assert _run_baselines(("random", "spr_like"), _positions_preset(), 4, False,
+                          failures) == {}
+    assert {name: str(exc) for name, exc in failures.items()} == {
+        "spr_like": "spr_like", "random": "could not place user 1 in cell 0"}
+    assert calls.count("random") == 7
 
 
 @pytest.mark.parametrize("where", ["run", "rate"])

@@ -1,5 +1,7 @@
 """Uplink rate benchmark: moving average, SINR scaling, contamination effects."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,37 @@ def test_draws_match_direct_exponential(M):
             assert g.shape == ref.shape == (3, 2, 2, 2, M)
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
             assert rng_new.random() == rng_ref.random()
+
+
+def _whole_chunk_draw_channels(bundle, P, rng, n_mc, gains):
+    """_draw_channels with every realization of the chunk in one power sum."""
+    cfg = bundle.config
+    L, K = bundle.drop.shape
+    omegas = ((bundle.centers - bundle.half_widths)[..., None]
+              + (2.0 * bundle.half_widths)[..., None] * rng.random((n_mc, L, L, K, P)))
+    alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
+    z = np.exp(-2j * np.pi * cfg.spacing * np.cos(omegas))
+    return np.sqrt(gains / P)[None, ..., None] * rate._power_sum(z, alphas, cfg.M)
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2, 3])
+@pytest.mark.parametrize("L, K, M, P", [(2, 3, 8, 5), (3, 3, 64, 25), (7, 4, 100, 50)])
+def test_draw_blocks_match_whole_chunk(monkeypatch, L, K, M, P, per_block):
+    # blocks of per_block realizations (None: the default budget, one
+    # block below full scale) give the whole chunk's bytes and leave the
+    # generator where it leaves it
+    R = math.ceil(math.sqrt(M))
+    table_bytes = (R + -(-M // R)) * L * L * K * P * 16  # one realization's
+    if per_block is not None:
+        monkeypatch.setattr(rate, "_BLOCK_BYTES", per_block * table_bytes)
+    world = make_world(small_config(L=L, K=K, M=M), seed=L)
+    gains = np.random.default_rng(K).uniform(0.1, 2.0, (L, L, K))
+    rng_new, rng_ref = np.random.default_rng(M), np.random.default_rng(M)
+    g = _draw_channels(world, P, rng_new, 7, gains)
+    ref = _whole_chunk_draw_channels(world, P, rng_ref, 7, gains)
+    assert g.shape == ref.shape == (7, L, L, K, M)
+    assert g.tobytes() == ref.tobytes()
+    assert rng_new.random() == rng_ref.random()
 
 
 def test_min_rate_matches_direct_exponential_over_chunks(monkeypatch):
