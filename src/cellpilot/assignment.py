@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,21 +241,25 @@ def baseline_assignment(
     rng: np.random.Generator,
     pairwise: np.ndarray,
     allow_long_run: bool = False,
-) -> tuple[np.ndarray, int, float, dict]:
+) -> tuple[np.ndarray, int, float, Callable[[], dict]]:
     """(user_to_pilot, n_pilots, worst-user cost, files) of a non-learned method.
 
     name is "random" (a fresh draw from rng), "exhaustive" (the min-max
     optimum; allow_long_run lifts its budget) or "spr_like" (the reuse
-    split). The cost is extended_user_costs' maximum. files maps file name
-    to text: first assignment_<name>.txt (PilotAssignment.to_text, or for
-    spr_like an "n_pilots N" line over L rows of K pilot ids), then for
-    spr_like the overhead file, its OverheadReport line.
+    split). The cost is extended_user_costs' maximum. files() builds the
+    method's run files, so only a map that is written pays for its text:
+    a dict of file name to text, first assignment_<name>.txt
+    (PilotAssignment.to_text, or for spr_like an "n_pilots N" line over L
+    rows of K pilot ids), then for spr_like the overhead file, its
+    OverheadReport line.
     """
     if name == "spr_like":
         u2p, report = spr_like_assignment(bundle)
         n_pilots = report.required_pilots
-        files = {f"assignment_{name}.txt": f"n_pilots {n_pilots}\n" + _rows_text(u2p),
-                 "overhead_spr_like.txt": f"{report}\n"}
+
+        def files():
+            return {f"assignment_{name}.txt": f"n_pilots {n_pilots}\n" + _rows_text(u2p),
+                    "overhead_spr_like.txt": f"{report}\n"}
     else:
         if name == "random":
             assign = random_assignment(*bundle.drop.shape, rng)
@@ -264,6 +269,8 @@ def baseline_assignment(
         else:
             raise ValueError(f"unknown baseline {name!r}")
         u2p, n_pilots = assign.user_to_pilot(), assign.shape[1]
-        files = {f"assignment_{name}.txt": assign.to_text()}
+
+        def files():
+            return {f"assignment_{name}.txt": assign.to_text()}
     _, g_max = extended_user_costs(bundle, u2p, pairwise=pairwise)
     return u2p, n_pilots, g_max, files

@@ -64,9 +64,10 @@ def cmd_baseline(args) -> None:
         out.mkdir(parents=True, exist_ok=True)
 
     method = "spr_like" if args.method == "spr" else args.method
-    _, _, g_max, files = baseline_assignment(
+    _, _, g_max, build_files = baseline_assignment(
         method, worlds.world, substream(args.seed, "baseline", method),
         worlds.pairwise, allow_long_run=args.long_run)
+    files = build_files()
     assignment_file, *overhead_files = files
     for name in overhead_files:
         print(files[name], end="")

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import PilotAssignment, apply_swap, random_assignment
-from .config import EnvOptions, SystemConfig, substream
+from .config import ConfigError, EnvOptions, SystemConfig, substream
 from .contamination import CostTable, _copilot_costs, pairwise_cost_matrix, total_costs
-from .scenario import build_layout, fresh_world
+from .scenario import _fresh_worlds, build_layout, fresh_world
+
+# "positions" worlds a WorldStream draws at once; no output depends on it
+_BLOCK = 16
 
 
 @dataclass
@@ -137,6 +141,12 @@ class WorldStream:
     channel draws differ, which the rate benchmark realizes from its own
     streams. Every world is digested, so equal `digest()`s prove equal
     streams.
+
+    "positions" worlds after world 0 are drawn _BLOCK at a time (see
+    scenario._fresh_worlds), so the generator runs up to _BLOCK - 1 drops
+    ahead of the stream; each world, and the error of a drop that fails,
+    is that of successive fresh_world calls. A failed drop raises from the
+    `advance` that reaches it, after the worlds before it.
     """
 
     def __init__(self, config: SystemConfig, redraw: str, seed: int):
@@ -147,11 +157,19 @@ class WorldStream:
         self.world = fresh_world(config, self.rng, self.layout)
         self.pairwise = pairwise_cost_matrix(self.world)  # of `world`
         self.digests = [self.world.digest()]
+        self._queue = deque()  # drawn worlds, then a failed drop's error
 
     def advance(self):
         if self.redraw == "positions":
-            self.world = fresh_world(self.config, self.rng, self.layout)
-            self.pairwise = pairwise_cost_matrix(self.world)
+            if not self._queue:
+                worlds, error = _fresh_worlds(self.config, self.rng, self.layout, _BLOCK)
+                self._queue.extend(worlds)
+                if error is not None:
+                    self._queue.append(error)
+            world = self._queue.popleft()
+            if isinstance(world, ConfigError):
+                raise world
+            self.world, self.pairwise = world, pairwise_cost_matrix(world)
         self.digests.append(self.world.digest())
 
     def digest(self) -> str:

@@ -197,7 +197,7 @@ def _run_baselines(names, preset: ExperimentPreset, master_seed: int,
     for name, res in runs.items():
         res.world_digest = worlds.digest()
         if name != "random":  # a run keeps no file of its last random draw
-            res.text_files.update(solved[name][3])
+            res.text_files.update(solved[name][3]())
     return runs
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 
@@ -110,45 +111,70 @@ def drop_users(
     ConfigError (only possible with an exclusion disk nearly as large as
     the cell).
 
-    The cluster is drawn as one block: with the generator's state saved, n
-    draws are offset by every BS and tested against every cell at once, and
-    cell l takes the first K hits of its row after cell l-1's last user.
-    Then the state is restored and exactly the draws that the per-draw loop
-    consumes are drawn again, so the positions and the generator's state
-    afterwards are those of the per-draw loop. A block starts at 2LK + 8
-    draws (the hexagon covers 65% of its bounding square); one short of
-    users doubles and the whole cluster is redrawn.
+    This is the one-drop call of `_draw_drops`, which scans the draws of
+    any number of successive drops as one block (WorldStream draws its
+    "positions" worlds 16 at a time through it): the positions, and the
+    generator's state afterwards, are those of the per-draw loop.
+    """
+    positions, error = _draw_drops(layout, K, exclusion_radius, rng, 1, max_attempts)
+    if error is not None:
+        raise error
+    return UserDrop(positions=positions[0])
+
+
+def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
+                rng: np.random.Generator, count: int, max_attempts: int = 10000):
+    """The user positions of `count` successive drop_users calls, (n, L, K, 2),
+    and the ConfigError of drop n if it fails (n < count), else None.
+
+    With the generator's state saved, a block of draws is offset by every
+    BS and tested against every cell at once; each cell's hits are found
+    once, and cell l of drop d takes the first K hits of its row after the
+    previous cell's last user (a bisect into the row). Then the state is
+    restored and exactly the draws that the per-draw loop consumes are
+    drawn again, so the positions, and the generator's state afterwards,
+    also after a failure, are those of the per-draw loop. A block starts
+    at 2 count L K + 8 draws (the hexagon covers 65% of its bounding
+    square); one short of users doubles and the whole block is redrawn.
     """
     L, R = layout.L, layout.R
     centers = layout.bs_positions[:, None]
-    n = 2 * L * K + 8
+    users = count * L * K
+    n = 2 * users + 8
     while True:
         state = rng.bit_generator.state
         p = centers + rng.uniform(-R, R, size=(n, 2))
         rel = p - centers
         ok = in_hexagon(p, centers, R) & (np.hypot(rel[..., 0], rel[..., 1]) > exclusion_radius)
-        hits = []  # block index of each placed user's draw, cell by cell
-        for row in ok:
-            start = hits[-1] + 1 if hits else 0
-            found = start + np.flatnonzero(row[start:])[:K]
-            hits.extend(found)
-            if found.size < K:
+        rows = [np.flatnonzero(row).tolist() for row in ok]
+        hits = []  # block index of each placed user's draw, drop by drop, cell by cell
+        for row in rows * count:
+            i = bisect.bisect_left(row, hits[-1] + 1 if hits else 0)
+            found = row[i:i + K]
+            hits += found
+            if len(found) < K:
                 break
-        # each user's rejections; the first unplaced one rejects to the end
-        ends = np.array(hits + [n])[:L * K]
-        rejects = np.diff(ends, prepend=-1) - 1
+        # user u draws from ends[u] + 1 on; each user's rejections, where
+        # the first unplaced one rejects to the end of the block
+        ends = np.array([-1] + hits + [n])[:users + 1]
+        rejects = ends[1:] - ends[:-1] - 1
         failed = np.flatnonzero(rejects >= max_attempts)
         rng.bit_generator.state = state
-        if failed.size or len(hits) == L * K:
+        if failed.size or len(hits) == users:
             break
         n *= 2
     if failed.size:
         user = failed[0]
-        rng.uniform(-R, R, size=(ends[user] - rejects[user] + max_attempts, 2))
-        raise ConfigError(f"could not place user {user % K} in cell {user // K} "
-                          f"after {max_attempts} draws")
-    rng.uniform(-R, R, size=(len(hits) + rejects.sum(), 2))
-    return UserDrop(positions=p[np.arange(L).repeat(K), hits].reshape(L, K, 2))
+        rng.uniform(-R, R, size=(ends[user] + 1 + max_attempts, 2))
+        done, user = divmod(user, L * K)
+        error = ConfigError(f"could not place user {user % K} in cell {user // K} "
+                            f"after {max_attempts} draws")
+    else:
+        rng.uniform(-R, R, size=(ends[-1] + 1, 2))
+        done, error = count, None
+    placed = done * L * K
+    cells = np.tile(np.arange(L).repeat(K), done)
+    return p[cells, hits[:placed]].reshape(done, L, K, 2), error
 
 
 def large_scale(distance: float | np.ndarray, config: SystemConfig):
@@ -205,13 +231,13 @@ class ScenarioBundle:
     def build(cls, config: SystemConfig, layout: CellLayout, drop: UserDrop) -> "ScenarioBundle":
         """Gains and angular supports of every link of one drop.
 
-        One broadcast over [BS j, cell l, user k] gives, link for link, the
-        values of `large_scale` and `aoa_interval`. Raises aoa_interval's
-        ValueError, naming the link, for the first link in (j, l, k) order
-        whose BS sits on the user or inside its scattering ring. SystemConfig
-        rules that out for every link of a `drop_users` drop: a user is
-        farther than exclusion_radius from its own BS, and no nearer to any
-        other, since each hexagon is its BS's Voronoi cell.
+        The one-drop call of `_links`: link for link, the values of
+        `large_scale` and `aoa_interval`, or the ValueError of the first
+        link in (j, l, k) order whose BS sits on the user or inside its
+        scattering ring. SystemConfig rules that out for every link of a
+        `drop_users` drop: a user is farther than exclusion_radius from its
+        own BS, and no nearer to any other, since each hexagon is its BS's
+        Voronoi cell.
         """
         L, K = drop.shape
         if L != layout.L:
@@ -220,22 +246,9 @@ class ScenarioBundle:
             raise ConfigError(
                 f"drop shape {L}x{K} disagrees with the configured scenario "
                 f"({config.L} cells x {config.K} users)")
-        # delta[j, l, k]: user (l, k) seen from BS j
-        delta = drop.positions[None] - layout.bs_positions[:, None, None]
-        dist = np.hypot(delta[..., 0], delta[..., 1])
-        bad = config.scatter_radius >= dist
-        if bad.any():
-            # the scalar oracle words the error of the first offending link
-            j, l, k = np.argwhere(bad)[0]
-            try:
-                aoa_interval(drop.positions[l, k], layout.bs_positions[j],
-                             config.scatter_radius)
-            except ValueError as exc:
-                raise ValueError(f"user {k} of cell {l} seen from BS {j}: {exc}") from None
-        centers = np.arctan2(delta[..., 1], delta[..., 0])
-        gains = large_scale(dist, config)
+        gains, centers, half_widths = _links(config, layout.bs_positions, drop.positions)
         return cls(config=config, layout=layout, drop=drop, gains=gains,
-                   centers=centers, half_widths=np.arcsin(config.scatter_radius / dist))
+                   centers=centers, half_widths=half_widths)
 
     def interval(self, j: int, l: int, k: int) -> AoAInterval:
         return AoAInterval(center=self.centers[j, l, k],
@@ -245,9 +258,49 @@ class ScenarioBundle:
         return self.drop.digest()
 
 
+def _links(config: SystemConfig, bs_positions: np.ndarray, positions: np.ndarray):
+    """(gains, centers, half_widths) of user positions (..., L, K, 2), each of
+    shape (..., L, L, K) and indexed [..., BS j, cell l, user k].
+
+    One broadcast over the leading drop axes and [j, l, k]. Raises
+    aoa_interval's ValueError, naming the link, for the first link in
+    (..., j, l, k) order whose BS sits on the user or inside its
+    scattering ring.
+    """
+    # delta[..., j, l, k]: user (l, k) seen from BS j
+    delta = positions[..., None, :, :, :] - bs_positions[:, None, None]
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    bad = config.scatter_radius >= dist
+    if bad.any():
+        # the scalar oracle words the error of the first offending link
+        *lead, j, l, k = np.argwhere(bad)[0]
+        try:
+            aoa_interval(positions[tuple(lead)][l, k], bs_positions[j],
+                         config.scatter_radius)
+        except ValueError as exc:
+            raise ValueError(f"user {k} of cell {l} seen from BS {j}: {exc}") from None
+    return (large_scale(dist, config), np.arctan2(delta[..., 1], delta[..., 0]),
+            np.arcsin(config.scatter_radius / dist))
+
+
 def fresh_world(config: SystemConfig, rng: np.random.Generator,
                 layout: CellLayout | None = None) -> ScenarioBundle:
     """Convenience: drop users with rng and assemble the bundle."""
     layout = layout or build_layout(config.L, config.R)
     drop = drop_users(layout, config.K, config.exclusion_radius, rng)
     return ScenarioBundle.build(config, layout, drop)
+
+
+def _fresh_worlds(config: SystemConfig, rng: np.random.Generator, layout: CellLayout,
+                  count: int) -> tuple[list, ConfigError | None]:
+    """The worlds of `count` successive fresh_world calls, from one
+    `_draw_drops` scan and one `_links` broadcast, and the ConfigError of
+    the first drop that fails (the worlds before it are returned), else
+    None. Each world holds copies, so keeping one pins no other.
+    """
+    positions, error = _draw_drops(layout, config.K, config.exclusion_radius, rng, count)
+    links = _links(config, layout.bs_positions, positions)
+    worlds = [ScenarioBundle(config, layout, UserDrop(positions[i].copy()),
+                             *(a[i].copy() for a in links))
+              for i in range(len(positions))]
+    return worlds, error

@@ -7,21 +7,25 @@ import pytest
 
 import cellpilot.env
 from cellpilot import (
+    ConfigError,
     CostTable,
     EnvOptions,
     RewardThresholds,
     apply_swap,
+    build_layout,
     calibrate_thresholds,
     encode_state,
+    fresh_world,
     make_env,
     pairwise_cost_matrix,
     presets,
     random_assignment,
     reward_components,
+    scenario,
     substream,
     total_costs,
 )
-from cellpilot.env import TRAJECTORY_FIELDS
+from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import write_csv
 from conftest import make_world, small_config
 
@@ -291,6 +295,73 @@ def test_world_evolution_modes():
         small.step(0)
     assert len(set(small.worlds.digests)) == 1
     assert len(small.worlds.digests) == 6
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["desk", "full"])
+def test_positions_stream_matches_worlds_drawn_one_at_a_time(preset):
+    # the stream draws its worlds in blocks, yet world for world it gives
+    # the bytes of fresh_world and pairwise_cost_matrix called once per world
+    cfg = presets()[preset].config
+    stream = WorldStream(cfg, "positions", 11)
+    rng, layout = substream(11, "world"), build_layout(cfg.L, cfg.R)
+    delivered = []
+    for t in range(41):
+        if t:
+            stream.advance()
+        want, got = fresh_world(cfg, rng, layout), stream.world
+        assert _same_bytes(got.drop.positions, want.drop.positions), t
+        for name in ("gains", "centers", "half_widths"):
+            assert _same_bytes(getattr(got, name), getattr(want, name)), (t, name)
+        assert _same_bytes(stream.pairwise, pairwise_cost_matrix(want)), t
+        assert stream.digests[t] == want.digest()
+        arrays = (got.drop.positions, got.gains, got.centers, got.half_widths)
+        # a world from a block owns its arrays, so keeping it pins no block
+        assert t == 0 or all(a.base is None for a in arrays), t
+        delivered.append(arrays + (stream.pairwise,))
+    assert len(stream.digests) == 41
+    # and no delivered world shares memory with another
+    for i, arrays in enumerate(delivered):
+        for others in delivered[:i]:
+            assert not any(np.shares_memory(a, b) for a in arrays for b in others), i
+
+
+def test_positions_stream_raises_at_the_failing_world(monkeypatch):
+    # with 40 attempts per user, about one drop in five fails: the stream
+    # builds, delivers the worlds before a failed drop, raises its error
+    # from the advance that reaches it, and then goes on as successive
+    # fresh_world calls would
+    real = scenario._draw_drops
+
+    def capped(layout, K, exclusion_radius, rng, count, max_attempts=None):
+        return real(layout, K, exclusion_radius, rng, count, 40)
+
+    monkeypatch.setattr(scenario, "_draw_drops", capped)
+    cfg = small_config(L=2, K=2, exclusion_radius=430.0)
+    layout = build_layout(cfg.L, cfg.R)
+    failed_at = []
+    for seed in range(3):
+        rng = substream(seed, "world")
+        try:
+            fresh_world(cfg, rng, layout)
+        except ConfigError:
+            continue  # world 0 fails: the stream does not build
+        stream = WorldStream(cfg, "positions", seed)
+        for t in range(1, 41):
+            try:
+                want = fresh_world(cfg, rng, layout)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    stream.advance()
+                assert str(got.value) == str(exc)
+                failed_at.append(t)
+            else:
+                stream.advance()
+                assert stream.world.digest() == want.digest(), (seed, t)
+    assert failed_at and max(failed_at) > 1
 
 
 def test_make_env_deterministic():

@@ -14,6 +14,7 @@ from cellpilot import (
     in_hexagon,
     large_scale,
 )
+from cellpilot.scenario import _draw_drops
 from conftest import make_world, small_config
 
 
@@ -205,6 +206,66 @@ def test_drop_users_attempt_cap_matches_per_draw_loop():
             outcomes.add("placed")
         assert rng.random() == ref_rng.random(), seed
     assert outcomes == {"raise", "placed"}
+
+
+def _reference_drops(layout, K, exclusion_radius, rng, count, max_attempts=10000):
+    """count successive _reference_drop calls: the drops placed, and the
+    ConfigError of the first that fails, else None."""
+    drops = []
+    for _ in range(count):
+        try:
+            drops.append(_reference_drop(layout, K, exclusion_radius, rng, max_attempts))
+        except ConfigError as exc:
+            return drops, exc
+    return drops, None
+
+
+class _CountingRng:
+    """A generator that counts the uniform draws the per-draw loop takes."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("count", [1, 2, 16])
+def test_draw_drops_matches_successive_per_draw_loops(count):
+    restarted = set()
+    for seed in range(480 // count):
+        L, K, excl = _DROP_SETTINGS[seed % len(_DROP_SETTINGS)]
+        layout = build_layout(L, 500.0)
+        ref_rng, rng = _CountingRng(np.random.default_rng(seed)), np.random.default_rng(seed)
+        expected, _ = _reference_drops(layout, K, excl, ref_rng, count)
+        positions, error = _draw_drops(layout, K, excl, rng, count)
+        assert error is None
+        assert np.array_equal(positions, np.reshape(expected, (count, L, K, 2))), seed
+        assert rng.bit_generator.state == ref_rng.rng.bit_generator.state, seed
+        # the first block holds 2 count L K + 8 draws; more means a restart
+        if ref_rng.draws > 2 * count * L * K + 8:
+            restarted.add((L, K, excl))
+    assert (7, 4, 430.0) in restarted
+
+
+def test_draw_drops_stops_at_the_failing_drop():
+    # a drop that meets max_attempts ends the block: the drops before it,
+    # the per-draw loop's error, and its generator state afterwards
+    failed_at = set()
+    for seed in range(120):
+        L, K, excl = ((7, 4, 430.0), (2, 5, 430.0))[seed % 2]
+        max_attempts = (20, 60, 100)[seed // 2 % 3]
+        layout = build_layout(L, 500.0)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, exc = _reference_drops(layout, K, excl, ref_rng, 16, max_attempts)
+        positions, error = _draw_drops(layout, K, excl, rng, 16, max_attempts)
+        assert np.array_equal(positions, np.reshape(expected, (-1, L, K, 2))), seed
+        assert type(error) is type(exc) and str(error) == str(exc), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+        if exc is not None:
+            failed_at.add(len(expected))
+    assert 0 in failed_at and max(failed_at) > 1
 
 
 def test_drop_users_without_users():
