@@ -63,8 +63,8 @@ from .env import (
     reward_components,
 )
 from .qnn import (
+    Learner,
     ReplayBuffer,
-    TrainResult,
     act,
     backward,
     epsilon,
@@ -132,7 +132,7 @@ __all__ = [
     "reward_components",
     "make_env",
     "ReplayBuffer",
-    "TrainResult",
+    "Learner",
     "init_params",
     "forward",
     "backward",

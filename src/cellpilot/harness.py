@@ -28,7 +28,7 @@ from .config import (
     substream,
 )
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
-from .qnn import TRAINING_LOG_FIELDS, TrainResult, train
+from .qnn import TRAINING_LOG_FIELDS, Learner
 from .rate import min_rate, moving_average
 
 METHODS = ("drl", "random", "exhaustive", "spr_like")
@@ -124,7 +124,7 @@ class MethodResult:
     rate_rows: list = field(default_factory=list)   # (step, min_rate, overhead)
     text_files: dict = field(default_factory=dict)  # filename -> content
     world_digest: str = ""
-    training: TrainResult | None = None             # drl only
+    training_rows: list | None = None               # drl only: Learner.rows
 
     def record(self, t, world, user_to_pilot, n_pilots, g_max, every):
         """Step t's worst-user cost, and at the rate-evaluation steps
@@ -135,49 +135,51 @@ class MethodResult:
             self.rate_steps.append((t, world, user_to_pilot, n_pilots))
 
 
-def _run_drl(preset: ExperimentPreset, master_seed: int) -> MethodResult:
-    """Train drl on its environment's own WorldStream and record every step.
+def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
+                 long_run: bool, failures: dict) -> dict:
+    """Run the methods in lockstep on one WorldStream: name -> result.
 
-    The stream has the seed of the baselines' stream, so drl sees their
-    worlds, and the world digests prove it.
+    The stream is drl's env's, or one of the same seed without drl. Each
+    step advances it once, through drl's Learner.step or directly, then
+    scores every baseline still running on its world and pair-cost matrix,
+    each with its own substream(seed, "baseline", name). A method that
+    raises moves to `failures` with its exception and the others go on. An
+    error of the stream, which is any that drl raises before the stream
+    advanced, fails every method still running, as a stream of its own would.
     """
-    cfg, every = preset.config, preset.rate.eval_every
-    out = MethodResult()
-    env = make_env(cfg, preset.env, master_seed)
-    out.training = train(
-        env, preset.schedule, preset.total_steps, master_seed,
-        step_callback=lambda t, _: out.record(
-            t, env.worlds.world, env.assignment.user_to_pilot(), cfg.K,
-            env.costs.global_max, every))
-    out.world_digest = env.worlds.digest()
-    out.text_files["assignment_drl.txt"] = env.assignment.to_text()
-    return out
-
-
-def _run_baselines(names, preset: ExperimentPreset, master_seed: int,
-                   long_run: bool, failures: dict) -> dict:
-    """Run the named baselines in lockstep on one WorldStream: name -> result.
-
-    The stream advances once per step, and every baseline still running is
-    scored on its world and pair-cost matrix, each with its own
-    substream(seed, "baseline", name). A baseline that raises moves to
-    `failures` with its exception and the others go on; if the stream
-    raises, every baseline still running gets its error, as each would
-    have from a stream of its own.
-    """
-    runs = {name: MethodResult() for name in names}
-    if not runs:
-        return runs
-    redraw, every = preset.env.redraw, preset.rate.eval_every
-    rngs = {name: substream(master_seed, "baseline", name) for name in runs}
-    solved = {}  # name -> its last baseline_assignment
+    cfg, redraw, every = preset.config, preset.env.redraw, preset.rate.eval_every
+    runs = {name: MethodResult() for name in methods}
+    learner = None
+    if "drl" in runs:
+        try:
+            learner = Learner(make_env(cfg, preset.env, master_seed),
+                              preset.schedule, master_seed)
+        except Exception as exc:  # record and go on with the baselines
+            failures["drl"] = exc
+            del runs["drl"]
+    rngs = {name: substream(master_seed, "baseline", name)
+            for name in runs if name != "drl"}
+    solved = {}  # baseline name -> its last baseline_assignment
     try:
-        worlds = WorldStream(preset.config, redraw, master_seed)
+        worlds = (learner.env.worlds if learner is not None
+                  else WorldStream(cfg, redraw, master_seed))
         for t in range(preset.total_steps):
             if not runs:
                 return runs
-            worlds.advance()
-            for name in list(runs):
+            if learner is None:
+                worlds.advance()
+            else:
+                try:
+                    g_max = learner.step()["g_max"]
+                    u2p = learner.env.assignment.user_to_pilot()
+                    runs["drl"].record(t, worlds.world, u2p, cfg.K, g_max, every)
+                except Exception as exc:
+                    if len(worlds.digests) == t + 1:  # the stream did not advance
+                        raise
+                    failures["drl"] = exc
+                    del runs["drl"]
+                    learner = None
+            for name in [name for name in runs if name in rngs]:
                 try:
                     # random draws anew; exhaustive and spr_like solve and
                     # score a world once
@@ -190,13 +192,16 @@ def _run_baselines(names, preset: ExperimentPreset, master_seed: int,
                 except Exception as exc:  # record and go on with the others
                     failures[name] = exc
                     del runs[name]
-    except Exception as exc:  # the stream failed every baseline still running
+    except Exception as exc:  # the stream failed every method still running
         failures.update(dict.fromkeys(runs, exc))
         return {}
 
     for name, res in runs.items():
         res.world_digest = worlds.digest()
-        if name != "random":  # a run keeps no file of its last random draw
+        if name == "drl":
+            res.training_rows = learner.rows
+            res.text_files["assignment_drl.txt"] = learner.env.assignment.to_text()
+        elif name != "random":  # a run keeps no file of its last random draw
             res.text_files.update(solved[name][3]())
     return runs
 
@@ -335,23 +340,22 @@ def run_experiment(
 
     All methods consume identical worlds (one substream of the master
     seed) and identical per-step channel realizations in the rate
-    benchmark, so their series are directly comparable. The baselines run
-    in lockstep on one shared WorldStream, so each world is drawn and
-    pair-costed once, and drl trains on its own stream of the same seed;
-    every method's world digest is the same. The methods run first, and
-    their results go back in method order; then one min_rate call per
-    evaluation step scores every method's pilot map on one shared channel
-    draw (see min_rate for the chunk rule), each getting the bytes a call
-    with its map alone gives. A method failure, while running or in its
-    rate evaluation, is recorded in the manifest and the remaining methods
-    still run; when no method finishes, the first method's exception (in
-    method order) is raised and no run file is written. The run holds
-    OpenBLAS at one thread and restores the caller's count on return.
+    benchmark, so their series are directly comparable. The methods run
+    in lockstep on one WorldStream, drl's if it runs, so each world is
+    drawn and pair-costed once and every method's world digest is the
+    same. Then one min_rate call per evaluation step scores every method's
+    pilot map on one shared channel draw (see min_rate for the chunk
+    rule), each getting the bytes a call with its map alone gives. A
+    method failure, while running or in its rate evaluation, is recorded
+    in the manifest and the remaining methods still run; when no method
+    finishes, the first method's exception (in method order) is raised and
+    no run file is written. The run holds OpenBLAS at one thread and
+    restores the caller's count on return.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and
     drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
-    columns of the one per-step record train returns), the tidy
+    columns of drl's Learner.rows, one record per step), the tidy
     step,series,value plot tables plot_min_rate.csv (each method's minimum
     rate, smoothed over SHORT_TERM_STEPS) and, when drl ran, plot_reward.csv
     (drl's reward, its short- and long-term means and the negative-reward
@@ -364,15 +368,8 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     methods = preset.active_methods(long_run)
-    runs, failures = {}, {}
-    if "drl" in methods:
-        try:
-            runs["drl"] = _run_drl(preset, master_seed)
-        except Exception as exc:  # record and continue with the baselines
-            failures["drl"] = exc
-    runs.update(_run_baselines([m for m in methods if m != "drl"], preset,
-                               master_seed, long_run, failures))
-    runs = {name: runs[name] for name in methods if name in runs}
+    failures = {}
+    runs = _run_methods(methods, preset, master_seed, long_run, failures)
     _score_rates(runs, preset, master_seed, failures)
     if not runs:
         raise failures[methods[0]]
@@ -406,13 +403,13 @@ def run_experiment(
         for fname, content in sorted(res.text_files.items()):
             (out_dir / fname).write_text(content)
             manifest["files"].append(fname)
-        if res.training is not None:
+        if res.training_rows is not None:
             write_csv(out_dir / "drl_training_log.csv", TRAINING_LOG_FIELDS,
-                      res.training.rows)
+                      res.training_rows)
             write_csv(out_dir / "drl_trajectory.csv", TRAJECTORY_FIELDS,
-                      res.training.rows)
+                      res.training_rows)
             write_csv(out_dir / "plot_reward.csv", PLOT_FIELDS,
-                      _reward_series(res.training.rows))
+                      _reward_series(res.training_rows))
             manifest["files"] += ["drl_training_log.csv", "drl_trajectory.csv",
                                   "plot_reward.csv"]
 

@@ -7,14 +7,12 @@ derivatives of the squared TD error, which keeps them checkable against
 finite differences.
 
 `forward`, `backward` and `rmsprop_step` compute in the dtype of the
-parameters they are given. `train` runs the network in float32: it casts
+parameters they are given. A `Learner` runs the network in float32: it casts
 the float64 initial draws once, and the states it acts on and replays are
 float32. Float64 parameters give the float64 reference of the same net.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +28,7 @@ def init_params(
 ) -> dict:
     """Scaled-uniform fan-in initialization, drawn in float64.
 
-    `train` casts the draws to float32 once, so the stream of draws does
+    A Learner casts the draws to float32 once, so the stream of draws does
     not depend on the training precision.
 
     Returns {name: array} in forward order: fc0.W, fc0.b, fc1.*, then
@@ -275,91 +273,91 @@ TRAINING_LOG_FIELDS = (
 )
 
 
-@dataclass
-class TrainResult:
-    params: dict
-    rows: list  # one dict per step; see train
-    skipped_updates: int
-
-
-@_one_blas_thread()
-def train(
-    env,
-    schedule: TrainingSchedule,
-    total_steps: int,
-    seed: int,
-    step_callback=None,
-) -> TrainResult:
-    """Online Q-learning on the given environment.
+class Learner:
+    """Online Q-learning on the given environment, one step per `step()`.
 
     Per step: epsilon-greedy action, environment transition, replay push,
     one RMSprop update on a uniform mini-batch once the buffer holds a full
     batch (targets from the frozen copy), and a target sync every
-    target_sync_period updates. Everything is driven by substreams of the
-    seed, so identical (env, seed) runs produce identical logs. The
+    target_sync_period steps. Everything is driven by substreams of the
+    seed, so identical (env, seed) runs produce identical rows. The
     network, its RMSprop state and the replayed states are float32.
-    step_callback(t, env) runs after each step and must not change env.
 
-    train runs with OpenBLAS held at one thread, step_callback included,
-    and restores its caller's thread count on return or raise. Its matrix
-    products (batch x width x width, 200 x 128 x 128 by default) gain
-    almost no wall time from a second thread, which then spins through
-    the Python work between calls. The outputs are the same bytes at any
-    thread count.
-
-    The result's `rows` hold one dict per step: `step`, the dict env.step
-    returned, `epsilon`, `explored` (whether the action was a random one),
-    `loss` (None before the first update), `g_max` (the worst-user cost
-    after the step, equal to `g_next`), `action` and `synced`. Every
-    TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS column is a key, so either
-    file is write_csv of `rows` with its field tuple.
+    `params` is the network, `skipped_updates` counts the updates dropped
+    on non-finite gradients, and `rows` holds one dict per step taken:
+    `step`, the dict env.step returned, `epsilon`, `explored` (whether the
+    action was a random one), `loss` (None before the first update),
+    `g_max` (the worst-user cost after the step, equal to `g_next`),
+    `action` and `synced`. Every TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
+    column is a key, so either file is write_csv of `rows` with its field
+    tuple.
     """
-    rng_init = substream(seed, "qnn", "init")
-    rng_act = substream(seed, "qnn", "act")
-    rng_replay = substream(seed, "qnn", "replay")
 
-    feats = env.encode().astype(np.float32)
-    params = {name: arr.astype(np.float32) for name, arr in init_params(
-        feats.size, env.n_actions, rng_init, hidden=schedule.hidden_width,
-        n_blocks=schedule.residual_blocks).items()}
-    target = sync_target(params)
-    opt = {}
-    replay = ReplayBuffer(schedule.replay_capacity)
+    def __init__(self, env, schedule: TrainingSchedule, seed: int):
+        self.env, self.schedule = env, schedule
+        self._rng_act = substream(seed, "qnn", "act")
+        self._rng_replay = substream(seed, "qnn", "replay")
+        self._feats = env.encode().astype(np.float32)
+        self.params = {name: arr.astype(np.float32) for name, arr in init_params(
+            self._feats.size, env.n_actions, substream(seed, "qnn", "init"),
+            hidden=schedule.hidden_width, n_blocks=schedule.residual_blocks).items()}
+        self._target = sync_target(self.params)
+        self._opt = {}
+        self._replay = ReplayBuffer(schedule.replay_capacity)
+        self.rows = []
+        self.skipped_updates = 0
 
-    rows = []
-    skipped = 0
-    for t in range(total_steps):
+    def step(self) -> dict:
+        """Take the next step and return its row."""
+        env, schedule, t = self.env, self.schedule, len(self.rows)
         eps_t = epsilon(t, schedule)
-        action, explored = act(params, feats, eps_t, rng_act, env.n_actions)
+        action, explored = act(self.params, self._feats, eps_t, self._rng_act,
+                               env.n_actions)
         row = env.step(action)
         next_feats = env.encode().astype(np.float32)
-        replay.push(feats, action, row["reward"], next_feats)
+        self._replay.push(self._feats, action, row["reward"], next_feats)
 
         loss = None
-        batch = replay.sample(schedule.batch_size, rng_replay)
+        batch = self._replay.sample(schedule.batch_size, self._rng_replay)
         if batch is not None:
             s, a, r, s2 = batch
-            targets = td_targets(target, r, s2, schedule.discount)
-            grads, loss = backward(params, s, a, targets)
+            targets = td_targets(self._target, r, s2, schedule.discount)
+            grads, loss = backward(self.params, s, a, targets)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite training loss at step {t}; "
-                    f"|q| max {np.abs(forward(params, s)).max():.3e}, "
+                    f"|q| max {np.abs(forward(self.params, s)).max():.3e}, "
                     f"reward {row['reward']}, action {action}"
                 )
-            if not rmsprop_step(params, grads, opt, lr=schedule.learning_rate,
+            if not rmsprop_step(self.params, grads, self._opt,
+                                lr=schedule.learning_rate,
                                 decay=schedule.rms_decay, eps=schedule.rms_eps):
-                skipped += 1
+                self.skipped_updates += 1
 
         # the frozen copy refreshes on a fixed step cadence: steps T, 2T, ...
         synced = (t + 1) % schedule.target_sync_period == 0
         if synced:
-            target = sync_target(params)
+            self._target = sync_target(self.params)
 
-        rows.append({"step": t, **row, "epsilon": eps_t, "explored": explored,
-                     "loss": loss, "g_max": row["g_next"], "action": action,
-                     "synced": synced})
-        if step_callback is not None:
-            step_callback(t, env)
-        feats = next_feats
-    return TrainResult(params=params, rows=rows, skipped_updates=skipped)
+        row = {"step": t, **row, "epsilon": eps_t, "explored": explored,
+               "loss": loss, "g_max": row["g_next"], "action": action,
+               "synced": synced}
+        self.rows.append(row)
+        self._feats = next_feats
+        return row
+
+
+@_one_blas_thread()
+def train(env, schedule: TrainingSchedule, total_steps: int, seed: int) -> Learner:
+    """A Learner on env, stepped total_steps times.
+
+    train holds OpenBLAS at one thread and restores its caller's thread
+    count on return or raise. Its matrix products (batch x width x width,
+    200 x 128 x 128 by default) gain almost no wall time from a second
+    thread, which then spins through the Python work between calls. The
+    outputs are the same bytes at any thread count.
+    """
+    learner = Learner(env, schedule, seed)
+    for _ in range(total_steps):
+        learner.step()
+    return learner

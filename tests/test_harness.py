@@ -23,7 +23,7 @@ from cellpilot import (
 )
 from cellpilot import harness, scenario
 from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
-from cellpilot.harness import SHORT_TERM_STEPS, _run_baselines, _run_drl
+from cellpilot.harness import SHORT_TERM_STEPS, _run_methods
 from cellpilot.qnn import TRAINING_LOG_FIELDS
 
 RUN_FILES = (
@@ -175,8 +175,9 @@ def test_run_spr_overhead_factor(tiny_run):
 
 
 def test_drl_costs_are_the_step_record(tiny_run):
-    # drl's costs.csv rows come through train's step callback; step by step
-    # they are the g_next and g_max of the one record both drl files project
+    # the run's step loop records drl's costs.csv rows from the rows its
+    # Learner steps; step by step they are the g_next and g_max of the one
+    # record both drl files project
     costs = [row for row in _read(tiny_run / "costs.csv") if row["method"] == "drl"]
     trajectory = _read(tiny_run / "drl_trajectory.csv")
     log = _read(tiny_run / "drl_training_log.csv")
@@ -185,9 +186,9 @@ def test_drl_costs_are_the_step_record(tiny_run):
         assert int(cost["step"]) == int(traj["step"]) == int(entry["step"]) == t
         assert cost["global_max"] == traj["g_next"] == entry["g_max"], t
 
-    res = _run_drl(_tiny_preset(), 5)
-    assert len(res.training.rows) == len(res.cost_rows) == 30
-    for row, (t, g_max) in zip(res.training.rows, res.cost_rows):
+    res = _run_methods(("drl",), _tiny_preset(), 5, False, {})["drl"]
+    assert len(res.training_rows) == len(res.cost_rows) == 30
+    for row, (t, g_max) in zip(res.training_rows, res.cost_rows):
         assert set(TRAINING_LOG_FIELDS) | set(TRAJECTORY_FIELDS) <= row.keys()
         assert row["step"] == t
         assert row["g_max"] == row["g_next"] == g_max
@@ -281,7 +282,7 @@ def test_shared_rate_pass_matches_lone_calls(tmp_path):
             for row in _read(out / "results.csv")]
     expected = []
     for name in preset.methods:
-        alone = _run_baselines([name], preset, 4, False, {})[name]
+        alone = _run_methods([name], preset, 4, False, {})[name]
         for t, world, u2p, n_pilots in alone.rate_steps:
             report, = min_rate(world, [(u2p, n_pilots)],
                                substream(4, "rate", t), preset.rate)
@@ -293,11 +294,12 @@ def test_shared_rate_pass_matches_lone_calls(tmp_path):
 
 @pytest.mark.parametrize("redraw", ["positions", "smallscale"])
 def test_lockstep_baselines_match_lone_runs(tmp_path, redraw):
-    # the baselines share one world stream: each one's rows, files and
-    # manifest entry in a three-baseline run are those of a same-seed run
-    # with that baseline alone
+    # every method, drl included, steps on one world stream: each one's
+    # rows, files and manifest entry in a four-method run are those of a
+    # same-seed run with that method alone
     preset = dataclasses.replace(
-        _positions_preset(), env=EnvOptions(redraw=redraw, threshold_samples=30))
+        _positions_preset(("random", "spr_like", "exhaustive", "drl")),
+        env=EnvOptions(redraw=redraw, threshold_samples=30))
     together = run_experiment(preset, 4, out_dir=tmp_path / "together")
     methods = json.loads((together / "manifest.json").read_text())["methods"]
     for name in preset.methods:
@@ -311,25 +313,36 @@ def test_lockstep_baselines_match_lone_runs(tmp_path, redraw):
         manifest = json.loads((alone / "manifest.json").read_text())
         assert methods[name] == manifest["methods"][name]
         for fname in manifest["files"]:
-            if fname.startswith(("assignment_", "overhead_")):
-                assert (together / fname).read_bytes() == (alone / fname).read_bytes()
+            if fname.startswith(("assignment_", "overhead_", "drl_")):
+                assert (together / fname).read_bytes() == (alone / fname).read_bytes(), (
+                    name, fname)
+    assert {"assignment_drl.txt", "drl_training_log.csv",
+            "drl_trajectory.csv"} <= set(manifest["files"])
 
 
 def test_positions_run_draws_each_world_once(tmp_path, monkeypatch):
-    # T steps of three baselines draw T + 1 worlds, world 0 included, not
-    # T + 1 per baseline; the stream draws in blocks, so at most 15 more
+    # T steps of drl and three baselines draw T + 1 worlds, world 0
+    # included, not T + 1 per stream; the stream draws in blocks, so at
+    # most 15 more. The threshold calibration draws its own drops.
     real, drops = scenario._draw_drops, []
+    real_init, streams = WorldStream.__init__, []
 
     def spy(*args, **kwargs):
         positions, error = real(*args, **kwargs)
         drops.append(len(positions))
         return positions, error
 
+    def init(self, *args):
+        streams.append(self)
+        real_init(self, *args)
+
     monkeypatch.setattr(scenario, "_draw_drops", spy)
-    preset = _positions_preset()
+    monkeypatch.setattr(WorldStream, "__init__", init)
+    preset = _positions_preset(("random", "spr_like", "exhaustive", "drl"))
     run_experiment(preset, 4, out_dir=tmp_path / "run")
-    T = preset.total_steps
-    assert T + 1 <= sum(drops) <= T + 16
+    T, calibration = preset.total_steps, preset.env.threshold_samples
+    assert T + 1 <= sum(drops) - calibration <= T + 16
+    assert len(streams) == 1
 
 
 def test_stream_failure_fails_every_baseline(tmp_path, monkeypatch):
@@ -358,11 +371,59 @@ def test_stream_failure_fails_every_baseline(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "baseline_assignment", failing)
     failures = {}
-    assert _run_baselines(("random", "spr_like"), _positions_preset(), 4, False,
-                          failures) == {}
+    assert _run_methods(("random", "spr_like"), _positions_preset(), 4, False,
+                        failures) == {}
     assert {name: str(exc) for name, exc in failures.items()} == {
         "spr_like": "spr_like", "random": "could not place user 1 in cell 0"}
     assert calls.count("random") == 7
+
+
+def test_stream_failure_inside_drl_fails_every_method(tmp_path, monkeypatch):
+    # drl's env.step advances the shared stream, which raises at step 7:
+    # that is the stream's error, so every method gets it and the run
+    # raises it and writes no file
+    real, advanced = WorldStream.advance, []
+
+    def advance(self):
+        advanced.append(len(self.digests))
+        if len(self.digests) == 8:
+            raise ConfigError("could not place user 1 in cell 0")
+        real(self)
+
+    monkeypatch.setattr(WorldStream, "advance", advance)
+    methods = ("random", "spr_like", "drl")
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="could not place user 1 in cell 0"):
+        run_experiment(_positions_preset(methods), 4, out_dir=out)
+    assert list(out.iterdir()) == []
+    # one stream, advanced once a step and not again after it failed
+    assert advanced == list(range(1, 9))
+    failures = {}
+    assert _run_methods(methods, _positions_preset(), 4, False, failures) == {}
+    assert {name: str(exc) for name, exc in failures.items()} == dict.fromkeys(
+        methods, "could not place user 1 in cell 0")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_drl_numeric_error_leaves_the_baselines_rows(tmp_path):
+    # drl diverges mid-run; the baselines go on stepping the stream, and
+    # their rows are the bytes of a run without drl
+    plain = run_experiment(_positions_preset(("random", "spr_like")), 4,
+                           out_dir=tmp_path / "plain")
+    preset = _positions_preset(("random", "spr_like", "drl"))
+    preset = dataclasses.replace(preset, schedule=dataclasses.replace(
+        preset.schedule, learning_rate=1e30))
+    out = run_experiment(preset, 4, out_dir=tmp_path / "diverged")
+    for name in ("results.csv", "costs.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+    methods = json.loads((out / "manifest.json").read_text())["methods"]
+    assert methods["drl"]["status"] == "error"
+    assert methods["drl"]["error"].startswith(
+        "NumericError: non-finite training loss at step ")
+    assert methods["random"] == json.loads(
+        (plain / "manifest.json").read_text())["methods"]["random"]
+    assert not (out / "drl_training_log.csv").exists()
 
 
 @pytest.mark.parametrize("where", ["run", "rate"])

@@ -7,6 +7,7 @@ import pytest
 
 from cellpilot import (
     EnvOptions,
+    Learner,
     NumericError,
     ReplayBuffer,
     TrainingSchedule,
@@ -403,6 +404,19 @@ def test_train_updates_and_syncs():
     assert len(result.rows) == 40
 
 
+def test_learner_steps_are_train():
+    # train is a Learner stepped total_steps times; each step returns the
+    # row it appends
+    learner = Learner(_tiny_env(seed=3), _TINY_SCHED, seed=3)
+    returned = [learner.step() for _ in range(40)]
+    result = train(_tiny_env(seed=3), _TINY_SCHED, total_steps=40, seed=3)
+    assert returned == learner.rows == result.rows
+    assert [row["step"] for row in returned] == list(range(40))
+    assert learner.skipped_updates == result.skipped_updates
+    for name, arr in result.params.items():
+        assert np.array_equal(learner.params[name], arr), name
+
+
 def test_training_log_csv_format(tmp_path):
     env = _tiny_env(seed=6)
     result = train(env, _TINY_SCHED, total_steps=20, seed=6)
@@ -466,9 +480,15 @@ def test_openblas_thread_functions_found():
 
 
 def test_train_holds_one_blas_thread(two_blas_threads):
-    counts = []
-    train(_tiny_env(seed=4), _TINY_SCHED, total_steps=20, seed=4,
-          step_callback=lambda t, env: counts.append(two_blas_threads()))
+    counts, env = [], _tiny_env(seed=4)
+    real = env.step
+
+    def step(action):
+        counts.append(two_blas_threads())
+        return real(action)
+
+    env.step = step
+    train(env, _TINY_SCHED, total_steps=20, seed=4)
     assert counts == [1] * 20
     assert two_blas_threads() == 2  # the caller's count is back
 
