@@ -27,7 +27,7 @@ def main():
     for l in range(cfg.L):
         for k in range(cfg.K):
             d = np.hypot(*(world.drop.positions[l, k] - world.layout.bs_positions[l]))
-            snr_db = 10 * np.log10(world.gains[l, l, k] / cfg.sigma2)
+            snr_db = 10 * np.log10(world.gains[l, l, k])
             iv = world.interval(l, l, k)
             print(f"  {l} {k}  {d:8.1f}   {snr_db:14.1f}   {np.degrees(iv.center):15.1f}"
                   f"   {np.degrees(iv.half_width):15.2f}")
@@ -37,7 +37,7 @@ def main():
     cross[0] = 0.0  # mask own-cell users
     l, k = np.unravel_index(np.argmax(cross), cross.shape)
     print(f"  user ({l},{k}): gain/noise "
-          f"{10 * np.log10(cross[l, k] / cfg.sigma2):.1f} dB, support "
+          f"{10 * np.log10(cross[l, k]):.1f} dB, support "
           f"[{np.degrees(world.interval(0, l, k).low):.1f}, "
           f"{np.degrees(world.interval(0, l, k).high):.1f}] deg")
 

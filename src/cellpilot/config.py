@@ -50,11 +50,11 @@ def _check_db(name: str, db: float, what: str = "its linear value"):
 class SystemConfig:
     """Static description of the multi-cell uplink scenario.
 
-    Angles are radians, distances meters, powers linear unless the field
-    name carries a _db suffix. Every user sits farther than
-    exclusion_radius from its own BS, so scatter_radius <= exclusion_radius
-    < R keeps every BS outside every user's scattering ring, where the
-    angular support is defined (see ScenarioBundle.build).
+    Angles are radians, distances meters, powers linear and in units of
+    the noise power unless the field name carries a _db suffix. Every user
+    sits farther than exclusion_radius from its own BS, so scatter_radius
+    <= exclusion_radius < R keeps every BS outside every user's scattering
+    ring, where the angular support is defined (see ScenarioBundle.build).
     """
 
     L: int = 7                    # number of cells / base stations
@@ -63,7 +63,6 @@ class SystemConfig:
     eta: float = 2.5              # path-loss exponent
     R: float = 500.0              # cell radius (hexagon circumradius)
     gamma_snr_db: float = 20.0    # SNR at cell edge, dB
-    sigma2: float = 1.0           # noise power
     spacing: float = 0.5          # antenna spacing in wavelengths
     scatter_radius: float = 50.0  # scattering ring radius around each user
     exclusion_radius: float = 50.0  # min user distance from its BS
@@ -72,8 +71,8 @@ class SystemConfig:
         _check_finite(self)
         if self.L < 1 or self.K < 1 or self.M < 1:
             raise ConfigError("L, K and M must be positive integers")
-        if self.eta <= 0 or self.R <= 0 or self.sigma2 <= 0 or self.spacing <= 0:
-            raise ConfigError("eta, R, sigma2 and spacing must be positive")
+        if self.eta <= 0 or self.R <= 0 or self.spacing <= 0:
+            raise ConfigError("eta, R and spacing must be positive")
         if self.scatter_radius <= 0:
             raise ConfigError("scatter_radius must be positive")
         if not self.scatter_radius <= self.exclusion_radius < self.R:
@@ -82,7 +81,7 @@ class SystemConfig:
                 f"{self.scatter_radius}, {self.exclusion_radius} and {self.R}")
         _check_db("gamma_snr_db", self.gamma_snr_db)
         _check_db("gamma_snr_db", self.gain_db,
-                  "with eta, R and sigma2, the path-gain constant")
+                  "with eta and R, the path-gain constant")
 
     @property
     def cell_edge_snr(self) -> float:
@@ -91,10 +90,9 @@ class SystemConfig:
 
     @property
     def gain_db(self) -> float:
-        """large_scale's gain constant, dB: a user at distance R sees
-        gain/noise equal to the cell-edge SNR."""
-        return self.gamma_snr_db + 10.0 * self.eta * np.log10(self.R) \
-            + 10.0 * np.log10(self.sigma2)
+        """large_scale's gain constant, dB: a user at distance R sees a
+        gain, in units of the noise power, equal to the cell-edge SNR."""
+        return self.gamma_snr_db + 10.0 * self.eta * np.log10(self.R)
 
 
 @dataclass

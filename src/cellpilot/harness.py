@@ -74,10 +74,10 @@ def presets() -> dict:
     """Built-in experiment recipes.
 
     `desk` is sized so that every method, including the exhaustive search,
-    runs in minutes on one core; it drives the acceptance suite. `full`
-    is the full-scale seven-cell scenario; its exhaustive search space
-    holds (4!)^6 ~ 1.9e8 candidates, over the search budget, so it is
-    gated behind the long-run flag.
+    runs in under half a minute on one core; it drives the acceptance
+    suite. `full` is the full-scale seven-cell scenario; its exhaustive
+    search space holds (4!)^6 ~ 1.9e8 candidates, over the search budget,
+    so it is gated behind the long-run flag.
     """
     desk = ExperimentPreset(
         name="desk",
@@ -119,20 +119,10 @@ class MethodResult:
     """Everything one method contributes to the experiment outputs."""
 
     cost_rows: list = field(default_factory=list)   # (step, global_max)
-    # (step, world, user_to_pilot, n_pilots) at each rate-evaluation step
-    rate_steps: list = field(default_factory=list)
     rate_rows: list = field(default_factory=list)   # (step, min_rate, overhead)
     text_files: dict = field(default_factory=dict)  # filename -> content
     world_digest: str = ""
     training_rows: list | None = None               # drl only: Learner.rows
-
-    def record(self, t, world, user_to_pilot, n_pilots, g_max, every):
-        """Step t's worst-user cost, and at the rate-evaluation steps
-        every-1, 2*every-1, ... its world and pilot map, which
-        run_experiment scores (`rate_rows` stays empty until then)."""
-        self.cost_rows.append((t, g_max))
-        if t % every == every - 1:
-            self.rate_steps.append((t, world, user_to_pilot, n_pilots))
 
 
 def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
@@ -142,10 +132,13 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     The stream is drl's env's, or one of the same seed without drl. Each
     step advances it once, through drl's Learner.step or directly, then
     scores every baseline still running on its world and pair-cost matrix,
-    each with its own substream(seed, "baseline", name). A method that
-    raises moves to `failures` with its exception and the others go on. An
-    error of the stream, which is any that drl raises before the stream
-    advanced, fails every method still running, as a stream of its own would.
+    each with its own substream(seed, "baseline", name). Each evaluation
+    step every-1, 2*every-1, ... then ends with one _score_step call, which
+    rates the pilot maps of every method still running. A method that
+    raises, while stepping or in its rate evaluation, moves to `failures`
+    with its exception and stops; the others go on. An error of the
+    stream, which is any that drl raises before the stream advanced, fails
+    every method still running, as a stream of its own would.
     """
     cfg, redraw, every = preset.config, preset.env.redraw, preset.rate.eval_every
     runs = {name: MethodResult() for name in methods}
@@ -166,19 +159,16 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
         for t in range(preset.total_steps):
             if not runs:
                 return runs
-            if learner is None:
+            if "drl" not in runs:
                 worlds.advance()
             else:
                 try:
-                    g_max = learner.step()["g_max"]
-                    u2p = learner.env.assignment.user_to_pilot()
-                    runs["drl"].record(t, worlds.world, u2p, cfg.K, g_max, every)
+                    runs["drl"].cost_rows.append((t, learner.step()["g_max"]))
                 except Exception as exc:
                     if len(worlds.digests) == t + 1:  # the stream did not advance
                         raise
                     failures["drl"] = exc
                     del runs["drl"]
-                    learner = None
             for name in [name for name in runs if name in rngs]:
                 try:
                     # random draws anew; exhaustive and spr_like solve and
@@ -187,11 +177,15 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
                         solved[name] = baseline_assignment(
                             name, worlds.world, rngs[name], worlds.pairwise,
                             allow_long_run=long_run)
-                    u2p, n_pilots, g_max, _ = solved[name]
-                    runs[name].record(t, worlds.world, u2p, n_pilots, g_max, every)
+                    runs[name].cost_rows.append((t, solved[name][2]))
                 except Exception as exc:  # record and go on with the others
                     failures[name] = exc
                     del runs[name]
+            if t % every == every - 1:
+                maps = {name: (learner.env.assignment.user_to_pilot(), cfg.K)
+                        if name == "drl" else solved[name][:2] for name in runs}
+                _score_step(t, worlds.world, maps, runs, preset, master_seed,
+                            failures)
     except Exception as exc:  # the stream failed every method still running
         failures.update(dict.fromkeys(runs, exc))
         return {}
@@ -204,6 +198,34 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
         elif name != "random":  # a run keeps no file of its last random draw
             res.text_files.update(solved[name][3]())
     return runs
+
+
+def _score_step(t: int, world, maps: dict, runs: dict,
+                preset: ExperimentPreset, master_seed: int, failures: dict):
+    """Add step t's rate row to the run of each name in `maps`.
+
+    `maps` holds name -> (user_to_pilot, n_pilots). One min_rate call on
+    substream(seed, "rate", t) scores every map on the step's world (each
+    gets the bytes a call with its map alone gives). If the shared call
+    raises, each map is scored alone, and a method whose lone call raises
+    moves from `runs` to `failures` with its exception.
+    """
+    try:
+        reports = dict(zip(maps, min_rate(
+            world, maps.values(), substream(master_seed, "rate", t), preset.rate)))
+    except Exception:
+        reports = {}
+        for name, pilot_map in maps.items():
+            try:
+                reports[name], = min_rate(
+                    world, [pilot_map], substream(master_seed, "rate", t),
+                    preset.rate)
+            except Exception as exc:
+                failures[name] = exc
+                del runs[name]
+    for name, report in reports.items():
+        runs[name].rate_rows.append(
+            (t, report.min_rate, maps[name][1] / preset.config.K))
 
 
 def _config_dict(preset: ExperimentPreset) -> dict:
@@ -296,39 +318,6 @@ def _error(exc: Exception) -> dict:
     return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _score_rates(runs: dict, preset: ExperimentPreset, master_seed: int,
-                 failures: dict):
-    """Fill each run's rate_rows: one min_rate per evaluation step scores
-    every method's pilot map on the step's channel draws.
-
-    Every method sees the same world at a step (their digests prove it), so
-    the first run's serves all. If the shared call raises, each map is
-    scored alone, and a method whose lone call raises moves from `runs` to
-    `failures` with its exception, as if it had raised while running.
-    """
-    K, every = preset.config.K, preset.rate.eval_every
-    for i, t in enumerate(range(every - 1, preset.total_steps, every)):
-        if not runs:
-            break
-        world = next(iter(runs.values())).rate_steps[i][1]
-        maps = {name: res.rate_steps[i][2:] for name, res in runs.items()}
-        try:
-            reports = dict(zip(maps, min_rate(
-                world, maps.values(), substream(master_seed, "rate", t), preset.rate)))
-        except Exception:
-            reports = {}
-            for name, pilot_map in maps.items():
-                try:
-                    reports[name], = min_rate(
-                        world, [pilot_map], substream(master_seed, "rate", t),
-                        preset.rate)
-                except Exception as exc:
-                    failures[name] = exc
-                    del runs[name]
-        for name, report in reports.items():
-            runs[name].rate_rows.append((t, report.min_rate, maps[name][1] / K))
-
-
 @_one_blas_thread()
 def run_experiment(
     preset: ExperimentPreset,
@@ -343,11 +332,12 @@ def run_experiment(
     benchmark, so their series are directly comparable. The methods run
     in lockstep on one WorldStream, drl's if it runs, so each world is
     drawn and pair-costed once and every method's world digest is the
-    same. Then one min_rate call per evaluation step scores every method's
-    pilot map on one shared channel draw (see min_rate for the chunk
-    rule), each getting the bytes a call with its map alone gives. A
-    method failure, while running or in its rate evaluation, is recorded
-    in the manifest and the remaining methods still run; when no method
+    same. Each evaluation step of that loop ends with one min_rate call,
+    which scores the pilot map of every method still running on one
+    shared channel draw (see min_rate for the chunk rule), each getting
+    the bytes a call with its map alone gives. A method failure, while
+    running or in its rate evaluation, stops that method and is recorded
+    in the manifest, and the remaining methods still run; when no method
     finishes, the first method's exception (in method order) is raised and
     no run file is written. The run holds OpenBLAS at one thread and
     restores the caller's count on return.
@@ -370,7 +360,6 @@ def run_experiment(
     methods = preset.active_methods(long_run)
     failures = {}
     runs = _run_methods(methods, preset, master_seed, long_run, failures)
-    _score_rates(runs, preset, master_seed, failures)
     if not runs:
         raise failures[methods[0]]
 

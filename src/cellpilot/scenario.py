@@ -180,9 +180,9 @@ def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
 def large_scale(distance: float | np.ndarray, config: SystemConfig):
     """Distance-based channel gain, calibrated to the configured cell-edge SNR.
 
-    The gain constant is chosen so that a user at distance R sees
-    gain/noise equal to the linear cell-edge SNR:
-        gain_db = gamma_snr_db + 10*eta*log10(R) + 10*log10(sigma2)
+    Gains are in units of the noise power. The gain constant is chosen so
+    that a user at distance R sees a gain equal to the linear cell-edge SNR:
+        gain_db = gamma_snr_db + 10*eta*log10(R)
         D(d) = 10^(gain_db/10) * d^-eta
     (SystemConfig.gain_db; SystemConfig refuses a gain_db out of range).
     """

@@ -322,9 +322,8 @@ def test_criterion_8_physical_layer_identities():
             gamma_snr_db=rng.uniform(0.0, 30.0),
             eta=rng.uniform(2.0, 4.0),
             R=rng.uniform(100.0, 1000.0),
-            sigma2=rng.uniform(0.1, 10.0),
         )
-        snr = large_scale(cfg.R, cfg) / cfg.sigma2
+        snr = large_scale(cfg.R, cfg)
         worst_snr = max(worst_snr,
                         abs(snr - cfg.cell_edge_snr) / cfg.cell_edge_snr)
 

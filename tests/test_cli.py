@@ -227,6 +227,10 @@ def test_bad_config_exit_code(tmp_path):
         code, _, stderr = _run(["baseline", "--method", "random",
                                 "--config", str(bad)])
         assert code == 2 and stderr.startswith("error: "), text
+    # the noise power is the unit of every gain, so sigma2 is no key
+    bad.write_text("[scenario]\nsigma2 = 1.0\n")
+    code, _, stderr = _run(["baseline", "--method", "random", "--config", str(bad)])
+    assert code == 2 and "unknown key 'sigma2' in section [scenario]" in stderr
 
 
 @pytest.mark.parametrize("line, argv", [

@@ -35,19 +35,20 @@ def test_cell_edge_snr_linear():
 
 @pytest.mark.parametrize("kw", [
     dict(L=0), dict(K=0), dict(M=0),
-    dict(eta=-1.0), dict(R=0.0), dict(sigma2=0.0), dict(spacing=0.0),
+    dict(eta=-1.0), dict(R=0.0), dict(eta=0.0), dict(spacing=0.0),
     dict(scatter_radius=0.0),
     dict(exclusion_radius=-1.0), dict(exclusion_radius=500.0),
     # floats built in Python must be finite, as in an INI file
     dict(eta=np.nan), dict(gamma_snr_db=np.nan), dict(scatter_radius=np.nan),
-    dict(sigma2=np.inf), dict(spacing=np.inf), dict(R=np.inf),
+    dict(eta=np.inf), dict(spacing=np.inf), dict(R=np.inf),
     # a scattering ring wider than the exclusion disk could hold its own BS
     dict(exclusion_radius=10.0), dict(scatter_radius=60.0),
     # an SNR whose linear value or its reciprocal is not a finite float
     dict(gamma_snr_db=4000.0), dict(gamma_snr_db=-4000.0), dict(gamma_snr_db=-3090.0),
-    # ... or whose path-gain constant (with eta, R and sigma2) is not
+    # ... or whose path-gain constant (with eta and R) is not
     dict(gamma_snr_db=3080.0), dict(gamma_snr_db=300.0, eta=120.0),
-    dict(gamma_snr_db=-3000.0, sigma2=1e-20),
+    dict(gamma_snr_db=-3000.0, eta=100.0, R=0.5, scatter_radius=0.1,
+         exclusion_radius=0.2),
 ])
 def test_system_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -166,6 +167,7 @@ def test_load_config_overrides_only_given_keys(tmp_path):
     "[scenario]\nclamp_aoa = true\n",
     "[scenario]\npath_gain = phase\n",
     "[scenario]\npaths = 50\n",
+    "[scenario]\nsigma2 = 1.0\n",
     "[scenario]\nL = 3\nL = 4\n",    # duplicate key
     "L = 3\n",                        # no section header
     "[scenario]\nL 3\n",              # no delimiter

@@ -248,7 +248,7 @@ def test_run_without_a_finished_method_raises(tmp_path, monkeypatch):
         run_experiment(preset, 1, out_dir=earlier)
     assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
     # method order, not the order of failure: spr_like raises while running,
-    # then the rate pass drops random, whose error is the one raised
+    # then its rate evaluation drops random, whose error is the one raised
     real = harness.baseline_assignment
 
     def failing(name, *args, **kwargs):
@@ -273,21 +273,34 @@ def _positions_preset(methods=("random", "spr_like", "exhaustive")):
         env=EnvOptions(redraw="positions", threshold_samples=30))
 
 
-def test_shared_rate_pass_matches_lone_calls(tmp_path):
+def test_shared_rate_pass_matches_lone_calls(tmp_path, monkeypatch):
     # each results.csv row is a lone min_rate of that method's map on that
     # step's world, drawn from the step's rate substream
     preset = _positions_preset()
+    shared = []
+
+    def spy(world, maps, rng, options):
+        shared.append((world, list(maps)))
+        return min_rate(world, maps, rng, options)
+
+    monkeypatch.setattr(harness, "min_rate", spy)
     out = run_experiment(preset, master_seed=4, out_dir=tmp_path / "run")
     rows = [(row["method"], int(row["step"]), row["min_rate"], row["overhead_factor"])
             for row in _read(out / "results.csv")]
-    expected = []
-    for name in preset.methods:
-        alone = _run_methods([name], preset, 4, False, {})[name]
-        for t, world, u2p, n_pilots in alone.rate_steps:
+    steps = sorted({t for _, t, _, _ in rows})
+    assert len(shared) == len(steps)
+    stream, expected = WorldStream(preset.config, "positions", 4), {}
+    for t, (world, maps) in zip(steps, shared):
+        while len(stream.digests) < t + 2:  # world 0, then t + 1 advances
+            stream.advance()
+        assert world.digest() == stream.digests[-1], t
+        assert len(maps) == len(preset.methods)
+        for name, (u2p, n_pilots) in zip(preset.methods, maps):
             report, = min_rate(world, [(u2p, n_pilots)],
                                substream(4, "rate", t), preset.rate)
-            expected.append((name, t, f"{report.min_rate:.17g}", f"{n_pilots / 3:.17g}"))
-    assert rows == expected
+            expected.setdefault(name, []).append(
+                (name, t, f"{report.min_rate:.17g}", f"{n_pilots / 3:.17g}"))
+    assert rows == [row for name in preset.methods for row in expected[name]]
     assert len(rows) == 3 * 3
     assert {ov for name, _, _, ov in rows if name == "spr_like"} != {"1"}
 
@@ -429,9 +442,9 @@ def test_drl_numeric_error_leaves_the_baselines_rows(tmp_path):
 @pytest.mark.parametrize("where", ["run", "rate"])
 def test_failing_method_leaves_the_others_rows(tmp_path, monkeypatch, where):
     # at step 19, an evaluation step, exhaustive raises while running or
-    # hands the rate pass a map with a pilot out of range; either way
-    # random's and spr_like's rows are the bytes of a run without it, and
-    # its error is in the manifest
+    # hands the rate evaluation a map with a pilot out of range; either way
+    # it stops there, random's and spr_like's rows are the bytes of a run
+    # without it, and its error is in the manifest
     plain = run_experiment(_positions_preset(("random", "spr_like")), 4,
                            out_dir=tmp_path / "plain")
     real, calls = harness.baseline_assignment, []
@@ -450,6 +463,7 @@ def test_failing_method_leaves_the_others_rows(tmp_path, monkeypatch, where):
     out = run_experiment(_positions_preset(), 4, out_dir=tmp_path / "failing")
     for name in ("results.csv", "costs.csv"):
         assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+    assert len(calls) == 20  # exhaustive stops at the step it failed
     methods = json.loads((out / "manifest.json").read_text())["methods"]
     assert methods["random"]["status"] == methods["spr_like"]["status"] == "ok"
     assert methods["exhaustive"]["status"] == "error"

@@ -289,7 +289,7 @@ def test_drop_users_impossible_exclusion():
 def test_cell_edge_snr_identity():
     cfg = SystemConfig()
     D = large_scale(cfg.R, cfg)
-    assert D / cfg.sigma2 == pytest.approx(cfg.cell_edge_snr, rel=1e-12)
+    assert D == pytest.approx(cfg.cell_edge_snr, rel=1e-12)
 
 
 def test_power_law_ratio():
@@ -299,8 +299,8 @@ def test_power_law_ratio():
 
 
 def test_gain_at_defaults():
-    # gamma 20 dB, eta 2.5, R 500, sigma2 1: D(500) = 100
-    cfg = SystemConfig(gamma_snr_db=20.0, eta=2.5, R=500.0, sigma2=1.0)
+    # gamma 20 dB, eta 2.5, R 500: D(500) = 100
+    cfg = SystemConfig(gamma_snr_db=20.0, eta=2.5, R=500.0)
     assert large_scale(500.0, cfg) == pytest.approx(100.0, rel=1e-12)
 
 
