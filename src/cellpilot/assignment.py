@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -118,7 +117,7 @@ def _expand(C, cheap, perms, d, users, partial, pending):
 def exhaustive_search(
     bundle: ScenarioBundle,
     pairwise: np.ndarray | None = None,
-    budget: int = 10**8,
+    budget: int = 10**6,
     allow_long_run: bool = False,
 ) -> tuple[PilotAssignment, CostTable]:
     """Minimize the worst-user cost over all distinct assignments.
@@ -131,18 +130,10 @@ def exhaustive_search(
     lower bound is not below the best cost found so far; it returns what
     full enumeration returns, bit for bit. Ties go to the first candidate
     in enumeration order, i.e. the lexicographically smallest assignment.
-    Candidate counts (the whole space, not the nodes visited) above the
-    budget raise BudgetError unless allow_long_run is set.
+    Expanding more than `budget` nodes raises BudgetError unless
+    allow_long_run is set; the count, like the search, is deterministic.
     """
     L, K = bundle.drop.shape
-    n_candidates = math.factorial(K) ** (L - 1)
-    if n_candidates > budget and not allow_long_run:
-        raise BudgetError(
-            f"exhaustive branch-and-bound search space holds {n_candidates} "
-            f"candidates, over the budget of {budget}; pass allow_long_run "
-            "(CLI: --long-run) to proceed, or use the random-assignment "
-            "baseline for a cheap bound"
-        )
     C = pairwise if pairwise is not None else pairwise_cost_matrix(bundle)
     perms = np.array(list(itertools.permutations(range(K))), dtype=int)
     # cheapest partner each cell can give every user; a cell never
@@ -152,9 +143,17 @@ def exhaustive_search(
 
     best_val = np.inf
     best_rows = np.tile(np.arange(K), (L, 1))
+    nodes = 0
 
     def descend(d, users, partial, pending):
-        nonlocal best_val, best_rows
+        nonlocal best_val, best_rows, nodes
+        nodes += 1
+        if nodes > budget and not allow_long_run:
+            raise BudgetError(
+                f"exhaustive branch-and-bound search passed its node budget "
+                f"of {budget} expanded nodes; pass allow_long_run (CLI: "
+                "--long-run) to lift it, or use the random-assignment "
+                "baseline for a cheap bound")
         users_c, partial_c, pending_c, bound = _expand(
             C, cheap, perms, d, users, partial, pending)
         if d == L - 1:

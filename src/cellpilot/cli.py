@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--long-run", action="store_true",
-                   help="allow exhaustive search beyond the candidate budget")
+                   help="let exhaustive search expand nodes beyond its budget")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", help="score a stored assignment on a world")
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--long-run", action="store_true",
-                   help="also run methods gated for compute (exhaustive at scale)")
+                   help="lift the exhaustive search's node budget")
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -20,7 +20,7 @@ class ConfigError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A compute budget (e.g. the exhaustive search space) would be exceeded."""
+    """A compute budget (e.g. the exhaustive search's node count) was exceeded."""
 
 
 class NumericError(RuntimeError):

@@ -19,6 +19,7 @@ from cellpilot import (
     spr_like_assignment,
     total_costs,
 )
+from cellpilot import assignment
 from conftest import make_world, random_world, small_config
 
 
@@ -160,13 +161,23 @@ def test_exhaustive_ties_break_lexicographically():
     assert table.global_max == 0.0
 
 
-def test_exhaustive_budget_gate():
-    cfg = small_config(L=3, K=3, M=8)
-    world = make_world(cfg, seed=2)
-    with pytest.raises(BudgetError):
-        exhaustive_search(world, budget=10)
-    best, _ = exhaustive_search(world, budget=10, allow_long_run=True)
-    assert np.array_equal(best.pilot_to_user[0], [0, 1, 2])
+def test_exhaustive_budget_gate(monkeypatch):
+    # the budget counts expanded search nodes, one _expand call each
+    world = make_world(small_config(L=4, K=3, M=8), seed=2)
+    best, table = exhaustive_search(world)
+    expand = assignment._expand
+    calls = []
+    monkeypatch.setattr(assignment, "_expand",
+                        lambda *args: calls.append(1) or expand(*args))
+    exhaustive_search(world)
+    n = len(calls)
+    assert n > 1
+    assert exhaustive_search(world, budget=n)[0] == best
+    with pytest.raises(BudgetError, match=f"node budget of {n - 1} "):
+        exhaustive_search(world, budget=n - 1)
+    lifted, lifted_table = exhaustive_search(world, budget=1, allow_long_run=True)
+    assert np.array_equal(lifted.pilot_to_user, best.pilot_to_user)
+    assert lifted_table.global_max == table.global_max
 
 
 def test_global_relabeling_invariance(rng):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 
@@ -23,6 +24,7 @@ from cellpilot import (
     spr_like_assignment,
     train,
 )
+from cellpilot import assignment
 from cellpilot.cli import main
 from cellpilot.env import TRAJECTORY_FIELDS
 from cellpilot.qnn import TRAINING_LOG_FIELDS
@@ -181,12 +183,19 @@ def test_baseline_command_writes_the_run_files(tmp_path, ini, method, name):
     assert f"worst-user cost {float(rows[0]['global_max']):.6g}\n" in stdout
 
 
-def test_baseline_exhaustive_budget_gate():
-    # the default scenario enumerates (4!)^6 assignment classes; without the
-    # long-run flag the budget check refuses up front
-    code, _, stderr = _run(["baseline", "--method", "exhaustive", "--seed", "0"])
+def test_baseline_exhaustive_budget_gate(monkeypatch):
+    # the default scenario at seed 0 solves in 6 search nodes, inside the
+    # default node budget; a budget of one node refuses it with exit 3 until
+    # --long-run lifts the budget
+    argv = ["baseline", "--method", "exhaustive", "--seed", "0"]
+    code, solved, _ = _run(argv)
+    assert code == 0
+    monkeypatch.setattr(assignment, "exhaustive_search",
+                        functools.partial(assignment.exhaustive_search, budget=1))
+    code, _, stderr = _run(argv)
     assert code == 3
-    assert "error" in stderr
+    assert "node budget" in stderr and "--long-run" in stderr
+    assert _run(argv + ["--long-run"])[:2] == (0, solved)
 
 
 def test_evaluate_command(tmp_path, ini):

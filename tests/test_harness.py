@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from cellpilot import (
     run_experiment,
     substream,
 )
-from cellpilot import harness, scenario
+from cellpilot import assignment, harness, scenario
 from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import SHORT_TERM_STEPS, _run_methods
 from cellpilot.qnn import TRAINING_LOG_FIELDS
@@ -67,11 +68,9 @@ def test_builtin_presets():
     assert set(desk.methods) == {"random", "spr_like", "exhaustive", "drl"}
     assert desk.long_run_methods == ()
     assert (full.config.L, full.config.K, full.config.M) == (7, 4, 100)
-    # the full-scale exhaustive search is gated behind the long-run flag
-    assert "exhaustive" not in full.methods
-    assert full.long_run_methods == ("exhaustive",)
-    assert "exhaustive" not in full.active_methods(long_run=False)
-    assert "exhaustive" in full.active_methods(long_run=True)
+    # the full-scale exhaustive search runs without the long-run flag
+    assert full.methods == ("random", "spr_like", "drl", "exhaustive")
+    assert full.long_run_methods == ()
 
 
 def test_preset_validation():
@@ -215,9 +214,11 @@ def test_rate_cadence_is_every_eval_every_steps(tmp_path):
     assert {int(row["step"]) for row in _read(out / "results.csv")} == {199, 399}
 
 
-def test_method_failure_is_isolated(tmp_path):
-    # the full-size exhaustive search trips the enumeration budget; the
+def test_method_failure_is_isolated(tmp_path, monkeypatch):
+    # a one-node budget trips the full-size exhaustive search; the
     # experiment must record that and still finish the other method
+    monkeypatch.setattr(assignment, "exhaustive_search",
+                        functools.partial(assignment.exhaustive_search, budget=1))
     preset = ExperimentPreset(
         name="gated",
         config=SystemConfig(L=7, K=4, M=8),
@@ -234,6 +235,24 @@ def test_method_failure_is_isolated(tmp_path):
     assert err["status"] == "error"
     assert "BudgetError" in err["error"]
     assert (out / "results.csv").exists()
+
+
+def test_full_preset_scores_drl_against_the_optimum(tmp_path):
+    # the paper's comparison at full scale: exhaustive runs by default, and
+    # its worst-user cost bounds drl's and random's at every step (spr_like
+    # uses more pilots, so its cost is not comparable)
+    full = presets()["full"]
+    short = dataclasses.replace(
+        full, total_steps=3,
+        rate=dataclasses.replace(full.rate, eval_every=3, n_mc=1))
+    out = run_experiment(short, master_seed=0, out_dir=tmp_path / "full")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {name: m["status"] for name, m in manifest["methods"].items()} == (
+        dict.fromkeys(full.methods, "ok"))
+    cost = {(row["method"], int(row["step"])): float(row["global_max"])
+            for row in _read(out / "costs.csv")}
+    for t in range(3):
+        assert cost["exhaustive", t] <= min(cost["drl", t], cost["random", t])
 
 
 def test_run_without_a_finished_method_raises(tmp_path, monkeypatch):
