@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import QUAD_POINTS, _midpoints
 from .config import RateOptions
@@ -67,21 +68,33 @@ def _power_sum(z: np.ndarray, weights, M: int) -> np.ndarray:
     return g.reshape(g.shape[:-2] + (Q * R,))[..., :M]
 
 
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(1j * theta) for real theta, as cos and sin written into one complex
+    array: the same bytes as np.exp(1j * theta) without its complex exponential."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _filters(bundle: ScenarioBundle) -> np.ndarray:
     """(L, K, M, M) filters: covariance(bundle.interval(j, j, k), 1.0, M, spacing).T.
 
     On its grid that covariance is Hermitian Toeplitz, R[m, n] = r[m - n] with
-    r[d] = mean_i z_i^d: one _power_sum gives all lag vectors, one gather the
-    filters (about 1e-14 from covariance at M=100).
+    r[d] = mean_i z_i^d: one _power_sum gives all lag vectors, and the filters
+    are a read-only strided view of the 2M-1 lags (about 1e-14 from
+    covariance at M=100). numpy's matmul copies one (M, M) filter of the view
+    at a time into BLAS layout, never all L*K of them; a one-row operand
+    takes numpy's own loop over the view instead.
     """
     cfg, n = bundle.config, QUAD_POINTS
     own = np.arange(bundle.drop.shape[0])
     nodes = _midpoints(bundle.interval(own, own, slice(None)), n)  # (L, K, n)
-    lag = _power_sum(np.exp(-2j * np.pi * cfg.spacing * np.cos(nodes)), 1.0 / n, cfg.M)
+    lag = _power_sum(_expi(-2.0 * np.pi * cfg.spacing * np.cos(nodes)), 1.0 / n, cfg.M)
     # lags -(M-1)..M-1: conj(r[M-1]), ..., conj(r[1]), r[0], ..., r[M-1]
     both = np.concatenate([lag[..., :0:-1].conj(), lag], axis=-1)
-    d = np.arange(cfg.M)
-    return both[..., d[None, :] - d[:, None] + cfg.M - 1]
+    # row m of the reversed windows holds lags -m..M-1-m: entry n is r[n - m]
+    return sliding_window_view(both, cfg.M, axis=-1)[..., ::-1, :]
 
 
 def _draw_channels(
@@ -98,23 +111,25 @@ def _draw_channels(
     are unit-modulus random phases, so each link is zero-mean with
     covariance channel.covariance(interval, gain, M, spacing) for the
     supplied (possibly power-controlled) link gains. Draw order: all
-    angles, then all phases. _power_sum adds the paths' alpha * z^m, which
-    rounds about 1e-14 of max|g| (M=100) from a direct exponential. It
-    runs on blocks of as many realizations as _BLOCK_BYTES of power tables
-    hold (at least one), and each block gives the bytes of the whole chunk.
+    angles, then all phases. The phases alpha and steering factors z are
+    rotations exp(1j * theta) of real angles, which _expi writes as cos and
+    sin. _power_sum adds the paths' alpha * z^m, which rounds about 1e-14
+    of max|g| (M=100) from a direct exponential. It runs on blocks of as
+    many realizations as _BLOCK_BYTES of power tables hold (at least one),
+    and each block gives the bytes of the whole chunk.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
     omegas = ((bundle.centers - bundle.half_widths)[..., None]
               + (2.0 * bundle.half_widths)[..., None] * rng.random((n_mc, L, L, K, P)))
-    alphas = np.exp(2j * np.pi * rng.random((n_mc, L, L, K, P)))
+    alphas = _expi(2.0 * np.pi * rng.random((n_mc, L, L, K, P)))
     R = math.ceil(math.sqrt(cfg.M))
     rows = R + -(-cfg.M // R)  # the E and F tables of _power_sum
     block = max(1, int(_BLOCK_BYTES // (rows * alphas[0].nbytes)))
     scale = np.sqrt(gains / P)[..., None]
     g = np.empty((n_mc, L, L, K, cfg.M), dtype=complex)
     for b in range(0, n_mc, block):
-        z = np.exp(-2j * np.pi * cfg.spacing * np.cos(omegas[b:b + block]))
+        z = _expi(-2.0 * np.pi * cfg.spacing * np.cos(omegas[b:b + block]))
         np.multiply(scale, _power_sum(z, alphas[b:b + block], cfg.M), out=g[b:b + block])
     return g
 
@@ -198,24 +213,22 @@ def _chunk_sum(g, est, pilot_of, filt, noise_var, ergodic) -> np.ndarray:
     """(L, K) sum over one chunk's realizations of log2(1+SINR) (of the SINR
     with ergodic=False) for one pilot map; est holds the scaled noise of the
     pilot block, (n, L, n_pilots, M), and gains the channels in place."""
-    n, L, _, _, M = g.shape
-    n_pilots = est.shape[2]
+    L, K = pilot_of.shape
     cells = np.arange(L)
     # co-user of (j, k) in cell l: the first user of l on its pilot, if any
     shared = _copilot_mask(pilot_of)                          # (L, K, L, K)
     has_couser, couser = shared.any(axis=-1), shared.argmax(axis=-1)
     # est[:, j, p] gains g[:, j, l, k] for each user (l, k) on pilot p, in
-    # (l, k) order: np.add.at is unbuffered, flat indices its fast path
-    flat = est.reshape(-1)
-    rows = np.arange(n * L)[:, None, None] * n_pilots * M + np.arange(M)
+    # (l, k) order, so users sharing a pilot add up as in a per-user loop
     for l in range(L):
-        at = rows + pilot_of[l][:, None] * M  # (n * L, K, M)
-        np.add.at(flat, at.ravel(), g[:, :, l].ravel())
+        for k in range(K):
+            est[:, :, pilot_of[l, k]] += g[:, :, l, k]
     v = np.moveaxis(est[:, cells[:, None], pilot_of], 0, 2) @ filt  # (L, K, n, M)
-    vc = v.conj()
-    own = np.moveaxis(g[:, cells, cells], 0, 2)
-    num = np.abs(np.einsum("...m,...m->...", vc, own)) ** 2
+    del est
     den = noise_var * (np.abs(v) ** 2).sum(axis=-1)
+    vc = np.conjugate(v, out=v)
+    num = np.abs(np.einsum("...m,...m->...", vc,
+                           np.moveaxis(g[:, cells, cells], 0, 2))) ** 2
     for l in range(L):
         co = np.moveaxis(g[:, cells[:, None], l, couser[:, :, l]], 0, 2)
         cross = np.abs(np.einsum("...m,...m->...", vc, co)) ** 2

@@ -16,7 +16,8 @@ from cellpilot import (
     spr_like_assignment,
     steering,
 )
-from cellpilot.rate import _draw_channels
+from cellpilot.channel import QUAD_POINTS, _midpoints
+from cellpilot.rate import _draw_channels, _expi
 from conftest import make_world, outputs_per_blas_threads, small_config
 
 
@@ -185,18 +186,36 @@ import numpy as np
 sys.path[:0] = sys.argv[1:]
 from cellpilot import RateOptions, min_rate
 from conftest import make_world, outputs_per_blas_threads, small_config
-world = make_world(small_config(L=3, K=3, M=64), seed=2)
-rep, = min_rate(world, [(np.array([[0, 1, 2]] * 3), 3)], np.random.default_rng(4),
-                RateOptions(n_mc=20, paths=50))
+world = make_world(small_config(L={L}, K={K}, M={M}), seed=2)
+rep, = min_rate(world, [(np.array([list(range({K}))] * {L}), {K})],
+                np.random.default_rng(4), RateOptions(n_mc=20, paths=50))
 print(rep.rates.tobytes().hex())
 """
 
 
 def test_rates_independent_of_blas_threads():
-    # the stacked matmul and the combining must not depend on how many
-    # threads OpenBLAS splits them over
-    default, single = outputs_per_blas_threads(_RATES_SCRIPT)
-    assert default and default == single
+    # the stacked matmuls, the strided filter operand and the combining must
+    # not depend on how many threads OpenBLAS splits them over, at desk and
+    # at full scale, whose zgemm shapes take other BLAS paths
+    for L, K, M in ((3, 3, 64), (7, 4, 100)):
+        default, single = outputs_per_blas_threads(_RATES_SCRIPT.format(L=L, K=K, M=M))
+        assert default and default == single
+
+
+def test_expi_matches_complex_exponential():
+    # bit for bit, on the angles the rate pass builds (path phases, steering
+    # factors of drawn angles, quadrature nodes) and on multiples of pi/2
+    rng = np.random.default_rng(0)
+    world = make_world(small_config(L=3, K=3, M=64), seed=1)
+    own = np.arange(3)
+    nodes = _midpoints(world.interval(own, own, slice(None)), QUAD_POINTS)
+    angles = [2.0 * np.pi * rng.random((50, 3, 3, 3, 50)),
+              np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2.0 * np.pi])]
+    for spacing in (0.1, 0.5, 1.0):
+        angles += [-2.0 * np.pi * spacing * np.cos(rng.uniform(-np.pi, np.pi, 10 ** 5)),
+                   -2.0 * np.pi * spacing * np.cos(nodes)]
+    for theta in angles:
+        assert _expi(theta).tobytes() == np.exp(1j * theta).tobytes()
 
 
 def test_single_path_has_constant_power():
@@ -229,6 +248,40 @@ def test_filters_match_covariance(L, K, M):
                 assert np.abs(filt[j, k] - R.T).max() <= 1e-12 * np.abs(R).max()
         assert np.array_equal(filt, filt.conj().swapaxes(-1, -2))
         assert np.all(filt[..., np.arange(M), np.arange(M)] == 1.0)
+
+
+def _gathered_filters(bundle):
+    """_filters as one np.exp per quadrature node and an (M, M) index gather
+    of the lag vectors into a contiguous (L, K, M, M) copy."""
+    cfg = bundle.config
+    own = np.arange(bundle.drop.shape[0])
+    nodes = _midpoints(bundle.interval(own, own, slice(None)), QUAD_POINTS)
+    z = np.exp(-2j * np.pi * cfg.spacing * np.cos(nodes))
+    lag = rate._power_sum(z, 1.0 / QUAD_POINTS, cfg.M)
+    both = np.concatenate([lag[..., :0:-1].conj(), lag], axis=-1)
+    d = np.arange(cfg.M)
+    return both[..., d[None, :] - d[:, None] + cfg.M - 1]
+
+
+@pytest.mark.parametrize("L, K, M", [(3, 3, 64), (7, 4, 100)])
+def test_filter_view_matches_gather(L, K, M):
+    # the strided view holds the gathered filters bit for bit and cannot be
+    # written through. It filters a chunk's estimates to the bytes that a
+    # contiguous copy gives (a numpy that routes the reversed-stride operand
+    # around BLAS fails here), and to the bytes of the gathered layout, whose
+    # core strides are not BLAS-able either, down to a one-realization chunk
+    # (a one-row operand takes numpy's own loop through both)
+    bundle = make_world(small_config(L=L, K=K, M=M), seed=L)
+    filt, gathered = rate._filters(bundle), _gathered_filters(bundle)
+    assert filt.shape == (L, K, M, M)
+    assert filt.tobytes() == gathered.tobytes()
+    assert not filt.flags.writeable
+    rng = np.random.default_rng(M)
+    for n in (51, 2, 1):
+        est = rng.standard_normal((L, K, n, M)) + 1j * rng.standard_normal((L, K, n, M))
+        assert (est @ filt).tobytes() == (est @ gathered).tobytes()
+    est = rng.standard_normal((L, K, 51, M)) + 1j * rng.standard_normal((L, K, 51, M))
+    assert (est @ filt).tobytes() == (est @ np.ascontiguousarray(filt)).tobytes()
 
 
 # --------------------------------------------------------------- rate: API
