@@ -7,9 +7,10 @@ of the squared response kernel; a cheap piecewise-linear envelope of that
 kernel drives the assignment search.
 
 Two kernels compute every cost: _pair_costs, one broadcasting envelope
-cost that serves pair_cost (one pair) and pairwise_cost_matrix (all pairs
-in one pass) alike, and _copilot_costs, the sum of that matrix over
-co-pilot partners behind total_costs, extended_user_costs and the batched
+cost that serves pair_cost (one pair) and _pairwise_costs (all pairs of
+any number of drops in one pass, with pairwise_cost_matrix its one-drop
+call) alike, and _copilot_costs, the sum of that matrix over co-pilot
+partners behind total_costs, extended_user_costs and the batched
 threshold calibration. Its partner mask, _copilot_mask, also picks the
 rate benchmark's co-users.
 """
@@ -21,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import QUAD_POINTS, _midpoints
+from .config import SystemConfig
 from .scenario import AoAInterval, ScenarioBundle
+
+
+# _envelope takes u and -u in one stacked pass while its temporaries hold
+# at most this many float64s (128 KiB), and in two passes past it. A lone
+# drop pays mostly for numpy calls, which one pass halves; larger
+# temporaries cost more than the calls saved (on `churn`, blocks of 8
+# full-scale drops cut wall time by 20 % in two passes, 13 % stacked)
+_STACK_LIMIT = 2 ** 14
 
 
 def dirichlet_magnitude(x, M: int, spacing: float = 0.5):
@@ -126,16 +136,24 @@ def _envelope(u, lo, hi, west, east):
 
     t is np.interp over the knots (west, lo, hi, east) -> (0, 1, 1, 0), bit
     for bit: ramps are ((f1 - f0) / (x1 - x0)) * (u - x0) + f0 and u == east
-    is 0 even when east == hi. The knots broadcast against u.
+    is 0 even when east == hi. The knots broadcast against u. u and -u go
+    through t as one stack while its temporaries fit in _STACK_LIMIT, and
+    one after the other past it; t is elementwise, so both give one value.
     """
-    u = np.stack([u, -u])
     # a zero-width ramp divides by zero, but the selection never picks it
     with np.errstate(divide="ignore", invalid="ignore"):
-        rise = np.divide(1.0 - 0.0, lo - west) * (u - west) + 0.0
-        fall = np.divide(0.0 - 1.0, east - hi) * (u - hi) + 1.0
-    t = np.where(u < lo, np.where(u < west, 0.0, rise),
-                 np.where(u < hi, 1.0, np.where(u < east, fall, 0.0)))
-    return np.maximum(t[0], t[1])
+        rise, fall = np.divide(1.0 - 0.0, lo - west), np.divide(0.0 - 1.0, east - hi)
+
+        def t(u):
+            return np.where(u < lo, np.where(u < west, 0.0, rise * (u - west) + 0.0),
+                            np.where(u < hi, 1.0,
+                                     np.where(u < east, fall * (u - hi) + 1.0, 0.0)))
+
+        if 2 * np.broadcast(u, lo).size <= _STACK_LIMIT:
+            t0, t1 = t(np.stack([u, -u]))
+        else:
+            t0, t1 = t(u), t(-u)
+    return np.maximum(t0, t1)
 
 
 def _pair_costs(lo, hi, root, edges, M: int, spacing: float):
@@ -181,18 +199,30 @@ def pairwise_cost_matrix(bundle: ScenarioBundle) -> np.ndarray:
     cell j (at BS j) if they shared a pilot. Zero on the diagonal l == j.
     Assignment-independent, so one evaluation serves any pilot pattern on
     the same drop. Each off-diagonal entry is pair_cost's value; all pairs
-    are computed in one array pass.
+    are computed in one array pass. This is the one-drop call of
+    `_pairwise_costs`, which gives each drop of a block the same bytes.
     """
-    cells = np.arange(bundle.drop.shape[0])
+    return _pairwise_costs(bundle.config, bundle.gains, bundle.centers,
+                           bundle.half_widths)
+
+
+def _pairwise_costs(config: SystemConfig, gains, centers, half_widths):
+    """pairwise_cost_matrix of every drop of a block, (..., L, K, L, K).
+
+    The link arrays are `_links`' (..., L, L, K), indexed [..., BS j, cell
+    l, user k]; the leading drop axes broadcast through the elementwise
+    kernel, so each drop's matrix is the one it gets alone, bit for bit.
+    """
+    cells = np.arange(gains.shape[-2])
     # targets (j, a) at their own BS, broadcast against interferers (l, b)
-    lo, hi = cosine_support(bundle.interval(cells, cells, slice(None)))
-    root = np.sqrt(bundle.gains[cells, cells])
-    # both support endpoints of every interferer, as [endpoint, j, 1, l, b]
-    edges = np.stack([bundle.centers - bundle.half_widths,
-                      bundle.centers + bundle.half_widths])[:, :, None]
-    C = _pair_costs(*(x[:, :, None, None] for x in (lo, hi, root)), edges,
-                    bundle.config.M, bundle.config.spacing)
-    C[cells, :, cells, :] = 0.0
+    lo, hi = cosine_support(AoAInterval(centers[..., cells, cells, :],
+                                        half_widths[..., cells, cells, :]))
+    root = np.sqrt(gains[..., cells, cells, :])
+    # both support endpoints of every interferer, as [endpoint, ..., j, 1, l, b]
+    edges = np.stack([centers - half_widths, centers + half_widths])[..., None, :, :]
+    C = _pair_costs(*(x[..., None, None] for x in (lo, hi, root)), edges,
+                    config.M, config.spacing)
+    C[..., cells, :, cells, :] = 0.0
     return C
 
 

@@ -10,11 +10,20 @@ import numpy as np
 
 from .assignment import PilotAssignment, apply_swap, random_assignment
 from .config import ConfigError, EnvOptions, SystemConfig, substream
-from .contamination import CostTable, _copilot_costs, pairwise_cost_matrix, total_costs
-from .scenario import _fresh_worlds, build_layout, fresh_world
+from .contamination import (
+    CostTable,
+    _copilot_costs,
+    _pairwise_costs,
+    pairwise_cost_matrix,
+    total_costs,
+)
+from .scenario import _fresh_worlds, _links, build_layout, drop_users, fresh_world
 
-# "positions" worlds a WorldStream draws at once; no output depends on it
-_BLOCK = 16
+# "positions" drops drawn and pair-costed at once, by a WorldStream and by
+# threshold calibration. No output depends on it; it is sized for memory:
+# at full scale, blocks of 16 and 32 held 0.8 and 2.5 MB more peak memory
+# than blocks of 8, and pair-costed a drop no faster
+_BLOCK = 8
 
 
 @dataclass
@@ -48,20 +57,26 @@ def calibrate_thresholds(
     Each sample scores a fresh random assignment; the world is redrawn per
     sample when the evolution mode redraws positions, otherwise one world
     is reused, matching what the run will see: the world whose pair-cost
-    matrix the caller passes as `pairwise`, or one freshly built. On a
-    reused world one random_assignment of n*L rows draws all n sample maps,
-    and one batched call scores them.
+    matrix the caller passes as `pairwise`, or one freshly built. Redrawn
+    worlds are drawn as successive samples would draw them, drop i and
+    then map i, and pair-costed and scored _BLOCK at a time. On a reused
+    world one random_assignment of n*L rows draws all n sample maps, and
+    one batched call scores them.
     Degenerate quantiles are widened by 5% so the middle band is never empty.
     """
     layout = build_layout(config.L, config.R)
     n = opts.threshold_samples
 
     if opts.redraw == "positions":
-        # one world at a time: a stack of n pair-cost matrices is large
-        samples = np.array([_copilot_costs(
-            pairwise_cost_matrix(fresh_world(config, rng, layout)),
-            random_assignment(config.L, config.K, rng).user_to_pilot()).max()
-            for _ in range(n)])
+        samples = []
+        for start in range(0, n, _BLOCK):
+            draws = [(drop_users(layout, config.K, config.exclusion_radius, rng).positions,
+                      random_assignment(config.L, config.K, rng).user_to_pilot())
+                     for _ in range(min(_BLOCK, n - start))]
+            positions, maps = (np.stack(a) for a in zip(*draws))
+            C = _pairwise_costs(config, *_links(config, layout.bs_positions, positions))
+            samples.append(_copilot_costs(C, maps).max(axis=(1, 2)))
+        samples = np.concatenate(samples)
     else:
         C = pairwise if pairwise is not None else \
             pairwise_cost_matrix(fresh_world(config, rng, layout))
@@ -142,11 +157,13 @@ class WorldStream:
     streams. Every world is digested, so equal `digest()`s prove equal
     streams.
 
-    "positions" worlds after world 0 are drawn _BLOCK at a time (see
-    scenario._fresh_worlds), so the generator runs up to _BLOCK - 1 drops
-    ahead of the stream; each world, and the error of a drop that fails,
-    is that of successive fresh_world calls. A failed drop raises from the
-    `advance` that reaches it, after the worlds before it.
+    "positions" worlds after world 0 are drawn and pair-costed _BLOCK at
+    a time (see scenario._fresh_worlds and contamination._pairwise_costs),
+    so the generator runs up to _BLOCK - 1 drops ahead of the stream; each
+    world, its pair-cost matrix, and the error of a drop that fails, are
+    those of successive fresh_world and pairwise_cost_matrix calls. A
+    failed drop raises from the `advance` that reaches it, after the worlds
+    before it.
     """
 
     def __init__(self, config: SystemConfig, redraw: str, seed: int):
@@ -162,14 +179,15 @@ class WorldStream:
     def advance(self):
         if self.redraw == "positions":
             if not self._queue:
-                worlds, error = _fresh_worlds(self.config, self.rng, self.layout, _BLOCK)
+                worlds, error = _fresh_worlds(self.config, self.rng, self.layout,
+                                              _BLOCK, _pairwise_costs)
                 self._queue.extend(worlds)
                 if error is not None:
                     self._queue.append(error)
             world = self._queue.popleft()
             if isinstance(world, ConfigError):
                 raise world
-            self.world, self.pairwise = world, pairwise_cost_matrix(world)
+            self.world, self.pairwise = world
         self.digests.append(self.world.digest())
 
     def digest(self) -> str:
@@ -245,7 +263,8 @@ def make_env(config: SystemConfig, opts: EnvOptions, seed: int) -> PilotEnv:
     """Environment with thresholds calibrated from the same master seed.
 
     The initial world's pair-cost matrix is built once and serves both the
-    calibration (unless it redraws positions per sample) and the env.
+    calibration and the env; a calibration that redraws positions per
+    sample pair-costs its own drops in blocks instead.
     """
     worlds = WorldStream(config, opts.redraw, seed)
     thresholds = calibrate_thresholds(

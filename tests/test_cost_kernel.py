@@ -6,6 +6,7 @@ loops over cells and users for the co-pilot sums. The kernels do the same
 arithmetic in the same order, so every comparison is exact.
 """
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -24,11 +25,19 @@ from cellpilot import (
     extended_user_costs,
     pair_cost,
     pairwise_cost_matrix,
+    presets,
     random_assignment,
     spr_like_assignment,
     total_costs,
 )
-from cellpilot.contamination import _copilot_costs, _envelope, _first_nulls, _pair_costs
+from cellpilot.contamination import (
+    _copilot_costs,
+    _envelope,
+    _first_nulls,
+    _pair_costs,
+    _pairwise_costs,
+)
+from cellpilot.scenario import UserDrop, _draw_drops, _links
 from conftest import EDGE_CENTERS, MS, make_world, random_world
 
 # ---------------------------------------------------------------- references
@@ -310,6 +319,44 @@ def test_envelope_raises_no_warnings():
             pair_cost(target, AoAInterval(center=phi, half_width=0.0), 1.0, 16)
 
 
+# ------------------------------------------------------------ block kernel
+
+@pytest.mark.parametrize("preset, change", [
+    ("desk", {}),
+    ("full", {}),
+    ("full", dict(edges=True)),  # own-BS supports at endfire
+    ("desk", dict(M=1)),         # single antenna: saturated targets
+    ("desk", dict(M=2)),
+    ("desk", dict(spacing=1.0)),
+    ("desk", dict(L=1)),
+], ids=["desk", "full", "full-endfire", "M=1", "M=2", "spacing=1.0", "L=1"])
+def test_block_kernel_matches_per_world_and_loop_references(preset, change):
+    # each drop of a block gets the bytes of its own pairwise_cost_matrix
+    # call and of the per-target loop, whatever the block's size; at full
+    # scale, blocks of 8 and 16 pass _envelope's stacking limit
+    change = dict(change)
+    edges = change.pop("edges", False)
+    cfg = dataclasses.replace(presets()[preset].config, **change)
+    layout = build_layout(cfg.L, cfg.R)
+    rng = np.random.default_rng(31)
+    positions, error = _draw_drops(layout, cfg.K, cfg.exclusion_radius, rng, 16)
+    assert error is None
+    links = _links(cfg, layout.bs_positions, positions)
+    if edges:
+        cells = np.arange(cfg.L)
+        links[1][:, cells, cells] = rng.choice(EDGE_CENTERS, size=(16, cfg.L, cfg.K))
+    worlds = [ScenarioBundle(cfg, layout, UserDrop(positions[i]), *(a[i] for a in links))
+              for i in range(16)]
+    want = [pairwise_cost_matrix(w) for w in worlds]
+    for i, world in enumerate(worlds):
+        assert want[i].tobytes() == _ref_pairwise(world).tobytes(), i
+    for count in (1, 3, 8, 16):
+        block = _pairwise_costs(cfg, *(a[:count] for a in links))
+        assert block.shape == (count, cfg.L, cfg.K, cfg.L, cfg.K)
+        for i in range(count):
+            assert block[i].tobytes() == want[i].tobytes(), (count, i)
+
+
 # --------------------------------------------------------- co-pilot kernel
 
 def test_batched_copilot_costs_match_single_calls():
@@ -342,7 +389,8 @@ def test_copilot_costs_ignore_own_cell_entries():
 def test_calibration_matches_per_sample_loop(redraw):
     cfg = SystemConfig(L=3, K=3, M=32, scatter_radius=30.0, exclusion_radius=100.0)
     opts = EnvOptions(redraw=redraw, threshold_samples=60, q_low=0.2, q_high=0.7)
-    th = calibrate_thresholds(cfg, opts, np.random.default_rng(21))
+    gen = np.random.default_rng(21)
+    th = calibrate_thresholds(cfg, opts, gen)
 
     rng = np.random.default_rng(21)
     layout = build_layout(cfg.L, cfg.R)
@@ -357,6 +405,8 @@ def test_calibration_matches_per_sample_loop(redraw):
         C = _ref_pairwise(fixed or world())
         p2u = random_assignment(cfg.L, cfg.K, rng).pilot_to_user
         samples.append(_ref_total_costs(C, p2u)["global_max"])
+    # "positions" scores its drops in blocks, yet draws drop i, then map i
+    assert gen.bit_generator.state == rng.bit_generator.state
     g1 = float(np.quantile(samples, opts.q_low))
     g2 = float(np.quantile(samples, opts.q_high))
     assert min(samples) < g1 < g2  # no tie adjustment on these draws

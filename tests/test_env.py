@@ -25,6 +25,7 @@ from cellpilot import (
     substream,
     total_costs,
 )
+from cellpilot.contamination import _pairwise_costs
 from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import write_csv
 from conftest import make_world, small_config
@@ -379,18 +380,25 @@ def test_make_env_deterministic():
 def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
     full = presets()["full"]
     opts = dataclasses.replace(full.env, redraw=redraw)
-    worlds = []
+    worlds, blocks = [], []
 
     def counting(world):
         worlds.append(world)
         return pairwise_cost_matrix(world)
 
+    def counting_block(config, gains, *links):
+        blocks.append(gains.shape[:-3])
+        return _pairwise_costs(config, gains, *links)
+
     monkeypatch.setattr(cellpilot.env, "pairwise_cost_matrix", counting)
+    monkeypatch.setattr(cellpilot.env, "_pairwise_costs", counting_block)
     env = make_env(full.config, opts, 5)
     assert sum(w is env.worlds.world for w in worlds) == 1
-    # the calibration of "positions" scores a fresh world per sample
+    # the calibration of "positions" scores a fresh world per sample, in
+    # blocks of drops: count the worlds, the block kernel's leading sizes
     per_sample = opts.threshold_samples if redraw == "positions" else 0
-    assert len(worlds) == 1 + per_sample
+    assert len(worlds) == 1 and all(len(shape) == 1 for shape in blocks)
+    assert sum(shape[0] for shape in blocks) == per_sample
     monkeypatch.undo()
     assert np.array_equal(env.worlds.pairwise, pairwise_cost_matrix(env.worlds.world))
     th = calibrate_thresholds(full.config, opts, substream(5, "thresholds"),
