@@ -26,14 +26,6 @@ from .config import SystemConfig
 from .scenario import AoAInterval, ScenarioBundle
 
 
-# _envelope takes u and -u in one stacked pass while its temporaries hold
-# at most this many float64s (128 KiB), and in two passes past it. A lone
-# drop pays mostly for numpy calls, which one pass halves; larger
-# temporaries cost more than the calls saved (on `churn`, blocks of 8
-# full-scale drops cut wall time by 20 % in two passes, 13 % stacked)
-_STACK_LIMIT = 2 ** 14
-
-
 def dirichlet_magnitude(x, M: int, spacing: float = 0.5):
     """|sin(M*pi*spacing*x) / sin(pi*spacing*x)| with the removable limit M.
 
@@ -136,9 +128,9 @@ def _envelope(u, lo, hi, west, east):
 
     t is np.interp over the knots (west, lo, hi, east) -> (0, 1, 1, 0), bit
     for bit: ramps are ((f1 - f0) / (x1 - x0)) * (u - x0) + f0 and u == east
-    is 0 even when east == hi. The knots broadcast against u. u and -u go
-    through t as one stack while its temporaries fit in _STACK_LIMIT, and
-    one after the other past it; t is elementwise, so both give one value.
+    is 0 even when east == hi. The knots broadcast against u, and u and -u
+    go through t one after the other, so a block of drops makes no
+    temporary twice its size.
     """
     # a zero-width ramp divides by zero, but the selection never picks it
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,11 +141,7 @@ def _envelope(u, lo, hi, west, east):
                             np.where(u < hi, 1.0,
                                      np.where(u < east, fall * (u - hi) + 1.0, 0.0)))
 
-        if 2 * np.broadcast(u, lo).size <= _STACK_LIMIT:
-            t0, t1 = t(np.stack([u, -u]))
-        else:
-            t0, t1 = t(u), t(-u)
-    return np.maximum(t0, t1)
+        return np.maximum(t(u), t(-u))
 
 
 def _pair_costs(lo, hi, root, edges, M: int, spacing: float):

@@ -174,20 +174,22 @@ class WorldStream:
         self.world = fresh_world(config, self.rng, self.layout)
         self.pairwise = pairwise_cost_matrix(self.world)  # of `world`
         self.digests = [self.world.digest()]
-        self._queue = deque()  # drawn worlds, then a failed drop's error
+        self._queue = deque()  # drawn (world, matrix) pairs, then a failed drop's error
 
     def advance(self):
         if self.redraw == "positions":
             if not self._queue:
-                worlds, error = _fresh_worlds(self.config, self.rng, self.layout,
-                                              _BLOCK, _pairwise_costs)
-                self._queue.extend(worlds)
+                worlds, links, error = _fresh_worlds(self.config, self.rng,
+                                                     self.layout, _BLOCK)
+                # each world keeps a copy of its matrix, so none pins the block
+                costs = _pairwise_costs(self.config, *links)
+                self._queue.extend((w, C.copy()) for w, C in zip(worlds, costs))
                 if error is not None:
                     self._queue.append(error)
-            world = self._queue.popleft()
-            if isinstance(world, ConfigError):
-                raise world
-            self.world, self.pairwise = world
+            drawn = self._queue.popleft()
+            if isinstance(drawn, ConfigError):
+                raise drawn
+            self.world, self.pairwise = drawn
         self.digests.append(self.world.digest())
 
     def digest(self) -> str:

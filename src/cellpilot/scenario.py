@@ -292,20 +292,17 @@ def fresh_world(config: SystemConfig, rng: np.random.Generator,
 
 
 def _fresh_worlds(config: SystemConfig, rng: np.random.Generator, layout: CellLayout,
-                  count: int, pair_costs) -> tuple[list, ConfigError | None]:
-    """The worlds of `count` successive fresh_world calls, each paired with
-    its `pair_costs(config, gains, centers, half_widths)`, and the
-    ConfigError of the first drop that fails (the worlds before it are
-    returned), else None. One `_draw_drops` scan, one `_links` broadcast
-    and one `pair_costs` call serve the whole block, so pair_costs must
-    take leading drop axes; the caller passes it because the cost model
-    builds on this module. Each world and each cost holds copies, so
+                  count: int) -> tuple[list, tuple, ConfigError | None]:
+    """The worlds of `count` successive fresh_world calls, from one
+    `_draw_drops` scan and one `_links` broadcast, those block link arrays
+    (gains, centers, half_widths; one leading row per world, for a block
+    cost kernel), and the ConfigError of the first drop that fails (the
+    worlds before it are returned), else None. Each world holds copies, so
     keeping one pins no other.
     """
     positions, error = _draw_drops(layout, config.K, config.exclusion_radius, rng, count)
     links = _links(config, layout.bs_positions, positions)
-    costs = pair_costs(config, *links)
-    worlds = [(ScenarioBundle(config, layout, UserDrop(positions[i].copy()),
-                              *(a[i].copy() for a in links)), costs[i].copy())
+    worlds = [ScenarioBundle(config, layout, UserDrop(positions[i].copy()),
+                             *(a[i].copy() for a in links))
               for i in range(len(positions))]
-    return worlds, error
+    return worlds, links, error

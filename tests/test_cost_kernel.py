@@ -332,8 +332,7 @@ def test_envelope_raises_no_warnings():
 ], ids=["desk", "full", "full-endfire", "M=1", "M=2", "spacing=1.0", "L=1"])
 def test_block_kernel_matches_per_world_and_loop_references(preset, change):
     # each drop of a block gets the bytes of its own pairwise_cost_matrix
-    # call and of the per-target loop, whatever the block's size; at full
-    # scale, blocks of 8 and 16 pass _envelope's stacking limit
+    # call and of the per-target loop, whatever the block's size
     change = dict(change)
     edges = change.pop("edges", False)
     cfg = dataclasses.replace(presets()[preset].config, **change)

@@ -23,7 +23,7 @@ from cellpilot import (
     substream,
 )
 from cellpilot import assignment, harness, scenario
-from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
+from cellpilot.env import _BLOCK, TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import SHORT_TERM_STEPS, _run_methods
 from cellpilot.qnn import TRAINING_LOG_FIELDS
 
@@ -355,7 +355,7 @@ def test_lockstep_baselines_match_lone_runs(tmp_path, redraw):
 def test_positions_run_draws_each_world_once(tmp_path, monkeypatch):
     # T steps of drl and three baselines draw T + 1 worlds, world 0
     # included, not T + 1 per stream; the stream draws in blocks, so at
-    # most 15 more. The threshold calibration draws its own drops.
+    # most _BLOCK - 1 more. The threshold calibration draws its own drops.
     real, drops = scenario._draw_drops, []
     real_init, streams = WorldStream.__init__, []
 
@@ -373,7 +373,7 @@ def test_positions_run_draws_each_world_once(tmp_path, monkeypatch):
     preset = _positions_preset(("random", "spr_like", "exhaustive", "drl"))
     run_experiment(preset, 4, out_dir=tmp_path / "run")
     T, calibration = preset.total_steps, preset.env.threshold_samples
-    assert T + 1 <= sum(drops) - calibration <= T + 16
+    assert T + 1 <= sum(drops) - calibration <= T + _BLOCK
     assert len(streams) == 1
 
 
