@@ -25,6 +25,12 @@ from .scenario import _fresh_worlds, _links, build_layout, drop_users, fresh_wor
 # than blocks of 8, and pair-costed a drop no faster
 _BLOCK = 8
 
+# calibration maps drawn and scored at once on a reused world. No output
+# depends on it either: at full scale a block's masked costs take 0.4 MB,
+# and against one block of all 1000 samples, blocks of 8 made make_env
+# 3.3 (desk) to 4.4 ms (full) slower, blocks of 64 under 0.5 ms
+_MAP_BLOCK = 64
+
 
 @dataclass
 class RewardThresholds:
@@ -57,32 +63,53 @@ def calibrate_thresholds(
     Each sample scores a fresh random assignment; the world is redrawn per
     sample when the evolution mode redraws positions, otherwise one world
     is reused, matching what the run will see: the world whose pair-cost
-    matrix the caller passes as `pairwise`, or one freshly built. Redrawn
-    worlds are drawn as successive samples would draw them, drop i and
-    then map i, and pair-costed and scored _BLOCK at a time. On a reused
-    world one random_assignment of n*L rows draws all n sample maps, and
-    one batched call scores them.
-    Degenerate quantiles are widened by 5% so the middle band is never empty.
+    matrix the caller passes as `pairwise`, or one freshly built. Samples
+    are drawn as successive samples would draw them and scored in blocks,
+    _BLOCK redrawn worlds or _MAP_BLOCK maps on a reused one (see
+    _calibration_samples), so the scoring holds one block's masked costs,
+    never all n samples'. The quantiles come from _band_thresholds.
+    """
+    return _band_thresholds(_calibration_samples(config, opts, rng, pairwise), opts)
+
+
+def _calibration_samples(config: SystemConfig, opts: EnvOptions,
+                         rng: np.random.Generator,
+                         pairwise: np.ndarray | None = None) -> np.ndarray:
+    """The worst-user cost of each of calibrate_thresholds' n samples.
+
+    Redrawn worlds come as drop i and then map i, and each block of drops
+    is pair-costed at once. On a reused world one random_assignment of
+    b*L rows draws a block's b maps, the same draws as b successive L-row
+    ones.
     """
     layout = build_layout(config.L, config.R)
     n = opts.threshold_samples
-
-    if opts.redraw == "positions":
-        samples = []
-        for start in range(0, n, _BLOCK):
-            draws = [(drop_users(layout, config.K, config.exclusion_radius, rng).positions,
-                      random_assignment(config.L, config.K, rng).user_to_pilot())
-                     for _ in range(min(_BLOCK, n - start))]
-            positions, maps = (np.stack(a) for a in zip(*draws))
-            C = _pairwise_costs(config, *_links(config, layout.bs_positions, positions))
-            samples.append(_copilot_costs(C, maps).max(axis=(1, 2)))
-        samples = np.concatenate(samples)
-    else:
+    positions = opts.redraw == "positions"
+    if not positions:
         C = pairwise if pairwise is not None else \
             pairwise_cost_matrix(fresh_world(config, rng, layout))
-        # one draw of n*L rows: the same as n successive L-row draws
-        maps = random_assignment(n * config.L, config.K, rng).user_to_pilot()
-        samples = _copilot_costs(C, maps.reshape(n, config.L, -1)).max(axis=(1, 2))
+    block = _BLOCK if positions else _MAP_BLOCK
+    samples = np.empty(n)
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        if positions:
+            draws = [(drop_users(layout, config.K, config.exclusion_radius, rng).positions,
+                      random_assignment(config.L, config.K, rng).user_to_pilot())
+                     for _ in range(size)]
+            drops, maps = (np.stack(a) for a in zip(*draws))
+            C = _pairwise_costs(config, *_links(config, layout.bs_positions, drops))
+        else:
+            maps = random_assignment(size * config.L, config.K, rng).user_to_pilot()
+            maps = maps.reshape(size, config.L, config.K)
+        samples[start:start + size] = _copilot_costs(C, maps).max(axis=(1, 2))
+    return samples
+
+
+def _band_thresholds(samples: np.ndarray, opts: EnvOptions) -> RewardThresholds:
+    """The q_low and q_high quantiles of the samples, lifted off ties.
+
+    Degenerate quantiles are widened by 5% so the middle band is never empty.
+    """
     g1 = float(np.quantile(samples, opts.q_low))
     g2 = float(np.quantile(samples, opts.q_high))
     # Cost landscapes with heavy ties can pull the quantiles down onto the

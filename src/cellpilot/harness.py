@@ -135,7 +135,8 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     scores every baseline still running on its world and pair-cost matrix,
     each with its own substream(seed, "baseline", name). Each evaluation
     step every-1, 2*every-1, ... then ends with one _score_step call, which
-    rates the pilot maps of every method still running. A method that
+    rates the pilot maps of every method still running (none, and nothing
+    is drawn, once every method has failed). A method that
     raises, while stepping or in its rate evaluation, moves to `failures`
     with its exception and stops; the others go on. An error of the
     stream, which is any that drl raises before the stream advanced, fails
@@ -182,7 +183,7 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
                 except Exception as exc:  # record and go on with the others
                     failures[name] = exc
                     del runs[name]
-            if t % every == every - 1:
+            if t % every == every - 1 and runs:
                 maps = {name: (learner.env.assignment.user_to_pilot(), cfg.K)
                         if name == "drl" else solved[name][:2] for name in runs}
                 _score_step(t, worlds.world, maps, runs, preset, master_seed,

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import QUAD_POINTS, _midpoints
-from .config import RateOptions
+from .config import BudgetError, RateOptions
 from .contamination import _copilot_mask
 from .scenario import ScenarioBundle
 
@@ -29,10 +29,17 @@ class RateReport:
 # land in which realization: changing it changes every rate.
 _DRAW_BUDGET = 5e7
 
-# bytes of _draw_channels' two power tables per block of realizations: the
-# blocks bound its working memory (one full-scale realization takes about
-# 3.1 MB), and they never change a draw
-_BLOCK_BYTES = 2 ** 22
+# bytes of _draw_channels' two power tables per block of link draws: the
+# blocks bound its working memory (one full-scale link of 50 paths takes
+# 16 kB, so a block holds 65 links, about a third of a realization), and
+# they never change a draw
+_BLOCK_BYTES = 2 ** 20
+
+# bytes that one realization needs at least in _draw_channels: its path
+# angles and phases and its channels (16 bytes per path and per antenna, of
+# each of the L*L*K links) and the power tables of one link. Above it the
+# rate pass refuses to draw; M = 100000 with 200 paths takes 316 MB
+_REALIZATION_CAP = 2 ** 30
 
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -97,6 +104,24 @@ def _filters(bundle: ScenarioBundle) -> np.ndarray:
     return sliding_window_view(both, cfg.M, axis=-1)[..., ::-1, :]
 
 
+def _check_realization(L: int, K: int, M: int, P: int) -> int:
+    """Rows of _power_sum's two tables at M antennas; raises BudgetError,
+    naming the key that drives the size, if one realization of
+    _draw_channels (L*L*K links of P paths and M antennas) needs more than
+    _REALIZATION_CAP bytes."""
+    R = math.ceil(math.sqrt(M))
+    rows = R + -(-M // R)
+    links = L * L * K
+    path_bytes, channel_bytes = 16 * P * (links + rows), 16 * links * M
+    if path_bytes + channel_bytes > _REALIZATION_CAP:
+        key = "[rate] paths" if path_bytes > channel_bytes else "[scenario] M"
+        raise BudgetError(
+            f"one channel realization needs {(path_bytes + channel_bytes) / 2 ** 20:.0f}"
+            f" MiB, above the rate pass's cap of {_REALIZATION_CAP / 2 ** 20:.0f} MiB;"
+            f" lower {key}")
+    return rows
+
+
 def _draw_channels(
     bundle: ScenarioBundle,
     P: int,
@@ -114,23 +139,33 @@ def _draw_channels(
     angles, then all phases. The phases alpha and steering factors z are
     rotations exp(1j * theta) of real angles, which _expi writes as cos and
     sin. _power_sum adds the paths' alpha * z^m, which rounds about 1e-14
-    of max|g| (M=100) from a direct exponential. It runs on blocks of as
-    many realizations as _BLOCK_BYTES of power tables hold (at least one),
-    and each block gives the bytes of the whole chunk.
+    of max|g| (M=100) from a direct exponential.
+
+    The angle draws become path angles in place. The links of all
+    realizations, in draw order, then pass in blocks of as many links as
+    _BLOCK_BYTES of power tables hold (at least one), so a block is some
+    realizations or part of one: each block draws and rotates its own
+    phases, and the blocks give the bytes of the whole chunk. A realization
+    that needs more than _REALIZATION_CAP bytes raises BudgetError before
+    anything is drawn.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
-    omegas = ((bundle.centers - bundle.half_widths)[..., None]
-              + (2.0 * bundle.half_widths)[..., None] * rng.random((n_mc, L, L, K, P)))
-    alphas = _expi(2.0 * np.pi * rng.random((n_mc, L, L, K, P)))
-    R = math.ceil(math.sqrt(cfg.M))
-    rows = R + -(-cfg.M // R)  # the E and F tables of _power_sum
-    block = max(1, int(_BLOCK_BYTES // (rows * alphas[0].nbytes)))
-    scale = np.sqrt(gains / P)[..., None]
+    rows = _check_realization(L, K, cfg.M, P)
+    links = L * L * K
+    omegas = rng.random((n_mc, L, L, K, P))
+    omegas *= (2.0 * bundle.half_widths)[..., None]
+    omegas += (bundle.centers - bundle.half_widths)[..., None]
+    omegas = omegas.reshape(n_mc * links, P)
+    scale = np.tile(np.sqrt(gains / P).reshape(links, 1), (n_mc, 1))
     g = np.empty((n_mc, L, L, K, cfg.M), dtype=complex)
-    for b in range(0, n_mc, block):
-        z = _expi(-2.0 * np.pi * cfg.spacing * np.cos(omegas[b:b + block]))
-        np.multiply(scale, _power_sum(z, alphas[b:b + block], cfg.M), out=g[b:b + block])
+    flat = g.reshape(n_mc * links, cfg.M)
+    block = max(1, int(_BLOCK_BYTES // (rows * P * 16)))
+    for b in range(0, n_mc * links, block):
+        e = min(b + block, n_mc * links)
+        alphas = _expi(2.0 * np.pi * rng.random((e - b, P)))
+        z = _expi(-2.0 * np.pi * cfg.spacing * np.cos(omegas[b:e]))
+        np.multiply(scale[b:e], _power_sum(z, alphas, cfg.M), out=flat[b:e])
     return g
 
 
@@ -163,7 +198,14 @@ def min_rate(
     distinct n_pilots draws its noise from the generator state right after
     it; from chunk 1 on, each n_pilots continues on its own generator (the
     first map's on `rng`, the others on copies). Maps with the same
-    n_pilots share every draw.
+    n_pilots share every draw. No maps: [] comes back and nothing is drawn.
+
+    Working set: the chunk's path angles (while it draws), its channels,
+    one noise array per n_pilots, which every map with that n_pilots reads
+    and none copies, and one map's (n, L, K, M) estimates at a time. Phases
+    and power tables come in blocks of _BLOCK_BYTES of tables (see
+    _draw_channels), and a realization above _REALIZATION_CAP bytes raises
+    BudgetError before anything is drawn.
 
     One stacked pass, laid out (L, K, n, M), serves all users: one matmul
     applies the _filters, one einsum gives the numerators. A denominator is
@@ -179,6 +221,8 @@ def min_rate(
     for pilot_of, n_pilots in maps:
         if pilot_of.shape != (L, K) or not np.all((pilot_of >= 0) & (pilot_of < n_pilots)):
             raise ValueError(f"user_to_pilot must be {L}x{K} with pilots in [0, {n_pilots})")
+    if not maps:
+        return []
     noise_var = 1.0 / (10.0 ** (options.pilot_snr_db / 10.0)
                        if options.pilot_snr_db is not None else cfg.cell_edge_snr)
 
@@ -198,40 +242,52 @@ def min_rate(
         for n_pilots, stream in streams.items():
             if done > 0:
                 g = _draw_channels(bundle, options.paths, stream, n, geff)
-            noise = (stream.standard_normal((n, L, n_pilots, cfg.M))
-                     + 1j * stream.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
-            base = np.sqrt(noise_var) * noise
+            # the bytes of (re + 1j * im) / sqrt(2) * sqrt(noise_var)
+            noise = np.empty((n, L, n_pilots, cfg.M), dtype=complex)
+            noise.real = stream.standard_normal(noise.shape)
+            noise.imag = stream.standard_normal(noise.shape)
+            noise /= np.sqrt(2.0)
+            noise *= np.sqrt(noise_var)
             for i, (pilot_of, p) in enumerate(maps):
                 if p == n_pilots:
-                    acc[i] += _chunk_sum(g, base.copy(), pilot_of, filt, noise_var,
+                    acc[i] += _chunk_sum(g, noise, pilot_of, filt, noise_var,
                                          options.ergodic)
     rates = acc / options.n_mc if options.ergodic else np.log2(1.0 + acc / options.n_mc)
     return [RateReport(rates=r, min_rate=float(r.min()), n_mc=options.n_mc) for r in rates]
 
 
-def _chunk_sum(g, est, pilot_of, filt, noise_var, ergodic) -> np.ndarray:
+def _chunk_sum(g, noise, pilot_of, filt, noise_var, ergodic) -> np.ndarray:
     """(L, K) sum over one chunk's realizations of log2(1+SINR) (of the SINR
-    with ergodic=False) for one pilot map; est holds the scaled noise of the
-    pilot block, (n, L, n_pilots, M), and gains the channels in place."""
+    with ergodic=False) for one pilot map; noise is the scaled noise of the
+    pilot block, (n, L, n_pilots, M), which the maps of a chunk share and
+    none writes."""
     L, K = pilot_of.shape
     cells = np.arange(L)
     # co-user of (j, k) in cell l: the first user of l on its pilot, if any
     shared = _copilot_mask(pilot_of)                          # (L, K, L, K)
     has_couser, couser = shared.any(axis=-1), shared.argmax(axis=-1)
-    # est[:, j, p] gains g[:, j, l, k] for each user (l, k) on pilot p, in
-    # (l, k) order, so users sharing a pilot add up as in a per-user loop
-    for l in range(L):
-        for k in range(K):
-            est[:, :, pilot_of[l, k]] += g[:, :, l, k]
-    v = np.moveaxis(est[:, cells[:, None], pilot_of], 0, 2) @ filt  # (L, K, n, M)
+    # the pilot block of pilot p at every BS j: the noise plus g[:, j, l, k]
+    # of each user (l, k) on p, in (l, k) order, so users sharing a pilot
+    # add up as in a per-user loop; est[:, j, k] holds it for user (j, k)
+    est = np.empty(g.shape[:2] + (K, g.shape[-1]), dtype=complex)  # (n, L, K, M)
+    for p in np.unique(pilot_of):
+        users = np.argwhere(pilot_of == p)  # in (l, k) order
+        block = noise[:, :, p] + g[:, :, users[0, 0], users[0, 1]]
+        for l, k in users[1:]:
+            block += g[:, :, l, k]
+        cell, user = users.T
+        est[:, cell, user] = block[:, cell]
+    del block
+    v = np.moveaxis(est, 0, 2) @ filt  # (L, K, n, M)
     del est
     den = noise_var * (np.abs(v) ** 2).sum(axis=-1)
     vc = np.conjugate(v, out=v)
     num = np.abs(np.einsum("...m,...m->...", vc,
                            np.moveaxis(g[:, cells, cells], 0, 2))) ** 2
     for l in range(L):
-        co = np.moveaxis(g[:, cells[:, None], l, couser[:, :, l]], 0, 2)
-        cross = np.abs(np.einsum("...m,...m->...", vc, co)) ** 2
+        # one co-user gather at a time: it is freed before the next is made
+        cross = np.abs(np.einsum("...m,...m->...", vc, np.moveaxis(
+            g[:, cells[:, None], l, couser[:, :, l]], 0, 2))) ** 2
         den = den + np.where(has_couser[:, :, l, None], cross, 0.0)
     sinr = num / den
     return (np.log2(1.0 + sinr) if ergodic else sinr).sum(axis=-1)

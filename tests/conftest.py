@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,18 @@ def outputs_per_blas_threads(script: str) -> tuple:
             [sys.executable, "-c", script, *paths], env=env,
             capture_output=True, text=True, check=True, timeout=300).stdout)
     return tuple(out)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated during fn(), after one
+    untraced call, so that lazy imports and caches are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 MS = (1, 2, 3, 4, 8, 16, 64, 100)

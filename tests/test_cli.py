@@ -212,6 +212,20 @@ def test_evaluate_command(tmp_path, ini):
     assert "min rate" in stdout and "bits/s/Hz" in stdout
 
 
+def test_rate_realization_above_the_byte_cap_exit_code(tmp_path):
+    # 10^8 paths: one realization would need about 322 GiB; the rate pass
+    # refuses it from the shapes, before it allocates, with exit 3
+    ini = tmp_path / "paths.ini"
+    ini.write_text("[rate]\npaths = 100000000\n")
+    assignment = tmp_path / "assign.txt"
+    assignment.write_text("0 1 2 3\n" * 7)
+    code, stdout, stderr = _run(["evaluate", str(assignment), "--seed", "0",
+                                 "--config", str(ini), "--rate"])
+    assert code == 3
+    assert stderr.startswith("error: ") and "lower [rate] paths" in stderr
+    assert "worst-user cost" in stdout and "min rate" not in stdout
+
+
 def test_evaluate_shape_mismatch(tmp_path):
     assignment = tmp_path / "assign.txt"
     assignment.write_text("0 1\n1 0\n")  # default scenario is 7 cells x 4 pilots

@@ -23,6 +23,7 @@ from cellpilot import (
     cosine_support,
     drop_users,
     extended_user_costs,
+    fresh_world,
     pair_cost,
     pairwise_cost_matrix,
     presets,
@@ -37,6 +38,7 @@ from cellpilot.contamination import (
     _pair_costs,
     _pairwise_costs,
 )
+from cellpilot.env import _band_thresholds, _calibration_samples
 from cellpilot.scenario import UserDrop, _draw_drops, _links
 from conftest import EDGE_CENTERS, MS, make_world, random_world
 
@@ -410,6 +412,33 @@ def test_calibration_matches_per_sample_loop(redraw):
     g2 = float(np.quantile(samples, opts.q_high))
     assert min(samples) < g1 < g2  # no tie adjustment on these draws
     assert (th.g1, th.g2) == (g1, g2)
+
+
+@pytest.mark.parametrize("redraw", ["smallscale", "positions"])
+@pytest.mark.parametrize("preset", ["desk", "full"])
+def test_calibration_samples_match_total_costs_loop(preset, redraw):
+    # 150 samples, scored in blocks of 8 drops or 64 maps and a last,
+    # smaller block, against one total_costs per sample on the same draws
+    # (drop i, then map i, when positions are redrawn), bit for bit; the
+    # thresholds are those of the loop's samples
+    cfg = presets()[preset].config
+    opts = EnvOptions(redraw=redraw, threshold_samples=150)
+    gen, rng = np.random.default_rng(7), np.random.default_rng(7)
+    samples = _calibration_samples(cfg, opts, gen)
+
+    layout = build_layout(cfg.L, cfg.R)
+    world = fresh_world(cfg, rng, layout)
+    ref = []
+    for i in range(opts.threshold_samples):
+        if redraw == "positions" and i > 0:
+            world = fresh_world(cfg, rng, layout)
+        p2u = random_assignment(cfg.L, cfg.K, rng).pilot_to_user
+        ref.append(total_costs(world, p2u).global_max)
+    ref = np.array(ref)
+    assert samples.tobytes() == ref.tobytes()
+    assert gen.bit_generator.state == rng.bit_generator.state
+    assert calibrate_thresholds(cfg, opts, np.random.default_rng(7)) == \
+        _band_thresholds(ref, opts)
 
 
 @pytest.mark.parametrize("K, n", [(3, 7), (3, 500), (4, 60), (5, 200)])

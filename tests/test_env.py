@@ -28,7 +28,7 @@ from cellpilot import (
 from cellpilot.contamination import _pairwise_costs
 from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import write_csv
-from conftest import make_world, small_config
+from conftest import make_world, small_config, traced_peak
 
 
 # --------------------------------------------------------------- thresholds
@@ -90,6 +90,18 @@ def test_calibration_degenerate_single_level():
     th = calibrate_thresholds(cfg, opts, np.random.default_rng(0))
     assert th.g1 < 0.0 < th.g2
     assert th.band(0.0) == 1
+
+
+def test_calibration_working_set():
+    # the full preset's smallscale calibration (1000 samples) scores its
+    # maps _MAP_BLOCK at a time: about 0.5 MiB at its peak, 7.7 MiB when
+    # one batched call scored all of them
+    full = presets()["full"]
+    pairwise = pairwise_cost_matrix(fresh_world(full.config, np.random.default_rng(0)))
+    assert full.env.redraw == "smallscale" and full.env.threshold_samples == 1000
+    assert traced_peak(lambda: calibrate_thresholds(
+        full.config, full.env, substream(0, "thresholds"), pairwise=pairwise)) \
+        < 2 ** 20
 
 
 def test_calibration_uses_given_world():

@@ -410,6 +410,31 @@ def test_stream_failure_fails_every_baseline(tmp_path, monkeypatch):
     assert calls.count("random") == 7
 
 
+def test_no_rate_pass_once_every_method_failed(monkeypatch):
+    # the last method fails on evaluation step 9: nothing is left to score,
+    # so no rate pass runs and no rate channels are drawn
+    real_assign, calls = harness.baseline_assignment, []
+
+    def failing(name, *args, **kwargs):
+        calls.append(name)
+        if len(calls) == 10:
+            raise RuntimeError(name)
+        return real_assign(name, *args, **kwargs)
+
+    def rate_pass(world, maps, *args):
+        scored.append(list(maps))
+        return min_rate(world, maps, *args)
+
+    scored = []
+    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    monkeypatch.setattr(harness, "min_rate", rate_pass)
+    failures = {}
+    assert _run_methods(("random",), _tiny_preset(methods=("random",)), 4, False,
+                        failures) == {}
+    assert {name: str(exc) for name, exc in failures.items()} == {"random": "random"}
+    assert scored == []
+
+
 def test_stream_failure_inside_drl_fails_every_method(tmp_path, monkeypatch):
     # drl's env.step advances the shared stream, which raises at step 7:
     # that is the stream's error, so every method gets it and the run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellpilot import (
+    BudgetError,
     RateOptions,
     covariance,
     extended_user_costs,
@@ -17,8 +18,8 @@ from cellpilot import (
     steering,
 )
 from cellpilot.channel import QUAD_POINTS, _midpoints
-from cellpilot.rate import _draw_channels, _expi
-from conftest import make_world, outputs_per_blas_threads, small_config
+from cellpilot.rate import _check_realization, _draw_channels, _expi
+from conftest import make_world, outputs_per_blas_threads, small_config, traced_peak
 
 
 # ----------------------------------------------------------- moving average
@@ -148,16 +149,19 @@ def _whole_chunk_draw_channels(bundle, P, rng, n_mc, gains):
     return np.sqrt(gains / P)[None, ..., None] * rate._power_sum(z, alphas, cfg.M)
 
 
-@pytest.mark.parametrize("per_block", [None, 1, 2, 3])
+@pytest.mark.parametrize("per_block", [None, 1, 2, 3, 0.5, "half-link"])
 @pytest.mark.parametrize("L, K, M, P", [(2, 3, 8, 5), (3, 3, 64, 25), (7, 4, 100, 50)])
 def test_draw_blocks_match_whole_chunk(monkeypatch, L, K, M, P, per_block):
-    # blocks of per_block realizations (None: the default budget, one
-    # block below full scale) give the whole chunk's bytes and leave the
+    # blocks of per_block realizations' power tables (None: the default
+    # budget; 0.5: half a realization; half-link: less than one link's, so
+    # one link per block) give the whole chunk's bytes and leave the
     # generator where it leaves it
     R = math.ceil(math.sqrt(M))
-    table_bytes = (R + -(-M // R)) * L * L * K * P * 16  # one realization's
-    if per_block is not None:
-        monkeypatch.setattr(rate, "_BLOCK_BYTES", per_block * table_bytes)
+    link_bytes = (R + -(-M // R)) * P * 16  # one link's tables
+    if per_block == "half-link":
+        monkeypatch.setattr(rate, "_BLOCK_BYTES", link_bytes // 2)
+    elif per_block is not None:
+        monkeypatch.setattr(rate, "_BLOCK_BYTES", int(per_block * L * L * K * link_bytes))
     world = make_world(small_config(L=L, K=K, M=M), seed=L)
     gains = np.random.default_rng(K).uniform(0.1, 2.0, (L, L, K))
     rng_new, rng_ref = np.random.default_rng(M), np.random.default_rng(M)
@@ -288,6 +292,38 @@ def test_filter_view_matches_gather(L, K, M):
 
 def _identity_pilots(L, K):
     return np.tile(np.arange(K), (L, 1))
+
+
+def test_no_maps_draw_nothing():
+    bundle = make_world(small_config(L=2, K=2, M=16), seed=0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert min_rate(bundle, [], rng, RateOptions(n_mc=5, paths=10)) == []
+    assert rng.bit_generator.state == state
+
+
+def test_realization_cap():
+    # checked from the shapes alone, before anything is allocated: the
+    # M = 100000 scenario fits, 10^8 paths or 10^7 antennas do not, and the
+    # error names the key that drives the size
+    assert _check_realization(7, 4, 100, 50) == 20
+    _check_realization(7, 4, 100000, 200)
+    with pytest.raises(BudgetError, match=r"lower \[rate\] paths"):
+        _check_realization(7, 4, 100, 10 ** 8)
+    with pytest.raises(BudgetError, match=r"lower \[scenario\] M"):
+        _check_realization(7, 4, 10 ** 7, 200)
+
+
+def test_rate_pass_working_set():
+    # one full-scale call (K pilots and spr_like's map, n_mc=20, 50 paths)
+    # holds about 10.0 MiB of arrays at its peak; 14.2 MiB before the
+    # draws, the noise and the co-user terms were bounded
+    world = make_world(small_config(L=7, K=4, M=100), seed=5)
+    split_map, split = spr_like_assignment(world)
+    maps = [(_identity_pilots(7, 4), 4), (split_map, split.required_pilots)]
+    opts = RateOptions(n_mc=20, paths=50)
+    assert traced_peak(lambda: min_rate(world, maps, np.random.default_rng(1), opts)) \
+        < 12 * 2 ** 20
 
 
 def test_report_invariants():
