@@ -27,6 +27,18 @@ class NumericError(RuntimeError):
     """Non-finite values encountered where finite math was required."""
 
 
+# bytes that an array sized by a config key may take, checked from its shape
+# before it is allocated (rate realizations, calibration samples, replay)
+_BYTES_CAP = 2 ** 30
+
+
+def _check_bytes(nbytes: int, what: str, key: str):
+    """Raise BudgetError naming `key` if `what` needs more than _BYTES_CAP bytes."""
+    if nbytes > _BYTES_CAP:
+        raise BudgetError(f"{what} needs {nbytes / 2 ** 20:.0f} MiB, above the cap of"
+                          f" {_BYTES_CAP / 2 ** 20:.0f} MiB; lower {key}")
+
+
 def _check_finite(options):
     """Raise ConfigError if a float field of the dataclass is nan or +-inf."""
     for f in fields(options):

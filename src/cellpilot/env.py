@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import PilotAssignment, apply_swap, random_assignment
-from .config import ConfigError, EnvOptions, SystemConfig, substream
+from .config import ConfigError, EnvOptions, SystemConfig, _check_bytes, substream
 from .contamination import (
     CostTable,
     _copilot_costs,
@@ -80,10 +80,11 @@ def _calibration_samples(config: SystemConfig, opts: EnvOptions,
     Redrawn worlds come as drop i and then map i, and each block of drops
     is pair-costed at once. On a reused world one random_assignment of
     b*L rows draws a block's b maps, the same draws as b successive L-row
-    ones.
+    ones. Samples above config._BYTES_CAP raise BudgetError before a draw.
     """
-    layout = build_layout(config.L, config.R)
     n = opts.threshold_samples
+    _check_bytes(8 * n, "threshold calibration's samples", "[env] threshold_samples")
+    layout = build_layout(config.L, config.R)
     positions = opts.redraw == "positions"
     if not positions:
         C = pairwise if pairwise is not None else \

@@ -29,7 +29,7 @@ from .config import (
 )
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
 from .qnn import TRAINING_LOG_FIELDS, Learner
-from .rate import min_rate, moving_average
+from .rate import _check_map, min_rate, moving_average
 
 METHODS = ("drl", "random", "exhaustive", "spr_like")
 
@@ -134,13 +134,14 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     step advances it once, through drl's Learner.step or directly, then
     scores every baseline still running on its world and pair-cost matrix,
     each with its own substream(seed, "baseline", name). Each evaluation
-    step every-1, 2*every-1, ... then ends with one _score_step call, which
-    rates the pilot maps of every method still running (none, and nothing
-    is drawn, once every method has failed). A method that
-    raises, while stepping or in its rate evaluation, moves to `failures`
-    with its exception and stops; the others go on. An error of the
-    stream, which is any that drl raises before the stream advanced, fails
-    every method still running, as a stream of its own would.
+    step every-1, 2*every-1, ... then ends with one min_rate call on
+    substream(seed, "rate", t), which rates the pilot map of every method
+    still running on the step's world (no call, once every method has
+    failed). A method that raises while stepping, or whose map min_rate
+    would refuse, moves to `failures` with its exception and stops; the
+    others go on. An error of the stream, which is any that drl raises
+    before the stream advanced, or of the min_rate call fails every method
+    still running, as a stream or a rate pass of its own would.
     """
     cfg, redraw, every = preset.config, preset.env.redraw, preset.rate.eval_every
     runs = {name: MethodResult() for name in methods}
@@ -186,9 +187,18 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
             if t % every == every - 1 and runs:
                 maps = {name: (learner.env.assignment.user_to_pilot(), cfg.K)
                         if name == "drl" else solved[name][:2] for name in runs}
-                _score_step(t, worlds.world, maps, runs, preset, master_seed,
-                            failures)
-    except Exception as exc:  # the stream failed every method still running
+                for name, (pilot_of, n_pilots) in list(maps.items()):
+                    try:  # a map that min_rate would refuse fails its method alone
+                        _check_map(pilot_of, n_pilots, cfg.L, cfg.K)
+                    except ValueError as exc:
+                        failures[name] = exc
+                        del runs[name], maps[name]
+                reports = min_rate(worlds.world, maps.values(),
+                                   substream(master_seed, "rate", t), preset.rate)
+                for name, report in zip(maps, reports):
+                    runs[name].rate_rows.append(
+                        (t, report.min_rate, maps[name][1] / cfg.K))
+    except Exception as exc:  # the stream or the rate pass failed every method
         failures.update(dict.fromkeys(runs, exc))
         return {}
 
@@ -200,34 +210,6 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
         elif name != "random":  # a run keeps no file of its last random draw
             res.text_files.update(solved[name][3]())
     return runs
-
-
-def _score_step(t: int, world, maps: dict, runs: dict,
-                preset: ExperimentPreset, master_seed: int, failures: dict):
-    """Add step t's rate row to the run of each name in `maps`.
-
-    `maps` holds name -> (user_to_pilot, n_pilots). One min_rate call on
-    substream(seed, "rate", t) scores every map on the step's world (each
-    gets the bytes a call with its map alone gives). If the shared call
-    raises, each map is scored alone, and a method whose lone call raises
-    moves from `runs` to `failures` with its exception.
-    """
-    try:
-        reports = dict(zip(maps, min_rate(
-            world, maps.values(), substream(master_seed, "rate", t), preset.rate)))
-    except Exception:
-        reports = {}
-        for name, pilot_map in maps.items():
-            try:
-                reports[name], = min_rate(
-                    world, [pilot_map], substream(master_seed, "rate", t),
-                    preset.rate)
-            except Exception as exc:
-                failures[name] = exc
-                del runs[name]
-    for name, report in reports.items():
-        runs[name].rate_rows.append(
-            (t, report.min_rate, maps[name][1] / preset.config.K))
 
 
 def _config_dict(preset: ExperimentPreset) -> dict:
@@ -338,11 +320,12 @@ def run_experiment(
     which scores the pilot map of every method still running on one
     shared channel draw (see min_rate for the chunk rule), each getting
     the bytes a call with its map alone gives. A method failure, while
-    running or in its rate evaluation, stops that method and is recorded
-    in the manifest, and the remaining methods still run; when no method
-    finishes, the first method's exception (in method order) is raised and
-    no run file is written. The run holds OpenBLAS at one thread and
-    restores the caller's count on return.
+    running or as a map that min_rate refuses, stops that method and is
+    recorded in the manifest, and the remaining methods still run; an
+    error of the world stream or of the min_rate call stops every method
+    still running. When no method finishes, the first method's exception
+    (in method order) is raised and no run file is written. The run holds
+    OpenBLAS at one thread and restores the caller's count on return.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and

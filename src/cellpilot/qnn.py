@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import NumericError, TrainingSchedule, _one_blas_thread, substream
+from .config import NumericError, TrainingSchedule, _check_bytes, _one_blas_thread, substream
 
 
 def init_params(
@@ -198,6 +198,7 @@ class ReplayBuffer:
     A circular buffer: four arrays allocated on the first push, the slot of
     the oldest transition and the count held. States keep the dtype and
     shape of the first pushed state; actions are int64, rewards float64.
+    Arrays above config._BYTES_CAP raise BudgetError before allocation.
     """
 
     def __init__(self, capacity: int):
@@ -212,6 +213,8 @@ class ReplayBuffer:
     def push(self, state, action, reward, next_state):
         state = np.asarray(state)
         if self._s is None:
+            _check_bytes(self.capacity * (2 * state.nbytes + 16), "the replay buffer",
+                         "[training] replay_capacity")
             self._s = np.empty((self.capacity, *state.shape), dtype=state.dtype)
             self._s2 = np.empty_like(self._s)
             self._a = np.empty(self.capacity, dtype=np.int64)

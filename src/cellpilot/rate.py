@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import QUAD_POINTS, _midpoints
-from .config import BudgetError, RateOptions
+from .config import RateOptions, _check_bytes
 from .contamination import _copilot_mask
 from .scenario import ScenarioBundle
 
@@ -35,12 +35,6 @@ _DRAW_BUDGET = 5e7
 # they never change a draw
 _BLOCK_BYTES = 2 ** 20
 
-# bytes that one realization needs at least in _draw_channels: its path
-# angles and phases and its channels (16 bytes per path and per antenna, of
-# each of the L*L*K links) and the power tables of one link. Above it the
-# rate pass refuses to draw; M = 100000 with 200 paths takes 316 MB
-_REALIZATION_CAP = 2 ** 30
-
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean with truncated windows at the head.
@@ -60,8 +54,7 @@ def _power_sum(z: np.ndarray, weights, M: int) -> np.ndarray:
     """sum_p weights_p * z_p^m, m < M, over the last axis of z, as one (Q, P) @ (P, R)
     matmul of power tables F[q] = weights * z^(qR), E[r] = z^r, R = ceil(sqrt(M)).
     """
-    R = math.ceil(math.sqrt(M))
-    Q = -(-M // R)
+    R, Q = _table_rows(M)
     E = np.empty((R,) + z.shape, dtype=complex)
     E[0] = 1.0
     for r in range(1, R):
@@ -73,6 +66,12 @@ def _power_sum(z: np.ndarray, weights, M: int) -> np.ndarray:
         np.multiply(F[q - 1], zR, out=F[q])
     g = np.matmul(np.moveaxis(F, 0, -2), np.moveaxis(E, 0, -1))  # (..., Q, R)
     return g.reshape(g.shape[:-2] + (Q * R,))[..., :M]
+
+
+def _table_rows(M: int) -> tuple:
+    """(R, Q): the rows of _power_sum's E and F tables at M antennas."""
+    R = math.ceil(math.sqrt(M))
+    return R, -(-M // R)
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -105,20 +104,16 @@ def _filters(bundle: ScenarioBundle) -> np.ndarray:
 
 
 def _check_realization(L: int, K: int, M: int, P: int) -> int:
-    """Rows of _power_sum's two tables at M antennas; raises BudgetError,
+    """Rows of _power_sum's two tables at M antennas. Raises BudgetError,
     naming the key that drives the size, if one realization of
-    _draw_channels (L*L*K links of P paths and M antennas) needs more than
-    _REALIZATION_CAP bytes."""
-    R = math.ceil(math.sqrt(M))
-    rows = R + -(-M // R)
+    _draw_channels needs over config._BYTES_CAP bytes: 16 per path and per
+    antenna of its L*L*K links, and one link's power tables (M = 100000
+    with 200 paths takes 316 MB)."""
+    rows = sum(_table_rows(M))
     links = L * L * K
     path_bytes, channel_bytes = 16 * P * (links + rows), 16 * links * M
-    if path_bytes + channel_bytes > _REALIZATION_CAP:
-        key = "[rate] paths" if path_bytes > channel_bytes else "[scenario] M"
-        raise BudgetError(
-            f"one channel realization needs {(path_bytes + channel_bytes) / 2 ** 20:.0f}"
-            f" MiB, above the rate pass's cap of {_REALIZATION_CAP / 2 ** 20:.0f} MiB;"
-            f" lower {key}")
+    _check_bytes(path_bytes + channel_bytes, "one channel realization",
+                 "[rate] paths" if path_bytes > channel_bytes else "[scenario] M")
     return rows
 
 
@@ -146,8 +141,8 @@ def _draw_channels(
     _BLOCK_BYTES of power tables hold (at least one), so a block is some
     realizations or part of one: each block draws and rotates its own
     phases, and the blocks give the bytes of the whole chunk. A realization
-    that needs more than _REALIZATION_CAP bytes raises BudgetError before
-    anything is drawn.
+    above _check_realization's cap raises BudgetError before anything is
+    drawn.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
@@ -204,8 +199,8 @@ def min_rate(
     one noise array per n_pilots, which every map with that n_pilots reads
     and none copies, and one map's (n, L, K, M) estimates at a time. Phases
     and power tables come in blocks of _BLOCK_BYTES of tables (see
-    _draw_channels), and a realization above _REALIZATION_CAP bytes raises
-    BudgetError before anything is drawn.
+    _draw_channels), and a realization above _check_realization's cap
+    raises BudgetError before anything is drawn.
 
     One stacked pass, laid out (L, K, n, M), serves all users: one matmul
     applies the _filters, one einsum gives the numerators. A denominator is
@@ -217,10 +212,7 @@ def min_rate(
     options = options or RateOptions()
     cfg = bundle.config
     L, K = bundle.drop.shape
-    maps = [(np.asarray(pilot_of), n_pilots) for pilot_of, n_pilots in maps]
-    for pilot_of, n_pilots in maps:
-        if pilot_of.shape != (L, K) or not np.all((pilot_of >= 0) & (pilot_of < n_pilots)):
-            raise ValueError(f"user_to_pilot must be {L}x{K} with pilots in [0, {n_pilots})")
+    maps = [(_check_map(pilot_of, n_pilots, L, K), n_pilots) for pilot_of, n_pilots in maps]
     if not maps:
         return []
     noise_var = 1.0 / (10.0 ** (options.pilot_snr_db / 10.0)
@@ -254,6 +246,14 @@ def min_rate(
                                          options.ergodic)
     rates = acc / options.n_mc if options.ergodic else np.log2(1.0 + acc / options.n_mc)
     return [RateReport(rates=r, min_rate=float(r.min()), n_mc=options.n_mc) for r in rates]
+
+
+def _check_map(pilot_of, n_pilots: int, L: int, K: int) -> np.ndarray:
+    """pilot_of as an array; ValueError unless it is (L, K) with pilots in [0, n_pilots)."""
+    pilot_of = np.asarray(pilot_of)
+    if pilot_of.shape != (L, K) or not np.all((pilot_of >= 0) & (pilot_of < n_pilots)):
+        raise ValueError(f"user_to_pilot must be {L}x{K} with pilots in [0, {n_pilots})")
+    return pilot_of
 
 
 def _chunk_sum(g, noise, pilot_of, filt, noise_var, ergodic) -> np.ndarray:

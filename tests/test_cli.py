@@ -226,6 +226,37 @@ def test_rate_realization_above_the_byte_cap_exit_code(tmp_path):
     assert "worst-user cost" in stdout and "min rate" not in stdout
 
 
+def test_experiment_rate_realization_above_the_byte_cap_exit_code(tmp_path):
+    # desk's first evaluation step (49) refuses its one rate pass: every
+    # method fails with exit 3, and the earlier run in --out keeps its bytes
+    out = run_experiment(_tiny_preset(methods=("random",), total_steps=10), 1,
+                         out_dir=tmp_path / "run")
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    ini = tmp_path / "paths.ini"
+    ini.write_text("[rate]\npaths = 100000000\n")
+    code, stdout, stderr = _run(["experiment", "--preset", "desk", "--seed", "0",
+                                 "--config", str(ini), "--out", str(out)])
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("error: ") and "lower [rate] paths" in stderr
+    assert "Traceback" not in stderr
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("section, key", [("env", "threshold_samples"),
+                                          ("training", "replay_capacity")])
+def test_train_sizes_above_the_byte_cap_exit_code(tmp_path, section, key):
+    # 10^12 calibration samples (7.3 TiB) or replay slots (over 500 TiB):
+    # refused from the shapes before they are allocated, with exit 3
+    ini = tmp_path / "big.ini"
+    ini.write_text(f"[{section}]\n{key} = 1000000000000\n")
+    out = tmp_path / "train"
+    code, stdout, stderr = _run(["train", "--steps", "2", "--config", str(ini),
+                                 "--out", str(out)])
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("error: ") and f"lower [{section}] {key}" in stderr
+    assert list(out.iterdir()) == []
+
+
 def test_evaluate_shape_mismatch(tmp_path):
     assignment = tmp_path / "assign.txt"
     assignment.write_text("0 1\n1 0\n")  # default scenario is 7 cells x 4 pilots

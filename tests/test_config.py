@@ -8,6 +8,7 @@ import pytest
 
 from cellpilot import (
     PACKAGE_VERSION,
+    BudgetError,
     ConfigError,
     EnvOptions,
     RateOptions,
@@ -17,6 +18,7 @@ from cellpilot import (
     presets,
     substream,
 )
+from cellpilot.config import _BYTES_CAP, _check_bytes
 
 
 def test_defaults_are_valid():
@@ -261,3 +263,12 @@ def test_substream_mixed_labels():
     a = substream(0, "rate", 10).random(3)
     b = substream(0, "rate", 11).random(3)
     assert not np.array_equal(a, b)
+
+
+def test_byte_cap_names_the_key():
+    # one cap for every array a config key sizes: the cap itself passes,
+    # a byte more raises BudgetError naming the key to lower
+    _check_bytes(_BYTES_CAP, "an array", "[rate] paths")
+    with pytest.raises(BudgetError, match=r"^an array needs 1024 MiB, above the cap "
+                                          r"of 1024 MiB; lower \[rate\] paths$"):
+        _check_bytes(_BYTES_CAP + 1, "an array", "[rate] paths")

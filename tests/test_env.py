@@ -7,6 +7,7 @@ import pytest
 
 import cellpilot.env
 from cellpilot import (
+    BudgetError,
     ConfigError,
     CostTable,
     EnvOptions,
@@ -102,6 +103,18 @@ def test_calibration_working_set():
     assert traced_peak(lambda: calibrate_thresholds(
         full.config, full.env, substream(0, "thresholds"), pairwise=pairwise)) \
         < 2 ** 20
+
+
+def test_calibration_refuses_samples_above_the_byte_cap():
+    # 10^12 samples would take 7.3 TiB: refused from the count alone,
+    # before anything is allocated or drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for redraw in ("positions", "smallscale"):
+        opts = EnvOptions(redraw=redraw, threshold_samples=10 ** 12)
+        with pytest.raises(BudgetError, match=r"lower \[env\] threshold_samples"):
+            calibrate_thresholds(small_config(), opts, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_calibration_uses_given_world():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cellpilot import (
+    BudgetError,
     ConfigError,
     EnvOptions,
     ExperimentPreset,
@@ -514,6 +515,70 @@ def test_failing_method_leaves_the_others_rows(tmp_path, monkeypatch, where):
     assert methods["exhaustive"]["error"] == (
         "RuntimeError: step 19" if where == "run" else
         "ValueError: user_to_pilot must be 2x3 with pilots in [0, 2)")
+
+
+def test_refused_map_leaves_one_rate_pass_per_step(tmp_path, monkeypatch):
+    # exhaustive hands evaluation step 19 a map with a pilot out of range:
+    # it fails alone before the step's one min_rate call, which scores the
+    # other two maps; every evaluation step makes exactly one call
+    real, solves, refused = harness.baseline_assignment, [], []
+
+    def failing(name, *args, **kwargs):
+        u2p, n_pilots, g_max, files = real(name, *args, **kwargs)
+        if name == "exhaustive":
+            solves.append(name)
+            if len(solves) == 20:
+                n_pilots -= 1
+                refused.append(u2p)
+        return u2p, n_pilots, g_max, files
+
+    def spy(world, maps, *args):
+        calls.append([pilot_of for pilot_of, _ in maps])
+        return min_rate(world, maps, *args)
+
+    calls = []
+    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    monkeypatch.setattr(harness, "min_rate", spy)
+    out = run_experiment(_positions_preset(), 4, out_dir=tmp_path / "run")
+    assert [len(maps) for maps in calls] == [3, 2, 2]  # steps 9, 19 and 29
+    assert not any(pilot_of is refused[0] for pilot_of in calls[1])
+    methods = json.loads((out / "manifest.json").read_text())["methods"]
+    assert methods["exhaustive"]["error"] == (
+        "ValueError: user_to_pilot must be 2x3 with pilots in [0, 2)")
+
+
+def test_rate_pass_error_fails_every_running_method(tmp_path, monkeypatch):
+    # the one min_rate call of evaluation step 19 raises: every method
+    # still running, drl included, fails with its error, spr_like keeps the
+    # one it raised at step 12, and the run raises it and writes no file
+    real_assign, solves, calls = harness.baseline_assignment, [], []
+
+    def failing(name, *args, **kwargs):
+        solves.append(name)
+        if name == "spr_like" and solves.count(name) == 13:
+            raise RuntimeError("spr_like")
+        return real_assign(name, *args, **kwargs)
+
+    def rate_pass(world, maps, *args):
+        calls.append(len(maps))
+        if len(calls) == 2:
+            raise BudgetError("rate pass")
+        return min_rate(world, maps, *args)
+
+    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    monkeypatch.setattr(harness, "min_rate", rate_pass)
+    methods = ("random", "spr_like", "exhaustive", "drl")
+    failures = {}
+    assert _run_methods(methods, _positions_preset(methods), 4, False, failures) == {}
+    assert {name: str(exc) for name, exc in failures.items()} == {
+        "spr_like": "spr_like", "random": "rate pass", "exhaustive": "rate pass",
+        "drl": "rate pass"}
+    assert calls == [4, 3]
+    out = tmp_path / "run"
+    solves.clear(), calls.clear()
+    with pytest.raises(BudgetError, match="rate pass"):
+        run_experiment(_positions_preset(methods), 4, out_dir=out)
+    assert list(out.iterdir()) == []
 
 
 def test_run_experiment_holds_one_blas_thread(two_blas_threads, tmp_path,

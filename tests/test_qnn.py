@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellpilot import (
+    BudgetError,
     EnvOptions,
     Learner,
     NumericError,
@@ -301,6 +302,16 @@ def test_replay_fifo_eviction():
     assert len(buf) == 500
     stored = [int(item[0][0]) for item in buf.snapshot()]
     assert stored == list(range(1, 501))
+
+
+def test_replay_refuses_arrays_above_the_byte_cap():
+    # 10^12 slots of two 68-float32 states (544 TB): the first push refuses
+    # them from the shapes, and the buffer allocates and holds nothing
+    buf = ReplayBuffer(capacity=10 ** 12)
+    state = np.zeros(68, dtype=np.float32)
+    with pytest.raises(BudgetError, match=r"lower \[training\] replay_capacity"):
+        buf.push(state, 0, 0.0, state)
+    assert len(buf) == 0 and buf._s is None
 
 
 def test_replay_fuzzed_fifo_matches_list_oracle():

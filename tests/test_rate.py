@@ -18,7 +18,7 @@ from cellpilot import (
     steering,
 )
 from cellpilot.channel import QUAD_POINTS, _midpoints
-from cellpilot.rate import _check_realization, _draw_channels, _expi
+from cellpilot.rate import _check_realization, _draw_channels, _expi, _table_rows
 from conftest import make_world, outputs_per_blas_threads, small_config, traced_peak
 
 
@@ -312,6 +312,26 @@ def test_realization_cap():
         _check_realization(7, 4, 100, 10 ** 8)
     with pytest.raises(BudgetError, match=r"lower \[scenario\] M"):
         _check_realization(7, 4, 10 ** 7, 200)
+
+
+def test_the_cap_counts_the_power_tables_power_sum_makes(monkeypatch):
+    # _check_realization sizes the rows that _power_sum allocates, R + Q
+    # with R*Q the fewest rows of R = ceil(sqrt(M)) that cover M antennas
+    made = []
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        made.append(shape[0])
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(rate.np, "empty", empty)
+    for M in (1, 2, 8, 64, 99, 100, 101):
+        R, Q = _table_rows(M)
+        assert R * Q >= M > R * (Q - 1)
+        made.clear()
+        rate._power_sum(np.full(3, 0.5 + 0.5j), 1.0, M)
+        assert made == [R, Q]
+        assert _check_realization(1, 1, M, 1) == R + Q
 
 
 def test_rate_pass_working_set():
