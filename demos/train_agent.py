@@ -38,14 +38,14 @@ def main():
         block = rows[start:start + 100]
         losses = [r["loss"] for r in block if r["loss"] is not None]
         neg = np.mean([r["reward"] < 0 for r in block])
-        gmax = np.mean([r["g_max"] for r in block])
+        worst = np.mean([r["g_next"] for r in block])
         loss_txt = f"{np.mean(losses):7.4f}" if losses else "   --  "
         print(f"  {start:4d}   {block[0]['epsilon']:7.4f}  {loss_txt} "
-              f"  {neg:16.2f}   {gmax:15.3f}")
+              f"  {neg:16.2f}   {worst:15.3f}")
 
     world = fresh_world(CFG, substream(SEED, "world"))
     _, table = exhaustive_search(world)
-    final = rows[-1]["g_max"]
+    final = rows[-1]["g_next"]
     print(f"\nfinal worst-user cost {final:.3f} vs exhaustive optimum "
           f"{table.global_max:.3f}")
     print(f"skipped optimizer updates: {result.skipped_updates}")

@@ -39,7 +39,6 @@ from .contamination import (
     dirichlet_magnitude,
     extended_user_costs,
     interference_integral,
-    kernel_zeros,
     pair_cost,
     pairwise_cost_matrix,
     total_costs,
@@ -112,7 +111,6 @@ __all__ = [
     "dirichlet_magnitude",
     "interference_integral",
     "cosine_support",
-    "kernel_zeros",
     "pair_cost",
     "pairwise_cost_matrix",
     "total_costs",

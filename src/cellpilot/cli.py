@@ -52,7 +52,7 @@ def cmd_train(args) -> None:
     (out / "assignment.txt").write_text(env.assignment.to_text())
     final = result.rows[-1]
     print(f"trained {args.steps} steps (seed {args.seed}); "
-          f"final worst-user cost {final['g_max']:.6g}, "
+          f"final worst-user cost {final['g_next']:.6g}, "
           f"skipped updates {result.skipped_updates}; outputs in {out}")
 
 

@@ -84,23 +84,6 @@ def _zero_range(base, M: int, spacing: float):
             np.floor((1.0 - base) / step + 1e-12))
 
 
-def kernel_zeros(omega: float, M: int, spacing: float = 0.5) -> np.ndarray:
-    """All angles in [0, pi] where the overlap kernel seeded at omega vanishes.
-
-    The kernel is zero iff cos(phi) = cos(omega) + n/(M*spacing) for integer
-    n not divisible by M, with the cosine inside [-1, 1]. Returned sorted
-    ascending.
-    """
-    step = 1.0 / (M * spacing)
-    base = np.cos(omega)
-    n_lo, n_hi = map(int, _zero_range(base, M, spacing))
-    ns = np.array([n for n in range(n_lo, n_hi + 1) if n % M != 0], dtype=float)
-    if ns.size == 0:
-        return np.empty(0)
-    cosines = np.clip(base + ns * step, -1.0, 1.0)
-    return np.sort(np.arccos(cosines))
-
-
 def _first_nulls(lo, hi, M: int, spacing: float):
     """First kernel nulls outside cosine supports [lo, hi]: (low, high, saturated).
 
@@ -108,10 +91,12 @@ def _first_nulls(lo, hi, M: int, spacing: float):
     the support), high the null just outside the low-cosine edge. When the
     nominal null falls beyond an endfire direction the bound clamps there,
     truncating that ramp at the edge of the physical cosine range.
-    Saturated (the envelope cost takes its wide-band value): M < 2, or
-    kernel_zeros is empty at an edge. Its integer range always holds 0 (a
-    multiple of M) and, for M >= 2, a non-multiple as soon as it holds two
-    integers: it is empty when the range is {0}.
+    Saturated (the envelope cost takes its wide-band value): M < 2, or the
+    kernel seeded at an edge has no null in [0, pi]. That kernel vanishes
+    where cos(phi) = edge + n/(M*spacing) for an integer n, not a multiple
+    of M, that keeps the cosine in [-1, 1] (_zero_range). The range always
+    holds 0 and, for M >= 2, a non-multiple as soon as it holds two
+    integers: the kernel has no null when the range is {0}.
     """
     saturated = np.full(np.shape(lo), M < 2)
     for edge in (lo, hi):

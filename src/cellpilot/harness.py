@@ -166,7 +166,7 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
                 worlds.advance()
             else:
                 try:
-                    runs["drl"].cost_rows.append((t, learner.step()["g_max"]))
+                    runs["drl"].cost_rows.append((t, learner.step()["g_next"]))
                 except Exception as exc:
                     if len(worlds.digests) == t + 1:  # the stream did not advance
                         raise

@@ -272,7 +272,7 @@ def act(
 
 TRAINING_LOG_FIELDS = (
     "step", "epsilon", "explored", "loss", "reward", "r1", "r2", "r3",
-    "g_max", "action", "synced",
+    "action", "synced",
 )
 
 
@@ -290,10 +290,9 @@ class Learner:
     on non-finite gradients, and `rows` holds one dict per step taken:
     `step`, the dict env.step returned, `epsilon`, `explored` (whether the
     action was a random one), `loss` (None before the first update),
-    `g_max` (the worst-user cost after the step, equal to `g_next`),
-    `action` and `synced`. Every TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
-    column is a key, so either file is write_csv of `rows` with its field
-    tuple.
+    `action` and `synced`. The worst-user cost after the step is env.step's
+    `g_next`. Every TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS column is a
+    key, so either file is write_csv of `rows` with its field tuple.
     """
 
     def __init__(self, env, schedule: TrainingSchedule, seed: int):
@@ -343,8 +342,7 @@ class Learner:
             self._target = sync_target(self.params)
 
         row = {"step": t, **row, "epsilon": eps_t, "explored": explored,
-               "loss": loss, "g_max": row["g_next"], "action": action,
-               "synced": synced}
+               "loss": loss, "action": action, "synced": synced}
         self.rows.append(row)
         self._feats = next_feats
         return row

@@ -168,7 +168,7 @@ def min_rate(
     bundle: ScenarioBundle,
     maps,
     rng: np.random.Generator,
-    options: RateOptions | None = None,
+    options: RateOptions,
 ) -> list:
     """Worst ergodic uplink rate of each pilot map under pilot-contaminated
     channel estimation: one RateReport per (user_to_pilot, n_pilots) pair
@@ -209,7 +209,6 @@ def min_rate(
     so every sum rounds as a per-user loop over the co-users would. A pilot
     map that is not (L, K) with pilots in [0, n_pilots) raises ValueError.
     """
-    options = options or RateOptions()
     cfg = bundle.config
     L, K = bundle.drop.shape
     maps = [(_check_map(pilot_of, n_pilots, L, K), n_pilots) for pilot_of, n_pilots in maps]

@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 import cellpilot
-from cellpilot import (
-    AoAInterval,
-    ScenarioBundle,
-    SystemConfig,
-    build_layout,
-    drop_users,
-)
+from cellpilot import AoAInterval, ScenarioBundle, SystemConfig, fresh_world
 from cellpilot.config import _openblas_thread_fns
 
 
@@ -27,10 +21,21 @@ def small_config(L=2, K=2, M=16, **kw):
 
 
 def make_world(config: SystemConfig, seed: int) -> ScenarioBundle:
-    rng = np.random.default_rng(seed)
-    layout = build_layout(config.L, config.R)
-    drop = drop_users(layout, config.K, config.exclusion_radius, rng)
-    return ScenarioBundle.build(config, layout, drop)
+    return fresh_world(config, np.random.default_rng(seed))
+
+
+def ref_kernel_zeros(omega, M, spacing):
+    """All angles in [0, pi] where the overlap kernel seeded at omega
+    vanishes, sorted: cos(phi) = cos(omega) + n/(M*spacing) for integer n
+    not divisible by M, with the cosine inside [-1, 1]."""
+    step = 1.0 / (M * spacing)
+    base = np.cos(omega)
+    n_lo = int(np.ceil((-1.0 - base) / step - 1e-12))
+    n_hi = int(np.floor((1.0 - base) / step + 1e-12))
+    ns = np.array([n for n in range(n_lo, n_hi + 1) if n % M != 0], dtype=float)
+    if ns.size == 0:
+        return np.empty(0)
+    return np.sort(np.arccos(np.clip(base + ns * step, -1.0, 1.0)))
 
 
 def outputs_per_blas_threads(script: str) -> tuple:

@@ -435,7 +435,7 @@ CSV_FIELDS = {
     "trajectory.csv": TRAJECTORY_FIELDS,
 }
 FLOAT_COLUMNS = {"min_rate", "overhead_factor", "global_max", "value",
-                 "epsilon", "loss", "g_max", "g_prev", "g_next"}
+                 "epsilon", "loss", "g_prev", "g_next"}
 
 
 def _read(path):

@@ -10,7 +10,6 @@ from cellpilot import (
     dirichlet_magnitude,
     extended_user_costs,
     interference_integral,
-    kernel_zeros,
     pair_cost,
     pairwise_cost_matrix,
     steering,
@@ -18,7 +17,13 @@ from cellpilot import (
 )
 from cellpilot.assignment import random_assignment
 from cellpilot.contamination import _envelope, _first_nulls
-from conftest import make_world, random_interval, random_world, small_config
+from conftest import (
+    make_world,
+    random_interval,
+    random_world,
+    ref_kernel_zeros,
+    small_config,
+)
 
 
 def _direct_sum(x, M, spacing=0.5):
@@ -109,7 +114,8 @@ def test_cosine_support_through_peak_and_trough():
 # ------------------------------------------------------------- kernel zeros
 
 def test_kernel_zeros_worked_example():
-    zeros = kernel_zeros(np.pi / 2, M=4, spacing=0.5)
+    # the null formula that test_cost_kernel's saturation oracle rests on
+    zeros = ref_kernel_zeros(np.pi / 2, M=4, spacing=0.5)
     assert np.allclose(zeros, [0.0, np.pi / 3, 2 * np.pi / 3, np.pi], atol=1e-12)
     for z in zeros:
         assert _direct_sum(np.cos(z) - np.cos(np.pi / 2), 4, 0.5) < 1e-9
@@ -118,7 +124,7 @@ def test_kernel_zeros_worked_example():
 def test_kernel_zeros_match_sign_change_scan():
     # the signed Dirichlet ratio flips sign at every interior zero
     omega, M, s = 1.1, 8, 0.5
-    zeros = kernel_zeros(omega, M, s)
+    zeros = ref_kernel_zeros(omega, M, s)
 
     def signed(phi):
         x = s * (np.cos(phi) - np.cos(omega))
@@ -148,7 +154,7 @@ def test_kernel_zeros_match_sign_change_scan():
 def test_kernel_zero_spacing_halves_when_m_doubles():
     omega = 0.8
     for M in (8, 16, 32):
-        zeros = kernel_zeros(omega, M, 0.5)
+        zeros = ref_kernel_zeros(omega, M, 0.5)
         gap = np.min(np.abs(np.cos(zeros) - np.cos(omega)))
         assert gap == pytest.approx(1.0 / (M * 0.5), rel=1e-9)
 

@@ -40,7 +40,7 @@ from cellpilot.contamination import (
 )
 from cellpilot.env import _band_thresholds, _calibration_samples
 from cellpilot.scenario import UserDrop, _draw_drops, _links
-from conftest import EDGE_CENTERS, MS, make_world, random_world
+from conftest import EDGE_CENTERS, MS, make_world, random_world, ref_kernel_zeros
 
 # ---------------------------------------------------------------- references
 
@@ -54,17 +54,6 @@ def _ref_cosine_support(interval):
     if np.ceil((low - np.pi) / (2 * np.pi)) * 2 * np.pi + np.pi <= high:
         lo = -1.0
     return lo, hi
-
-
-def _ref_kernel_zeros(omega, M, spacing):
-    step = 1.0 / (M * spacing)
-    base = np.cos(omega)
-    n_lo = int(np.ceil((-1.0 - base) / step - 1e-12))
-    n_hi = int(np.floor((1.0 - base) / step + 1e-12))
-    ns = np.array([n for n in range(n_lo, n_hi + 1) if n % M != 0], dtype=float)
-    if ns.size == 0:
-        return np.empty(0)
-    return np.sort(np.arccos(np.clip(base + ns * step, -1.0, 1.0)))
 
 
 @dataclass
@@ -82,7 +71,7 @@ def _ref_first_null_bounds(interval, M, spacing):
         raise _RefSaturated("a single-antenna kernel has no nulls")
     lo, hi = _ref_cosine_support(interval)
     for edge in (lo, hi):
-        if _ref_kernel_zeros(float(np.arccos(edge)), M, spacing).size == 0:
+        if ref_kernel_zeros(float(np.arccos(edge)), M, spacing).size == 0:
             raise _RefSaturated("an edge-seeded kernel has no zeros")
     step = 1.0 / (M * spacing)
     east = min(hi + step, 1.0)

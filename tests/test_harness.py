@@ -176,23 +176,23 @@ def test_run_spr_overhead_factor(tiny_run):
 
 def test_drl_costs_are_the_step_record(tiny_run):
     # the run's step loop records drl's costs.csv rows from the rows its
-    # Learner steps; step by step they are the g_next and g_max of the one
-    # record both drl files project
+    # Learner steps; step by step they are the g_next of the one record
+    # both drl files project
     costs = [row for row in _read(tiny_run / "costs.csv") if row["method"] == "drl"]
     trajectory = _read(tiny_run / "drl_trajectory.csv")
     log = _read(tiny_run / "drl_training_log.csv")
     assert len(costs) == len(trajectory) == len(log) == 30
     for t, (cost, traj, entry) in enumerate(zip(costs, trajectory, log)):
         assert int(cost["step"]) == int(traj["step"]) == int(entry["step"]) == t
-        assert cost["global_max"] == traj["g_next"] == entry["g_max"], t
+        assert cost["global_max"] == traj["g_next"], t
 
     res = _run_methods(("drl",), _tiny_preset(), 5, False, {})["drl"]
     assert len(res.training_rows) == len(res.cost_rows) == 30
-    for row, (t, g_max) in zip(res.training_rows, res.cost_rows):
+    for row, (t, g_next) in zip(res.training_rows, res.cost_rows):
         assert set(TRAINING_LOG_FIELDS) | set(TRAJECTORY_FIELDS) <= row.keys()
         assert row["step"] == t
-        assert row["g_max"] == row["g_next"] == g_max
-        assert f"{g_max:.17g}" == costs[t]["global_max"]
+        assert row["g_next"] == g_next
+        assert f"{g_next:.17g}" == costs[t]["global_max"]
 
 
 def test_rerun_is_byte_identical(tiny_run, tmp_path):

@@ -434,7 +434,7 @@ def test_training_log_csv_format(tmp_path):
     path = tmp_path / "log.csv"
     write_csv(path, TRAINING_LOG_FIELDS, result.rows)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,epsilon,explored,loss,reward,r1,r2,r3,g_max,action,synced"
+    assert lines[0] == "step,epsilon,explored,loss,reward,r1,r2,r3,action,synced"
     assert len(lines) == 21
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == ""  # warm-up rows carry no loss
