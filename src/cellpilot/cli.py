@@ -24,15 +24,16 @@ from .config import (
 )
 from .contamination import total_costs
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
-from .harness import presets, run_experiment, write_csv
+from .harness import _output_dir, presets, run_experiment, write_csv
 from .qnn import TRAINING_LOG_FIELDS, train
 from .rate import min_rate
 
 
-def _build_options(config_path: str | None):
-    """Defaults, with the keys of the given config file laid on top."""
-    opts = {"scenario": SystemConfig(), "training": TrainingSchedule(),
-            "env": EnvOptions(), "rate": RateOptions()}
+def _build_options(config_path: str | None, base: dict | None = None):
+    """The base options (a section -> options dict, the defaults if none is
+    given), with the keys of the given config file laid on top."""
+    opts = base or {"scenario": SystemConfig(), "training": TrainingSchedule(),
+                    "env": EnvOptions(), "rate": RateOptions()}
     if config_path:
         opts = load_config_file(config_path, opts)
     return opts["scenario"], opts["training"], opts["env"], opts["rate"]
@@ -43,9 +44,9 @@ def cmd_train(args) -> None:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     cfg, schedule, env_opts, _ = _build_options(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    env = make_env(cfg, env_opts, args.seed)
-    result = train(env, schedule, args.steps, args.seed)
+    with _output_dir(out):
+        env = make_env(cfg, env_opts, args.seed)
+        result = train(env, schedule, args.steps, args.seed)
     write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.rows)
     write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.rows)
     np.savez(out / "checkpoint.npz", **result.params)
@@ -59,10 +60,6 @@ def cmd_train(args) -> None:
 def cmd_baseline(args) -> None:
     cfg, _, env_opts, _ = _build_options(args.config)
     worlds = WorldStream(cfg, env_opts.redraw, args.seed)
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-
     method = "spr_like" if args.method == "spr" else args.method
     _, _, g_max, build_files = baseline_assignment(
         method, worlds.world, substream(args.seed, "baseline", method),
@@ -72,7 +69,9 @@ def cmd_baseline(args) -> None:
     for name in overhead_files:
         print(files[name], end="")
     print(f"{args.method} baseline (seed {args.seed}): worst-user cost {g_max:.6g}")
-    if out:
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text)
         print(f"assignment written to {out / assignment_file}")
@@ -100,13 +99,11 @@ def cmd_evaluate(args) -> None:
 
 def cmd_experiment(args) -> None:
     preset = presets()[args.preset]
-    if args.config:
-        opts = load_config_file(args.config, {
-            "scenario": preset.config, "training": preset.schedule,
-            "env": preset.env, "rate": preset.rate})
-        preset = dataclasses.replace(
-            preset, config=opts["scenario"], schedule=opts["training"],
-            env=opts["env"], rate=opts["rate"])
+    cfg, schedule, env_opts, rate_opts = _build_options(args.config, {
+        "scenario": preset.config, "training": preset.schedule,
+        "env": preset.env, "rate": preset.rate})
+    preset = dataclasses.replace(preset, config=cfg, schedule=schedule,
+                                 env=env_opts, rate=rate_opts)
     out = run_experiment(preset, args.seed, args.out, long_run=args.long_run)
     print(f"experiment '{preset.name}' (seed {args.seed}) written to {out}")
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import PilotAssignment, apply_swap, random_assignment
-from .config import ConfigError, EnvOptions, SystemConfig, _check_bytes, substream
+from .config import EnvOptions, SystemConfig, _check_bytes, substream
 from .contamination import (
     CostTable,
     _copilot_costs,
@@ -188,10 +188,10 @@ class WorldStream:
     "positions" worlds after world 0 are drawn and pair-costed _BLOCK at
     a time (see scenario._fresh_worlds and contamination._pairwise_costs),
     so the generator runs up to _BLOCK - 1 drops ahead of the stream; each
-    world, its pair-cost matrix, and the error of a drop that fails, are
-    those of successive fresh_world and pairwise_cost_matrix calls. A
-    failed drop raises from the `advance` that reaches it, after the worlds
-    before it.
+    world and its pair-cost matrix are those of successive fresh_world and
+    pairwise_cost_matrix calls. A failed drop raises its ConfigError from
+    the `advance` that draws its block, which draws nothing, so every later
+    `advance` raises it again.
     """
 
     def __init__(self, config: SystemConfig, redraw: str, seed: int):
@@ -202,22 +202,16 @@ class WorldStream:
         self.world = fresh_world(config, self.rng, self.layout)
         self.pairwise = pairwise_cost_matrix(self.world)  # of `world`
         self.digests = [self.world.digest()]
-        self._queue = deque()  # drawn (world, matrix) pairs, then a failed drop's error
+        self._queue = deque()  # drawn (world, matrix) pairs
 
     def advance(self):
         if self.redraw == "positions":
             if not self._queue:
-                worlds, links, error = _fresh_worlds(self.config, self.rng,
-                                                     self.layout, _BLOCK)
+                worlds, links = _fresh_worlds(self.config, self.rng, self.layout, _BLOCK)
                 # each world keeps a copy of its matrix, so none pins the block
                 costs = _pairwise_costs(self.config, *links)
                 self._queue.extend((w, C.copy()) for w, C in zip(worlds, costs))
-                if error is not None:
-                    self._queue.append(error)
-            drawn = self._queue.popleft()
-            if isinstance(drawn, ConfigError):
-                raise drawn
-            self.world, self.pairwise = drawn
+            self.world, self.pairwise = self._queue.popleft()
         self.digests.append(self.world.digest())
 
     def digest(self) -> str:

@@ -8,6 +8,7 @@ meant to be fed straight into any plotting tool.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -140,8 +141,9 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     failed). A method that raises while stepping, or whose map min_rate
     would refuse, moves to `failures` with its exception and stops; the
     others go on. An error of the stream, which is any that drl raises
-    before the stream advanced, or of the min_rate call fails every method
-    still running, as a stream or a rate pass of its own would.
+    before the stream advanced (a drop that cannot be placed raises from
+    the advance that draws its block), or of the min_rate call fails every
+    method still running, as a stream or a rate pass of its own would.
     """
     cfg, redraw, every = preset.config, preset.env.redraw, preset.rate.eval_every
     runs = {name: MethodResult() for name in methods}
@@ -298,6 +300,21 @@ def _remove_earlier_run(out_dir: Path):
             path.unlink()
 
 
+@contextlib.contextmanager
+def _output_dir(out_dir: Path):
+    """Make out_dir before the work starts, so an unwritable path fails
+    first; if the work raises, remove out_dir again when this made it and
+    it is still empty."""
+    made = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
+
+
 def _error(exc: Exception) -> dict:
     return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
@@ -318,14 +335,15 @@ def run_experiment(
     drawn and pair-costed once and every method's world digest is the
     same. Each evaluation step of that loop ends with one min_rate call,
     which scores the pilot map of every method still running on one
-    shared channel draw (see min_rate for the chunk rule), each getting
-    the bytes a call with its map alone gives. A method failure, while
+    channel draw per chunk (see min_rate). A method failure, while
     running or as a map that min_rate refuses, stops that method and is
     recorded in the manifest, and the remaining methods still run; an
-    error of the world stream or of the min_rate call stops every method
-    still running. When no method finishes, the first method's exception
-    (in method order) is raised and no run file is written. The run holds
-    OpenBLAS at one thread and restores the caller's count on return.
+    error of the world stream, such as a drop that cannot be placed, or of
+    the min_rate call stops every method still running. When no method
+    finishes, the first method's exception (in method order) is raised,
+    no run file is written, and an out_dir that the call made is removed
+    again. The run holds OpenBLAS at one thread and restores the caller's
+    count on return.
 
     Files written: results.csv (method,seed,step,min_rate,overhead_factor),
     costs.csv (method,seed,step,global_max), drl_training_log.csv and
@@ -340,13 +358,12 @@ def run_experiment(
     deleted first, so none of them outlives the run that wrote it.
     """
     out_dir = Path(out_dir) if out_dir is not None else Path(f"run_{preset.name}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     methods = preset.active_methods(long_run)
     failures = {}
-    runs = _run_methods(methods, preset, master_seed, long_run, failures)
-    if not runs:
-        raise failures[methods[0]]
+    with _output_dir(out_dir):
+        runs = _run_methods(methods, preset, master_seed, long_run, failures)
+        if not runs:
+            raise failures[methods[0]]
 
     _remove_earlier_run(out_dir)
     cfg_dict = _config_dict(preset)

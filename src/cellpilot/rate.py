@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -187,17 +186,16 @@ def min_rate(
     ergodic=False); a report carries the minimum over all users.
 
     Realizations are drawn in chunks of at most _DRAW_BUDGET path-antenna
-    products; a lone map draws each chunk's channels, then its noise. Every
-    map sees exactly that stream, so its report is the one a call with it
-    alone gives: in chunk 0 all maps share one channel draw, and each
-    distinct n_pilots draws its noise from the generator state right after
-    it; from chunk 1 on, each n_pilots continues on its own generator (the
-    first map's on `rng`, the others on copies). Maps with the same
-    n_pilots share every draw. No maps: [] comes back and nothing is drawn.
+    products. Each chunk draws its channels once, on `rng`, and every map
+    reads that draw; each distinct n_pilots then draws its noise from the
+    generator state right after it, the first map's n_pilots last. So the
+    first map's report, and the generator's state afterwards, are those of
+    a call with that map alone, and maps with the same n_pilots share every
+    draw. No maps: [] comes back and nothing is drawn.
 
     Working set: the chunk's path angles (while it draws), its channels,
-    one noise array per n_pilots, which every map with that n_pilots reads
-    and none copies, and one map's (n, L, K, M) estimates at a time. Phases
+    the noise of one n_pilots at a time, which every map with that n_pilots
+    reads and none copies, and one map's (n, L, K, M) estimates. Phases
     and power tables come in blocks of _BLOCK_BYTES of tables (see
     _draw_channels), and a realization above _check_realization's cap
     raises BudgetError before anything is drawn.
@@ -224,19 +222,14 @@ def min_rate(
     chunk = max(1, min(options.n_mc, int(_DRAW_BUDGET // (L * L * K * options.paths * cfg.M))))
     for done in range(0, options.n_mc, chunk):
         n = min(chunk, options.n_mc - done)
-        if done == 0:
-            g = _draw_channels(bundle, options.paths, rng, n, geff)
-            streams = {}
-            for _, n_pilots in maps:
-                if n_pilots not in streams:
-                    streams[n_pilots] = copy.deepcopy(rng) if streams else rng
-        for n_pilots, stream in streams.items():
-            if done > 0:
-                g = _draw_channels(bundle, options.paths, stream, n, geff)
+        g = _draw_channels(bundle, options.paths, rng, n, geff)
+        state = rng.bit_generator.state
+        for n_pilots in reversed(dict.fromkeys(p for _, p in maps)):
+            rng.bit_generator.state = state
             # the bytes of (re + 1j * im) / sqrt(2) * sqrt(noise_var)
             noise = np.empty((n, L, n_pilots, cfg.M), dtype=complex)
-            noise.real = stream.standard_normal(noise.shape)
-            noise.imag = stream.standard_normal(noise.shape)
+            noise.real = rng.standard_normal(noise.shape)
+            noise.imag = rng.standard_normal(noise.shape)
             noise /= np.sqrt(2.0)
             noise *= np.sqrt(noise_var)
             for i, (pilot_of, p) in enumerate(maps):

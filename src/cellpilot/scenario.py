@@ -114,18 +114,15 @@ def drop_users(
     This is the one-drop call of `_draw_drops`, which scans the draws of
     any number of successive drops as one block (WorldStream draws its
     "positions" worlds in blocks through it): the positions, and the
-    generator's state afterwards, are those of the per-draw loop.
+    generator's state afterwards, are those of the per-draw loop. A call
+    that raises draws nothing.
     """
-    positions, error = _draw_drops(layout, K, exclusion_radius, rng, 1, max_attempts)
-    if error is not None:
-        raise error
-    return UserDrop(positions=positions[0])
+    return UserDrop(_draw_drops(layout, K, exclusion_radius, rng, 1, max_attempts)[0])
 
 
 def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
                 rng: np.random.Generator, count: int, max_attempts: int = 10000):
-    """The user positions of `count` successive drop_users calls, (n, L, K, 2),
-    and the ConfigError of drop n if it fails (n < count), else None.
+    """The user positions of `count` successive drop_users calls, (count, L, K, 2).
 
     With the generator's state saved, a block of draws is offset by every
     BS and tested against every cell at once; each cell's hits are found
@@ -133,9 +130,10 @@ def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
     previous cell's last user (a bisect into the row). Then the state is
     restored and exactly the draws that the per-draw loop consumes are
     drawn again, so the positions, and the generator's state afterwards,
-    also after a failure, are those of the per-draw loop. A block starts
-    at 2 count L K + 8 draws (the hexagon covers 65% of its bounding
-    square); one short of users doubles and the whole block is redrawn.
+    are those of the per-draw loop. A block starts at 2 count L K + 8
+    draws (the hexagon covers 65% of its bounding square); one short of
+    users doubles and the whole block is redrawn. A drop that fails raises
+    the per-draw loop's ConfigError, and the call draws nothing.
     """
     L, R = layout.L, layout.R
     centers = layout.bs_positions[:, None]
@@ -160,21 +158,16 @@ def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
         rejects = ends[1:] - ends[:-1] - 1
         failed = np.flatnonzero(rejects >= max_attempts)
         rng.bit_generator.state = state
-        if failed.size or len(hits) == users:
+        if failed.size:
+            user = failed[0] % (L * K)
+            raise ConfigError(f"could not place user {user % K} in cell {user // K} "
+                              f"after {max_attempts} draws")
+        if len(hits) == users:
             break
         n *= 2
-    if failed.size:
-        user = failed[0]
-        rng.uniform(-R, R, size=(ends[user] + 1 + max_attempts, 2))
-        done, user = divmod(user, L * K)
-        error = ConfigError(f"could not place user {user % K} in cell {user // K} "
-                            f"after {max_attempts} draws")
-    else:
-        rng.uniform(-R, R, size=(ends[-1] + 1, 2))
-        done, error = count, None
-    placed = done * L * K
-    cells = np.tile(np.arange(L).repeat(K), done)
-    return p[cells, hits[:placed]].reshape(done, L, K, 2), error
+    rng.uniform(-R, R, size=(ends[-1] + 1, 2))
+    cells = np.tile(np.arange(L).repeat(K), count)
+    return p[cells, hits].reshape(count, L, K, 2)
 
 
 def large_scale(distance: float | np.ndarray, config: SystemConfig):
@@ -292,17 +285,16 @@ def fresh_world(config: SystemConfig, rng: np.random.Generator,
 
 
 def _fresh_worlds(config: SystemConfig, rng: np.random.Generator, layout: CellLayout,
-                  count: int) -> tuple[list, tuple, ConfigError | None]:
+                  count: int) -> tuple[list, tuple]:
     """The worlds of `count` successive fresh_world calls, from one
-    `_draw_drops` scan and one `_links` broadcast, those block link arrays
-    (gains, centers, half_widths; one leading row per world, for a block
-    cost kernel), and the ConfigError of the first drop that fails (the
-    worlds before it are returned), else None. Each world holds copies, so
-    keeping one pins no other.
+    `_draw_drops` scan and one `_links` broadcast, and those block link
+    arrays (gains, centers, half_widths; one leading row per world, for a
+    block cost kernel). Each world holds copies, so keeping one pins no
+    other. A failed drop raises its ConfigError, and the call draws nothing.
     """
-    positions, error = _draw_drops(layout, config.K, config.exclusion_radius, rng, count)
+    positions = _draw_drops(layout, config.K, config.exclusion_radius, rng, count)
     links = _links(config, layout.bs_positions, positions)
     worlds = [ScenarioBundle(config, layout, UserDrop(positions[i].copy()),
                              *(a[i].copy() for a in links))
-              for i in range(len(positions))]
-    return worlds, links, error
+              for i in range(count)]
+    return worlds, links

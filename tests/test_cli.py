@@ -183,18 +183,20 @@ def test_baseline_command_writes_the_run_files(tmp_path, ini, method, name):
     assert f"worst-user cost {float(rows[0]['global_max']):.6g}\n" in stdout
 
 
-def test_baseline_exhaustive_budget_gate(monkeypatch):
+def test_baseline_exhaustive_budget_gate(tmp_path, monkeypatch):
     # the default scenario at seed 0 solves in 6 search nodes, inside the
-    # default node budget; a budget of one node refuses it with exit 3 until
-    # --long-run lifts the budget
+    # default node budget; a budget of one node refuses it with exit 3, and
+    # makes no --out directory, until --long-run lifts the budget
     argv = ["baseline", "--method", "exhaustive", "--seed", "0"]
     code, solved, _ = _run(argv)
     assert code == 0
     monkeypatch.setattr(assignment, "exhaustive_search",
                         functools.partial(assignment.exhaustive_search, budget=1))
-    code, _, stderr = _run(argv)
+    out = tmp_path / "base"
+    code, _, stderr = _run(argv + ["--out", str(out)])
     assert code == 3
     assert "node budget" in stderr and "--long-run" in stderr
+    assert not out.exists()
     assert _run(argv + ["--long-run"])[:2] == (0, solved)
 
 
@@ -254,7 +256,7 @@ def test_train_sizes_above_the_byte_cap_exit_code(tmp_path, section, key):
                                  "--out", str(out)])
     assert code == 3 and stdout == ""
     assert stderr.startswith("error: ") and f"lower [{section}] {key}" in stderr
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_evaluate_shape_mismatch(tmp_path):
@@ -351,7 +353,7 @@ def test_experiment_without_a_finished_method_exit_code(tmp_path, line, message)
                                  "--config", str(bad), "--out", str(out)])
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: ") and message in stderr
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "baseline", "experiment"])

@@ -27,7 +27,7 @@ from cellpilot import (
     total_costs,
 )
 from cellpilot.contamination import _pairwise_costs
-from cellpilot.env import TRAJECTORY_FIELDS, WorldStream
+from cellpilot.env import _BLOCK, TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import write_csv
 from conftest import make_world, small_config, traced_peak
 
@@ -356,10 +356,11 @@ def test_positions_stream_matches_worlds_drawn_one_at_a_time(preset):
 
 
 def test_positions_stream_raises_at_the_failing_world(monkeypatch):
-    # with 40 attempts per user, about one drop in five fails: the stream
-    # builds, delivers the worlds before a failed drop, raises its error
-    # from the advance that reaches it, and then goes on as successive
-    # fresh_world calls would
+    # with 40 attempts per user, about one drop in five fails. Unless drop 0
+    # fails, the stream builds and delivers the worlds of successive
+    # fresh_world calls; the advance that draws the block of the first
+    # failed drop f, at step _BLOCK * ((f - 1) // _BLOCK) + 1, raises its
+    # error and draws nothing, so every later advance raises it again
     real = scenario._draw_drops
 
     def capped(layout, K, exclusion_radius, rng, count, max_attempts=None):
@@ -368,26 +369,26 @@ def test_positions_stream_raises_at_the_failing_world(monkeypatch):
     monkeypatch.setattr(scenario, "_draw_drops", capped)
     cfg = small_config(L=2, K=2, exclusion_radius=430.0)
     layout = build_layout(cfg.L, cfg.R)
-    failed_at = []
-    for seed in range(3):
-        rng = substream(seed, "world")
-        try:
-            fresh_world(cfg, rng, layout)
-        except ConfigError:
+    raised_at = []
+    for seed in range(12):
+        rng, wants = substream(seed, "world"), []
+        with pytest.raises(ConfigError) as failed:
+            for _ in range(41):
+                wants.append(fresh_world(cfg, rng, layout))
+        if not wants:
             continue  # world 0 fails: the stream does not build
         stream = WorldStream(cfg, "positions", seed)
-        for t in range(1, 41):
-            try:
-                want = fresh_world(cfg, rng, layout)
-            except ConfigError as exc:
-                with pytest.raises(ConfigError) as got:
-                    stream.advance()
-                assert str(got.value) == str(exc)
-                failed_at.append(t)
-            else:
+        step = _BLOCK * ((len(wants) - 1) // _BLOCK) + 1
+        for t in range(1, step):
+            stream.advance()
+            assert stream.world.digest() == wants[t].digest(), (seed, t)
+        for _ in range(3):
+            with pytest.raises(ConfigError) as got:
                 stream.advance()
-                assert stream.world.digest() == want.digest(), (seed, t)
-    assert failed_at and max(failed_at) > 1
+            assert str(got.value) == str(failed.value), seed
+        assert len(stream.digests) == step
+        raised_at.append(step)
+    assert 1 in raised_at and max(raised_at) > 1
 
 
 def test_make_env_deterministic():

@@ -381,14 +381,17 @@ def test_rate_determinism():
 
 # -------------------------------------- rate: stacked pass against the loop
 
-def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options):
+def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options,
+                        first_pilots=None):
     """min_rate's rates as a per-user loop over filters, estimates and SINRs.
 
     The same draws in the same chunks, from rate._draw_channels, and the
     same filters, from rate._filters (test_filters_match_covariance checks
     those against covariance); each (cell, user) filters and scores on its
     own, and its co-users come from a list of (cell, first user of that
-    cell on the same pilot).
+    cell on the same pilot). In a call whose first map has first_pilots
+    pilots, each chunk's noise comes from the state right after its
+    channels, and the next chunk's channels follow the first map's noise.
     """
     cfg = bundle.config
     L, K = bundle.drop.shape
@@ -412,8 +415,12 @@ def _reference_min_rate(bundle, user_to_pilot, n_pilots, rng, options):
     while done < options.n_mc:
         n = min(chunk, options.n_mc - done)
         g = rate._draw_channels(bundle, P, rng, n, geff)
+        state = rng.bit_generator.state
         noise = (rng.standard_normal((n, L, n_pilots, cfg.M))
                  + 1j * rng.standard_normal((n, L, n_pilots, cfg.M))) / np.sqrt(2.0)
+        # the first map's real and imaginary noise, drawn last, moves the stream on
+        rng.bit_generator.state = state
+        rng.standard_normal((2, n, L, first_pilots or n_pilots, cfg.M))
         est = np.sqrt(noise_var) * noise
         for l in range(L):
             for k in range(K):
@@ -481,11 +488,11 @@ def test_stacked_pass_matches_loop_on_irregular_maps(monkeypatch, u2p, n_pilots,
 @pytest.mark.parametrize("ergodic", [True, False])
 @pytest.mark.parametrize("chunk", [3, 7])
 def test_shared_pass_matches_lone_per_user_loops(monkeypatch, ergodic, chunk):
-    # one call scores every map as the per-user loop scores it alone on a
-    # fresh generator of the same seed: K pilots, spr_like's 5 = 1 + 3 * 2,
-    # the all-on-one-pilot map and a repeated map, over one chunk of 7 and
-    # over chunks of 3, 3 and 1; the caller's generator ends where a lone
-    # call of the first map leaves it
+    # one call scores every map as the per-user loop scores it on the
+    # call's channel draws: K pilots, spr_like's 5 = 1 + 3 * 2, the
+    # all-on-one-pilot map and a repeated map, over one chunk of 7 and over
+    # chunks of 3, 3 and 1; the first map's report, and the caller's
+    # generator afterwards, are those of a lone call of the first map
     bundle = make_world(small_config(L=3, K=3, M=16), seed=8)
     monkeypatch.setattr(rate, "_DRAW_BUDGET", chunk * 3 * 3 * 3 * 10 * 16)
     split_map, split = spr_like_assignment(bundle)
@@ -499,12 +506,30 @@ def test_shared_pass_matches_lone_per_user_loops(monkeypatch, ergodic, chunk):
     reports = min_rate(bundle, maps, rng, opts)
     assert len(reports) == len(maps)
     for report, (u2p, n_pilots) in zip(reports, maps):
-        ref = _reference_min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts)
+        ref = _reference_min_rate(bundle, u2p, n_pilots, np.random.default_rng(3), opts,
+                                  split.required_pilots)
         assert np.array_equal(report.rates, ref)
         assert report.min_rate == ref.min() and report.n_mc == 7
     lone = np.random.default_rng(3)
-    min_rate(bundle, maps[:1], lone, opts)
+    assert np.array_equal(min_rate(bundle, maps[:1], lone, opts)[0].rates, reports[0].rates)
     assert rng.random() == lone.random()
+
+
+def test_every_chunk_draws_its_channels_once(monkeypatch):
+    # two pilot counts over chunks of 3, 3 and 1: one channel draw per
+    # chunk, which both maps read
+    bundle = make_world(small_config(L=3, K=3, M=16), seed=8)
+    monkeypatch.setattr(rate, "_DRAW_BUDGET", 3 * 3 * 3 * 3 * 10 * 16)
+    real, draws = rate._draw_channels, []
+
+    def spy(bundle, P, rng, n_mc, gains):
+        draws.append(n_mc)
+        return real(bundle, P, rng, n_mc, gains)
+
+    monkeypatch.setattr(rate, "_draw_channels", spy)
+    maps = [(_identity_pilots(3, 3), 3), (np.zeros((3, 3), dtype=int), 1)]
+    min_rate(bundle, maps, np.random.default_rng(3), RateOptions(n_mc=7, paths=10))
+    assert draws == [3, 3, 1]
 
 
 # ------------------------------------------------------------ rate: physics

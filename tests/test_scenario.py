@@ -186,7 +186,8 @@ def test_drop_users_matches_per_draw_loop_many_users():
 
 
 def test_drop_users_attempt_cap_matches_per_draw_loop():
-    # caps of 20 and 60 also fail users whose misses span two blocks
+    # caps of 20 and 60 also fail users whose misses span two blocks; a
+    # call that raises leaves the generator as it found it
     outcomes = set()
     for seed in range(600):
         max_attempts = (1, 2, 3, 20, 60)[seed // 5 % 5]
@@ -199,12 +200,13 @@ def test_drop_users_attempt_cap_matches_per_draw_loop():
             with pytest.raises(ConfigError) as got:
                 drop_users(layout, K, excl, rng, max_attempts)
             assert str(got.value) == str(exc)
+            assert rng.random() == np.random.default_rng(seed).random(), seed
             outcomes.add("raise")
         else:
             got = drop_users(layout, K, excl, rng, max_attempts)
             assert np.array_equal(got.positions, expected)
+            assert rng.random() == ref_rng.random(), seed
             outcomes.add("placed")
-        assert rng.random() == ref_rng.random(), seed
     assert outcomes == {"raise", "placed"}
 
 
@@ -239,8 +241,7 @@ def test_draw_drops_matches_successive_per_draw_loops(count):
         layout = build_layout(L, 500.0)
         ref_rng, rng = _CountingRng(np.random.default_rng(seed)), np.random.default_rng(seed)
         expected, _ = _reference_drops(layout, K, excl, ref_rng, count)
-        positions, error = _draw_drops(layout, K, excl, rng, count)
-        assert error is None
+        positions = _draw_drops(layout, K, excl, rng, count)
         assert np.array_equal(positions, np.reshape(expected, (count, L, K, 2))), seed
         assert rng.bit_generator.state == ref_rng.rng.bit_generator.state, seed
         # the first block holds 2 count L K + 8 draws; more means a restart
@@ -250,8 +251,8 @@ def test_draw_drops_matches_successive_per_draw_loops(count):
 
 
 def test_draw_drops_stops_at_the_failing_drop():
-    # a drop that meets max_attempts ends the block: the drops before it,
-    # the per-draw loop's error, and its generator state afterwards
+    # a drop that meets max_attempts, the first or a later one, raises the
+    # per-draw loop's error and leaves the generator as it found it
     failed_at = set()
     for seed in range(120):
         L, K, excl = ((7, 4, 430.0), (2, 5, 430.0))[seed % 2]
@@ -259,12 +260,16 @@ def test_draw_drops_stops_at_the_failing_drop():
         layout = build_layout(L, 500.0)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected, exc = _reference_drops(layout, K, excl, ref_rng, 16, max_attempts)
-        positions, error = _draw_drops(layout, K, excl, rng, 16, max_attempts)
-        assert np.array_equal(positions, np.reshape(expected, (-1, L, K, 2))), seed
-        assert type(error) is type(exc) and str(error) == str(exc), seed
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
-        if exc is not None:
-            failed_at.add(len(expected))
+        if exc is None:
+            positions = _draw_drops(layout, K, excl, rng, 16, max_attempts)
+            assert np.array_equal(positions, np.reshape(expected, (16, L, K, 2))), seed
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+            continue
+        with pytest.raises(ConfigError) as got:
+            _draw_drops(layout, K, excl, rng, 16, max_attempts)
+        assert str(got.value) == str(exc), seed
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        failed_at.add(len(expected))
     assert 0 in failed_at and max(failed_at) > 1
 
 
