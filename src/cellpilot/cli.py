@@ -24,7 +24,7 @@ from .config import (
 )
 from .contamination import total_costs
 from .env import TRAJECTORY_FIELDS, WorldStream, make_env
-from .harness import _output_dir, presets, run_experiment, write_csv
+from .harness import _output_dir, _write_files, csv_text, presets, run_experiment
 from .qnn import TRAINING_LOG_FIELDS, train
 from .rate import min_rate
 
@@ -47,10 +47,12 @@ def cmd_train(args) -> None:
     with _output_dir(out):
         env = make_env(cfg, env_opts, args.seed)
         result = train(env, schedule, args.steps, args.seed)
-    write_csv(out / "training_log.csv", TRAINING_LOG_FIELDS, result.rows)
-    write_csv(out / "trajectory.csv", TRAJECTORY_FIELDS, result.rows)
+    _write_files(out, {
+        "training_log.csv": csv_text(TRAINING_LOG_FIELDS, result.rows),
+        "trajectory.csv": csv_text(TRAJECTORY_FIELDS, result.rows),
+        "assignment.txt": env.assignment.to_text(),
+    })
     np.savez(out / "checkpoint.npz", **result.params)
-    (out / "assignment.txt").write_text(env.assignment.to_text())
     final = result.rows[-1]
     print(f"trained {args.steps} steps (seed {args.seed}); "
           f"final worst-user cost {final['g_next']:.6g}, "
@@ -72,8 +74,7 @@ def cmd_baseline(args) -> None:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (out / name).write_text(text)
+        _write_files(out, files)
         print(f"assignment written to {out / assignment_file}")
 
 

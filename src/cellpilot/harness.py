@@ -122,9 +122,8 @@ class MethodResult:
 
     cost_rows: list = field(default_factory=list)   # (step, global_max)
     rate_rows: list = field(default_factory=list)   # (step, min_rate, overhead)
-    text_files: dict = field(default_factory=dict)  # filename -> content
+    files: dict = field(default_factory=dict)       # filename -> text
     world_digest: str = ""
-    training_rows: list | None = None               # drl only: Learner.rows
 
 
 def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
@@ -144,6 +143,13 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     before the stream advanced (a drop that cannot be placed raises from
     the advance that draws its block), or of the min_rate call fails every
     method still running, as a stream or a rate pass of its own would.
+
+    Each method that finishes holds its run files as name -> text in
+    `files`: drl its assignment_drl.txt, drl_training_log.csv and
+    drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
+    columns of its Learner.rows, one record per step) and plot_reward.csv;
+    exhaustive and spr_like the files of their last baseline_assignment;
+    random none.
     """
     cfg, redraw, every = preset.config, preset.env.redraw, preset.rate.eval_every
     runs = {name: MethodResult() for name in methods}
@@ -207,10 +213,15 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     for name, res in runs.items():
         res.world_digest = worlds.digest()
         if name == "drl":
-            res.training_rows = learner.rows
-            res.text_files["assignment_drl.txt"] = learner.env.assignment.to_text()
+            rows = learner.rows
+            res.files = {
+                "assignment_drl.txt": learner.env.assignment.to_text(),
+                "drl_training_log.csv": csv_text(TRAINING_LOG_FIELDS, rows),
+                "drl_trajectory.csv": csv_text(TRAJECTORY_FIELDS, rows),
+                "plot_reward.csv": csv_text(PLOT_FIELDS, _reward_series(rows)),
+            }
         elif name != "random":  # a run keeps no file of its last random draw
-            res.text_files.update(solved[name][3]())
+            res.files = solved[name][3]()
     return runs
 
 
@@ -231,16 +242,24 @@ def _config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode("ascii")).hexdigest()
 
 
-def write_csv(path: str | Path, fields: tuple, rows: list):
-    """Write the dict rows as CSV: header `fields`, `\n` line ends, no quoting.
+def csv_text(fields: tuple, rows: list) -> str:
+    """The dict rows as CSV: header `fields`, `\n` line ends, no quoting.
 
     This is the one run-file format; every CSV a run or `cellpilot train`
-    writes goes through here, and csv.DictReader reads each back exactly.
+    writes is this text, and csv.DictReader reads each back exactly.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[f]) for f in fields) + "\n")
+    lines = [",".join(fields)]
+    lines += [",".join(_fmt(row[f]) for f in fields) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_files(out_dir: Path, files: dict) -> list:
+    """Write each name -> text entry of `files` into out_dir, line ends as
+    given; return the names, sorted. Every file that `experiment`, `train`
+    and `baseline --out` write goes through here, except the checkpoint."""
+    for name, text in files.items():
+        (out_dir / name).write_text(text, newline="")
+    return sorted(files)
 
 
 def _fmt(v) -> str:
@@ -302,16 +321,18 @@ def _remove_earlier_run(out_dir: Path):
 
 @contextlib.contextmanager
 def _output_dir(out_dir: Path):
-    """Make out_dir before the work starts, so an unwritable path fails
-    first; if the work raises, remove out_dir again when this made it and
-    it is still empty."""
-    made = not out_dir.exists()
+    """Make out_dir and its missing parents before the work starts, so an
+    unwritable path fails first; if the work raises, remove each directory
+    this made again, deepest first, while it is empty."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         yield
     except BaseException:
-        if made and not any(out_dir.iterdir()):
-            out_dir.rmdir()
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         raise
 
 
@@ -330,30 +351,23 @@ def run_experiment(
 
     All methods consume identical worlds (one substream of the master
     seed) and identical per-step channel realizations in the rate
-    benchmark, so their series are directly comparable. The methods run
-    in lockstep on one WorldStream, drl's if it runs, so each world is
-    drawn and pair-costed once and every method's world digest is the
-    same. Each evaluation step of that loop ends with one min_rate call,
-    which scores the pilot map of every method still running on one
-    channel draw per chunk (see min_rate). A method failure, while
-    running or as a map that min_rate refuses, stops that method and is
-    recorded in the manifest, and the remaining methods still run; an
-    error of the world stream, such as a drop that cannot be placed, or of
-    the min_rate call stops every method still running. When no method
-    finishes, the first method's exception (in method order) is raised,
-    no run file is written, and an out_dir that the call made is removed
-    again. The run holds OpenBLAS at one thread and restores the caller's
-    count on return.
+    benchmark, so their series are directly comparable: _run_methods
+    steps them in lockstep on one WorldStream and states which errors
+    stop one method and which stop all. Each failed method is recorded
+    in the manifest. When no method finishes, the first method's
+    exception (in method order) is raised, no run file is written, and
+    the directories of out_dir that the call made are removed again. The
+    run holds OpenBLAS at one thread and restores the caller's count on
+    return.
 
-    Files written: results.csv (method,seed,step,min_rate,overhead_factor),
-    costs.csv (method,seed,step,global_max), drl_training_log.csv and
-    drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
-    columns of drl's Learner.rows, one record per step), the tidy
-    step,series,value plot tables plot_min_rate.csv (each method's minimum
-    rate, smoothed over SHORT_TERM_STEPS) and, when drl ran, plot_reward.csv
-    (drl's reward, its short- and long-term means and the negative-reward
-    ratio), per-method assignment/overhead text files, and manifest.json
-    tying everything to the config hash and seed. out_dir defaults to
+    Files written, all through _write_files: results.csv
+    (method,seed,step,min_rate,overhead_factor), costs.csv
+    (method,seed,step,global_max), the tidy step,series,value table
+    plot_min_rate.csv (each method's minimum rate, smoothed over
+    SHORT_TERM_STEPS), every finished method's `files` (see _run_methods;
+    plot_reward.csv holds drl's reward, its short- and long-term means and
+    the negative-reward ratio), and last manifest.json, which ties them to
+    the config hash and seed and lists them. out_dir defaults to
     run_<preset name>. The files an earlier run's manifest lists are
     deleted first, so none of them outlives the run that wrote it.
     """
@@ -375,11 +389,9 @@ def run_experiment(
         "config_hash": _config_hash(cfg_dict),
         "long_run": long_run,
         "methods": {name: _error(exc) for name, exc in failures.items()},
-        "files": [],
     }
 
-    results_rows = []
-    cost_rows = []
+    files, results_rows, cost_rows = {}, [], []
     for name, res in runs.items():
         manifest["methods"][name] = {
             "status": "ok",
@@ -391,27 +403,12 @@ def run_experiment(
                          for step, mr, ov in res.rate_rows]
         cost_rows += [{"method": name, "seed": master_seed, "step": step,
                        "global_max": g} for step, g in res.cost_rows]
-        for fname, content in sorted(res.text_files.items()):
-            (out_dir / fname).write_text(content)
-            manifest["files"].append(fname)
-        if res.training_rows is not None:
-            write_csv(out_dir / "drl_training_log.csv", TRAINING_LOG_FIELDS,
-                      res.training_rows)
-            write_csv(out_dir / "drl_trajectory.csv", TRAJECTORY_FIELDS,
-                      res.training_rows)
-            write_csv(out_dir / "plot_reward.csv", PLOT_FIELDS,
-                      _reward_series(res.training_rows))
-            manifest["files"] += ["drl_training_log.csv", "drl_trajectory.csv",
-                                  "plot_reward.csv"]
-
-    write_csv(out_dir / "results.csv", RESULTS_FIELDS, results_rows)
-    write_csv(out_dir / "costs.csv", COSTS_FIELDS, cost_rows)
-    write_csv(out_dir / "plot_min_rate.csv", PLOT_FIELDS,
-              _min_rate_series({name: res.rate_rows for name, res in runs.items()},
-                               preset.rate.eval_every))
-    manifest["files"] += ["results.csv", "costs.csv", "plot_min_rate.csv"]
-    manifest["files"].sort()
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        files.update(res.files)
+    files["results.csv"] = csv_text(RESULTS_FIELDS, results_rows)
+    files["costs.csv"] = csv_text(COSTS_FIELDS, cost_rows)
+    files["plot_min_rate.csv"] = csv_text(PLOT_FIELDS, _min_rate_series(
+        {name: res.rate_rows for name, res in runs.items()}, preset.rate.eval_every))
+    manifest["files"] = _write_files(out_dir, files)
+    _write_files(out_dir, {
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"})
     return out_dir

@@ -292,7 +292,7 @@ class Learner:
     action was a random one), `loss` (None before the first update),
     `action` and `synced`. The worst-user cost after the step is env.step's
     `g_next`. Every TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS column is a
-    key, so either file is write_csv of `rows` with its field tuple.
+    key, so either file is csv_text of `rows` with its field tuple.
     """
 
     def __init__(self, env, schedule: TrainingSchedule, seed: int):

@@ -356,6 +356,22 @@ def test_experiment_without_a_finished_method_exit_code(tmp_path, line, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["experiment", "--preset", "desk"],
+                                     ["train", "--steps", "5"]])
+def test_failed_command_removes_the_directories_it_made(tmp_path, command):
+    # no user fits in any cell (exit 2): every directory of the nested
+    # --out that the command made goes again, and the one it found stays
+    bad = tmp_path / "tight.ini"
+    bad.write_text("[scenario]\nexclusion_radius = 499.99\n")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    code, stdout, stderr = _run([*command, "--seed", "0", "--config", str(bad),
+                                 "--out", str(kept / "deep" / "a" / "b")])
+    assert code == 2 and stdout == ""
+    assert "could not place user 0 in cell 0" in stderr
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
 @pytest.mark.parametrize("command", ["train", "baseline", "experiment"])
 def test_unwritable_output_exit_code(tmp_path, ini, command):
     # an output path through a regular file is an error line and exit 2,
@@ -451,6 +467,14 @@ def test_every_csv_shares_one_format(tmp_path, ini):
     code, _, _ = _run(["train", "--steps", "12", "--seed", "3",
                        "--config", ini, "--out", str(tmp_path / "train")])
     assert code == 0
+    code, _, _ = _run(["baseline", "--method", "spr", "--seed", "3",
+                       "--config", ini, "--out", str(tmp_path / "base")])
+    assert code == 0
+    # every text file the three commands write has \n line ends
+    texts = sorted(tmp_path.glob("*/*.txt")) + [tmp_path / "run" / "manifest.json"]
+    assert {p.parent.name for p in texts} == {"run", "train", "base"}
+    for path in texts:
+        assert b"\r" not in path.read_bytes(), path
     paths = sorted(tmp_path.rglob("*.csv"))
     assert sorted(p.name for p in paths) == sorted(CSV_FIELDS)
     for path in paths:

@@ -28,7 +28,7 @@ from cellpilot import (
 )
 from cellpilot.contamination import _pairwise_costs
 from cellpilot.env import _BLOCK, TRAJECTORY_FIELDS, WorldStream
-from cellpilot.harness import write_csv
+from cellpilot.harness import csv_text
 from conftest import make_world, small_config, traced_peak
 
 
@@ -438,13 +438,11 @@ def test_encode_matches_free_function():
         env.assignment, env.costs, env.last_pilot, env.last_cell, env.thresholds))
 
 
-def test_trajectory_csv_format(tmp_path):
+def test_trajectory_csv_format():
     env = _static_env(seed=4, L=2, K=2, M=16)
     rows = [{"step": t, **env.step(t % env.n_actions)} for t in range(3)]
     assert list(rows[0]) == list(TRAJECTORY_FIELDS)
-    path = tmp_path / "traj.csv"
-    write_csv(path, TRAJECTORY_FIELDS, rows)
-    lines = path.read_text().strip().splitlines()
+    lines = csv_text(TRAJECTORY_FIELDS, rows).strip().splitlines()
     assert lines[0] == ",".join(TRAJECTORY_FIELDS)
     assert len(lines) == 4
     first = dict(zip(TRAJECTORY_FIELDS, lines[1].split(",")))

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import io
 import json
 from pathlib import Path
 
@@ -186,13 +187,18 @@ def test_drl_costs_are_the_step_record(tiny_run):
         assert int(cost["step"]) == int(traj["step"]) == int(entry["step"]) == t
         assert cost["global_max"] == traj["g_next"], t
 
+    # and drl's result holds both files' text, row for row its cost rows
     res = _run_methods(("drl",), _tiny_preset(), 5, False, {})["drl"]
-    assert len(res.training_rows) == len(res.cost_rows) == 30
-    for row, (t, g_next) in zip(res.training_rows, res.cost_rows):
-        assert set(TRAINING_LOG_FIELDS) | set(TRAJECTORY_FIELDS) <= row.keys()
-        assert row["step"] == t
-        assert row["g_next"] == g_next
-        assert f"{g_next:.17g}" == costs[t]["global_max"]
+    held_log, held_trajectory = (
+        list(csv.DictReader(io.StringIO(res.files[name])))
+        for name in ("drl_training_log.csv", "drl_trajectory.csv"))
+    assert len(held_log) == len(held_trajectory) == len(res.cost_rows) == 30
+    for entry, traj, (t, g_next) in zip(held_log, held_trajectory, res.cost_rows):
+        assert tuple(entry) == TRAINING_LOG_FIELDS
+        assert tuple(traj) == TRAJECTORY_FIELDS
+        assert int(entry["step"]) == int(traj["step"]) == t
+        assert float(traj["g_next"]) == g_next
+        assert f"{g_next:.17g}" == traj["g_next"] == costs[t]["global_max"]
 
 
 def test_rerun_is_byte_identical(tiny_run, tmp_path):

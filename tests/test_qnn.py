@@ -25,7 +25,7 @@ from cellpilot import (
     train,
 )
 from cellpilot.config import _openblas_thread_fns
-from cellpilot.harness import write_csv
+from cellpilot.harness import csv_text
 from cellpilot.qnn import TRAINING_LOG_FIELDS
 from conftest import outputs_per_blas_threads, small_config
 
@@ -428,12 +428,10 @@ def test_learner_steps_are_train():
         assert np.array_equal(learner.params[name], arr), name
 
 
-def test_training_log_csv_format(tmp_path):
+def test_training_log_csv_format():
     env = _tiny_env(seed=6)
     result = train(env, _TINY_SCHED, total_steps=20, seed=6)
-    path = tmp_path / "log.csv"
-    write_csv(path, TRAINING_LOG_FIELDS, result.rows)
-    lines = path.read_text().strip().splitlines()
+    lines = csv_text(TRAINING_LOG_FIELDS, result.rows).strip().splitlines()
     assert lines[0] == "step,epsilon,explored,loss,reward,r1,r2,r3,action,synced"
     assert len(lines) == 21
     first = lines[1].split(",")
