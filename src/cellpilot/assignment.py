@@ -62,7 +62,12 @@ def _rows_text(rows: np.ndarray) -> str:
 
 def random_assignment(L: int, K: int, rng: np.random.Generator) -> PilotAssignment:
     """Uniform pilot permutation per cell: the draws of L rng.permutation(K) calls."""
-    return PilotAssignment(rng.permuted(np.tile(np.arange(K), (L, 1)), axis=1))
+    return PilotAssignment(_permuted_rows(L, K, rng))
+
+
+def _permuted_rows(L: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """random_assignment's (L, K) pilot -> user rows, unvalidated."""
+    return rng.permuted(np.tile(np.arange(K), (L, 1)), axis=1)
 
 
 def apply_swap(assignment: PilotAssignment, cell: int, pilot_a: int,

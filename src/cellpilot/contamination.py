@@ -7,11 +7,13 @@ of the squared response kernel; a cheap piecewise-linear envelope of that
 kernel drives the assignment search.
 
 Two kernels compute every cost: _pair_costs, one broadcasting envelope
-cost that serves pair_cost (one pair) and _pairwise_costs (all pairs of
-any number of drops in one pass, with pairwise_cost_matrix its one-drop
-call) alike, and _copilot_costs, the sum of that matrix over co-pilot
-partners behind total_costs, extended_user_costs and the batched
-threshold calibration. Its partner mask, _copilot_mask, also picks the
+cost that serves pair_cost (one pair), _pairwise_costs (all pairs of any
+number of drops in one pass, with pairwise_cost_matrix its one-drop call)
+and _copilot_pair_costs (only the co-pilot pairs of a block of drops
+under permutation maps, for the threshold calibration on redrawn
+positions) alike, and _copilot_costs, the sum of a pair-cost matrix over
+co-pilot partners behind total_costs, extended_user_costs and the
+calibration on one world. Its partner mask, _copilot_mask, also picks the
 rate benchmark's co-users.
 """
 
@@ -187,16 +189,48 @@ def _pairwise_costs(config: SystemConfig, gains, centers, half_widths):
     kernel, so each drop's matrix is the one it gets alone, bit for bit.
     """
     cells = np.arange(gains.shape[-2])
-    # targets (j, a) at their own BS, broadcast against interferers (l, b)
-    lo, hi = cosine_support(AoAInterval(centers[..., cells, cells, :],
-                                        half_widths[..., cells, cells, :]))
-    root = np.sqrt(gains[..., cells, cells, :])
     # both support endpoints of every interferer, as [endpoint, ..., j, 1, l, b]
     edges = np.stack([centers - half_widths, centers + half_widths])[..., None, :, :]
-    C = _pair_costs(*(x[..., None, None] for x in (lo, hi, root)), edges,
-                    config.M, config.spacing)
+    C = _pair_costs(*(x[..., None, None] for x in _targets(gains, centers, half_widths)),
+                    edges, config.M, config.spacing)
     C[..., cells, :, cells, :] = 0.0
     return C
+
+
+def _targets(gains, centers, half_widths):
+    """(lo, hi, root) of every target user (j, a) at its own BS, (..., L, K):
+    _pair_costs' cosine support and square root of the gain."""
+    cells = np.arange(gains.shape[-2])
+    lo, hi = cosine_support(AoAInterval(centers[..., cells, cells, :],
+                                        half_widths[..., cells, cells, :]))
+    return lo, hi, np.sqrt(gains[..., cells, cells, :])
+
+
+def _copilot_pair_costs(config: SystemConfig, links, user_to_pilot, pilot_to_user):
+    """_copilot_costs(_pairwise_costs(config, *links), user_to_pilot), bit
+    for bit, from each user's co-pilot pairs alone.
+
+    links are `_links`' (..., L, L, K) arrays of a block of drops, and
+    user_to_pilot and pilot_to_user (..., L, K) one map per drop, inverse
+    to each other: every map row must be a permutation, so each other cell
+    l holds exactly one user on user (j, a)'s pilot, p2u[l, u2p[j, a]].
+    _pair_costs scores the support BS j sees for that user, as
+    [endpoint, ..., j, a, l]; l == j scores 0, and the sum over l adds the
+    terms in _copilot_costs' order. Its masked sums over b each hold one
+    non-zero term, so no (L, K, L, K) matrix is needed.
+    """
+    gains, centers, half_widths = links
+    cells = np.arange(gains.shape[-2])
+    lead = np.indices(user_to_pilot.shape[:-2], sparse=True)
+    lead = tuple(i[..., None, None, None] for i in lead)
+    # co[..., j, a, l]: the user of cell l on user (j, a)'s pilot
+    co = pilot_to_user[lead + (cells, user_to_pilot[..., None])]
+    link = lead + (cells[:, None, None], cells, co)
+    c, h = centers[link], half_widths[link]
+    costs = _pair_costs(*(x[..., None] for x in _targets(*links)),
+                        np.stack([c - h, c + h]), config.M, config.spacing)
+    costs[..., cells, :, cells] = 0.0
+    return costs.sum(axis=-1)
 
 
 def _copilot_mask(user_to_pilot: np.ndarray) -> np.ndarray:

@@ -8,21 +8,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import PilotAssignment, apply_swap, random_assignment
+from .assignment import PilotAssignment, _permuted_rows, apply_swap, random_assignment
 from .config import EnvOptions, SystemConfig, _check_bytes, substream
 from .contamination import (
     CostTable,
     _copilot_costs,
+    _copilot_pair_costs,
     _pairwise_costs,
     pairwise_cost_matrix,
     total_costs,
 )
 from .scenario import _fresh_worlds, _links, build_layout, drop_users, fresh_world
 
-# "positions" drops drawn and pair-costed at once, by a WorldStream and by
-# threshold calibration. No output depends on it; it is sized for memory:
-# at full scale, blocks of 16 and 32 held 0.8 and 2.5 MB more peak memory
-# than blocks of 8, and pair-costed a drop no faster
+# "positions" drops costed at once: drawn and pair-costed by a WorldStream,
+# scored from their co-pilot pairs by threshold calibration. No output
+# depends on it; it is sized for memory: at full scale, blocks of 16 and 32
+# held 0.8 and 2.5 MB more peak memory than blocks of 8, and pair-costed a
+# drop no faster; calibration blocks of 64 took 12 % less time but held
+# 1.4 MB more peak memory in a `churn` benchmark run
 _BLOCK = 8
 
 # calibration maps drawn and scored at once on a reused world. No output
@@ -65,9 +68,10 @@ def calibrate_thresholds(
     is reused, matching what the run will see: the world whose pair-cost
     matrix the caller passes as `pairwise`, or one freshly built. Samples
     are drawn as successive samples would draw them and scored in blocks,
-    _BLOCK redrawn worlds or _MAP_BLOCK maps on a reused one (see
-    _calibration_samples), so the scoring holds one block's masked costs,
-    never all n samples'. The quantiles come from _band_thresholds.
+    _BLOCK redrawn worlds, each from its co-pilot pairs alone, or
+    _MAP_BLOCK maps on a reused one (see _calibration_samples), so the
+    scoring holds one block's costs, never all n samples'. The quantiles
+    come from _band_thresholds.
     """
     return _band_thresholds(_calibration_samples(config, opts, rng, pairwise), opts)
 
@@ -77,10 +81,14 @@ def _calibration_samples(config: SystemConfig, opts: EnvOptions,
                          pairwise: np.ndarray | None = None) -> np.ndarray:
     """The worst-user cost of each of calibrate_thresholds' n samples.
 
-    Redrawn worlds come as drop i and then map i, and each block of drops
-    is pair-costed at once. On a reused world one random_assignment of
-    b*L rows draws a block's b maps, the same draws as b successive L-row
-    ones. Samples above config._BYTES_CAP raise BudgetError before a draw.
+    Redrawn worlds come as drop i and then map i, map i drawn as
+    random_assignment draws it (_permuted_rows); each block of drops is
+    linked at once and scored by _copilot_pair_costs, which costs only
+    the pairs that share a pilot and builds no pair-cost matrix. On a
+    reused world one random_assignment of b*L rows draws a block's b maps,
+    the same draws as b successive L-row ones. Either way a block's maps
+    are validated and inverted once, through one PilotAssignment. Samples
+    above config._BYTES_CAP raise BudgetError before a draw.
     """
     n = opts.threshold_samples
     _check_bytes(8 * n, "threshold calibration's samples", "[env] threshold_samples")
@@ -93,16 +101,19 @@ def _calibration_samples(config: SystemConfig, opts: EnvOptions,
     samples = np.empty(n)
     for start in range(0, n, block):
         size = min(block, n - start)
+        shape = (size, config.L, config.K)
         if positions:
             draws = [(drop_users(layout, config.K, config.exclusion_radius, rng).positions,
-                      random_assignment(config.L, config.K, rng).user_to_pilot())
-                     for _ in range(size)]
-            drops, maps = (np.stack(a) for a in zip(*draws))
-            C = _pairwise_costs(config, *_links(config, layout.bs_positions, drops))
+                      _permuted_rows(config.L, config.K, rng)) for _ in range(size)]
+            drops, rows = (np.stack(a) for a in zip(*draws))
+            maps = PilotAssignment(rows.reshape(-1, config.K))
+            costs = _copilot_pair_costs(config, _links(config, layout.bs_positions, drops),
+                                        maps.user_to_pilot().reshape(shape),
+                                        maps.pilot_to_user.reshape(shape))
         else:
             maps = random_assignment(size * config.L, config.K, rng).user_to_pilot()
-            maps = maps.reshape(size, config.L, config.K)
-        samples[start:start + size] = _copilot_costs(C, maps).max(axis=(1, 2))
+            costs = _copilot_costs(C, maps.reshape(shape))
+        samples[start:start + size] = costs.max(axis=(1, 2))
     return samples
 
 
@@ -288,7 +299,7 @@ def make_env(config: SystemConfig, opts: EnvOptions, seed: int) -> PilotEnv:
 
     The initial world's pair-cost matrix is built once and serves both the
     calibration and the env; a calibration that redraws positions per
-    sample pair-costs its own drops in blocks instead.
+    sample scores its own drops from their co-pilot pairs instead.
     """
     worlds = WorldStream(config, opts.redraw, seed)
     thresholds = calibrate_thresholds(

@@ -12,6 +12,9 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,13 +256,25 @@ def csv_text(fields: tuple, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_files(out_dir: Path, files: dict) -> list:
+def _write_files(out_dir: Path, files: dict):
     """Write each name -> text entry of `files` into out_dir, line ends as
-    given; return the names, sorted. Every file that `experiment`, `train`
-    and `baseline --out` write goes through here, except the checkpoint."""
-    for name, text in files.items():
-        (out_dir / name).write_text(text, newline="")
-    return sorted(files)
+    given, all or none. Every file is first written into a staging
+    directory inside out_dir; only when all are written, an earlier run in
+    out_dir is removed (_remove_earlier_run) if `files` holds a
+    manifest.json, and each file is renamed into place, manifest.json last.
+    The staging directory goes in every case, so a write that fails leaves
+    out_dir as it was. Every file that `experiment`, `train` and
+    `baseline --out` write goes through here, except the checkpoint."""
+    staging = Path(tempfile.mkdtemp(dir=out_dir))
+    try:
+        for name, text in files.items():
+            (staging / name).write_text(text, newline="")
+        if "manifest.json" in files:
+            _remove_earlier_run(out_dir)
+        for name in sorted(files, key=lambda name: name == "manifest.json"):
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging)
 
 
 def _fmt(v) -> str:
@@ -299,11 +314,12 @@ def _reward_series(training_rows: list) -> list:
 
 
 def _remove_earlier_run(out_dir: Path):
-    """Delete the files that a run manifest already in out_dir lists.
+    """Delete a run manifest already in out_dir, then the files it lists.
 
     A run manifest is a JSON object with a config_hash and a files list of
     strings. Any other manifest.json is only overwritten, and its files are
     left alone. Only regular files directly inside out_dir are deleted.
+    The manifest goes first, so it never outlives a file it lists.
     """
     try:
         manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -313,6 +329,7 @@ def _remove_earlier_run(out_dir: Path):
     if (not isinstance(files, list) or "config_hash" not in manifest
             or not all(isinstance(name, str) for name in files)):
         return
+    (out_dir / "manifest.json").unlink()
     for name in files:
         path = out_dir / name
         if Path(name).name == name and path.is_file():
@@ -369,7 +386,8 @@ def run_experiment(
     the negative-reward ratio), and last manifest.json, which ties them to
     the config hash and seed and lists them. out_dir defaults to
     run_<preset name>. The files an earlier run's manifest lists are
-    deleted first, so none of them outlives the run that wrote it.
+    deleted once every new file is written, so none of them outlives the
+    run that wrote it, and a write that fails leaves the earlier run whole.
     """
     out_dir = Path(out_dir) if out_dir is not None else Path(f"run_{preset.name}")
     methods = preset.active_methods(long_run)
@@ -379,7 +397,6 @@ def run_experiment(
         if not runs:
             raise failures[methods[0]]
 
-    _remove_earlier_run(out_dir)
     cfg_dict = _config_dict(preset)
     manifest = {
         "preset": preset.name,
@@ -408,7 +425,7 @@ def run_experiment(
     files["costs.csv"] = csv_text(COSTS_FIELDS, cost_rows)
     files["plot_min_rate.csv"] = csv_text(PLOT_FIELDS, _min_rate_series(
         {name: res.rate_rows for name, res in runs.items()}, preset.rate.eval_every))
-    manifest["files"] = _write_files(out_dir, files)
-    _write_files(out_dir, {
-        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"})
+    manifest["files"] = sorted(files)
+    files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_files(out_dir, files)
     return out_dir

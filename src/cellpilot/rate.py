@@ -73,6 +73,12 @@ def _table_rows(M: int) -> tuple:
     return R, -(-M // R)
 
 
+def _links_per_block(rows: int, P: int) -> int:
+    """Links whose power tables of `rows` rows and P paths fit _BLOCK_BYTES
+    (at least one)."""
+    return max(1, int(_BLOCK_BYTES // (rows * P * 16)))
+
+
 def _expi(theta: np.ndarray) -> np.ndarray:
     """exp(1j * theta) for real theta, as cos and sin written into one complex
     array: the same bytes as np.exp(1j * theta) without its complex exponential."""
@@ -86,16 +92,25 @@ def _filters(bundle: ScenarioBundle) -> np.ndarray:
     """(L, K, M, M) filters: covariance(bundle.interval(j, j, k), 1.0, M, spacing).T.
 
     On its grid that covariance is Hermitian Toeplitz, R[m, n] = r[m - n] with
-    r[d] = mean_i z_i^d: one _power_sum gives all lag vectors, and the filters
-    are a read-only strided view of the 2M-1 lags (about 1e-14 from
-    covariance at M=100). numpy's matmul copies one (M, M) filter of the view
-    at a time into BLAS layout, never all L*K of them; a one-row operand
-    takes numpy's own loop over the view instead.
+    r[d] = mean_i z_i^d: _power_sum gives the lag vectors, in blocks of
+    links whose power tables fit _BLOCK_BYTES (each link's lags are those of
+    one pass over all), and the filters are a read-only strided view of the
+    2M-1 lags (about 1e-14 from covariance at M=100). numpy's matmul copies
+    one (M, M) filter of the view at a time into BLAS layout, never all L*K
+    of them; a one-row operand takes numpy's own loop over the view instead.
     """
     cfg, n = bundle.config, QUAD_POINTS
-    own = np.arange(bundle.drop.shape[0])
-    nodes = _midpoints(bundle.interval(own, own, slice(None)), n)  # (L, K, n)
-    lag = _power_sum(_expi(-2.0 * np.pi * cfg.spacing * np.cos(nodes)), 1.0 / n, cfg.M)
+    L, K = bundle.drop.shape
+    own = np.arange(L)
+    nodes = _midpoints(bundle.interval(own, own, slice(None)), n).reshape(L * K, n)
+    lag = np.empty((L * K, cfg.M), dtype=complex)
+    block = _links_per_block(sum(_table_rows(cfg.M)), n)
+    # all links' steering factors at once: made per block, they traced less
+    # but left a full-scale rate pass 0.3 MB more resident memory
+    z = _expi(-2.0 * np.pi * cfg.spacing * np.cos(nodes))
+    for b in range(0, L * K, block):
+        lag[b:b + block] = _power_sum(z[b:b + block], 1.0 / n, cfg.M)
+    lag = lag.reshape(L, K, cfg.M)
     # lags -(M-1)..M-1: conj(r[M-1]), ..., conj(r[1]), r[0], ..., r[M-1]
     both = np.concatenate([lag[..., :0:-1].conj(), lag], axis=-1)
     # row m of the reversed windows holds lags -m..M-1-m: entry n is r[n - m]
@@ -154,7 +169,7 @@ def _draw_channels(
     scale = np.tile(np.sqrt(gains / P).reshape(links, 1), (n_mc, 1))
     g = np.empty((n_mc, L, L, K, cfg.M), dtype=complex)
     flat = g.reshape(n_mc * links, cfg.M)
-    block = max(1, int(_BLOCK_BYTES // (rows * P * 16)))
+    block = _links_per_block(rows, P)
     for b in range(0, n_mc * links, block):
         e = min(b + block, n_mc * links)
         alphas = _expi(2.0 * np.pi * rng.random((e - b, P)))

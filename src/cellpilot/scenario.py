@@ -125,9 +125,11 @@ def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
     """The user positions of `count` successive drop_users calls, (count, L, K, 2).
 
     With the generator's state saved, a block of draws is offset by every
-    BS and tested against every cell at once; each cell's hits are found
-    once, and cell l of drop d takes the first K hits of its row after the
-    previous cell's last user (a bisect into the row). Then the state is
+    BS and tested against every cell at once (in_hexagon on the offsets,
+    about the origin); one np.nonzero finds every cell's hits, and cell l
+    of drop d takes the first K hits of its row after the previous cell's
+    last user (a bisect into the row). Each user's rejections are counted
+    on those Python lists. Then the state is
     restored and exactly the draws that the per-draw loop consumes are
     drawn again, so the positions, and the generator's state afterwards,
     are those of the per-draw loop. A block starts at 2 count L K + 8
@@ -143,8 +145,11 @@ def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
         state = rng.bit_generator.state
         p = centers + rng.uniform(-R, R, size=(n, 2))
         rel = p - centers
-        ok = in_hexagon(p, centers, R) & (np.hypot(rel[..., 0], rel[..., 1]) > exclusion_radius)
-        rows = [np.flatnonzero(row).tolist() for row in ok]
+        ok = in_hexagon(rel, 0.0, R) & (np.hypot(rel[..., 0], rel[..., 1]) > exclusion_radius)
+        cell, index = np.nonzero(ok)
+        bounds = np.searchsorted(cell, np.arange(L + 1)).tolist()
+        index = index.tolist()
+        rows = [index[a:b] for a, b in zip(bounds, bounds[1:])]
         hits = []  # block index of each placed user's draw, drop by drop, cell by cell
         for row in rows * count:
             i = bisect.bisect_left(row, hits[-1] + 1 if hits else 0)
@@ -154,11 +159,11 @@ def _draw_drops(layout: CellLayout, K: int, exclusion_radius: float,
                 break
         # user u draws from ends[u] + 1 on; each user's rejections, where
         # the first unplaced one rejects to the end of the block
-        ends = np.array([-1] + hits + [n])[:users + 1]
-        rejects = ends[1:] - ends[:-1] - 1
-        failed = np.flatnonzero(rejects >= max_attempts)
+        ends = ([-1] + hits + [n])[:users + 1]
+        failed = [u for u, (a, b) in enumerate(zip(ends, ends[1:]))
+                  if b - a - 1 >= max_attempts]
         rng.bit_generator.state = state
-        if failed.size:
+        if failed:
             user = failed[0] % (L * K)
             raise ConfigError(f"could not place user {user % K} in cell {user // K} "
                               f"after {max_attempts} draws")

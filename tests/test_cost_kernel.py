@@ -33,6 +33,7 @@ from cellpilot import (
 )
 from cellpilot.contamination import (
     _copilot_costs,
+    _copilot_pair_costs,
     _envelope,
     _first_nulls,
     _pair_costs,
@@ -361,6 +362,32 @@ def test_batched_copilot_costs_match_single_calls():
     for w in range(6):
         for i in range(5):
             assert np.array_equal(costs_w[w, i], _copilot_costs(Cs[w], maps[w, i]))
+
+
+@pytest.mark.parametrize("preset, changes", [
+    ("full", {}), ("desk", {}), ("desk", {"L": 1}), ("desk", {"L": 2, "K": 5, "M": 8}),
+    ("desk", {"L": 4, "K": 2, "M": 1}),  # M < 2: every pair saturated
+])
+def test_copilot_pair_costs_match_the_pair_cost_matrix(preset, changes):
+    # blocks of 1 to 11 drops, each with its own permutation map, and one
+    # drop without a leading axis: the co-pilot pairs alone give the masked
+    # sums of the whole matrix, bit for bit
+    cfg = dataclasses.replace(presets()[preset].config, **changes)
+    layout = build_layout(cfg.L, cfg.R)
+    rng = np.random.default_rng(cfg.L * 10 + cfg.K)
+    for count in range(1, 12):
+        links = _links(cfg, layout.bs_positions,
+                       _draw_drops(layout, cfg.K, cfg.exclusion_radius, rng, count))
+        p2u = np.stack([random_assignment(cfg.L, cfg.K, rng).pilot_to_user
+                        for _ in range(count)])
+        u2p = np.argsort(p2u, axis=-1)
+        want = _copilot_costs(_pairwise_costs(cfg, *links), u2p)
+        got = _copilot_pair_costs(cfg, links, u2p, p2u)
+        assert got.shape == want.shape == (count, cfg.L, cfg.K)
+        assert got.tobytes() == want.tobytes(), count
+    one = tuple(a[0] for a in links)
+    assert _copilot_pair_costs(cfg, one, u2p[0], p2u[0]).tobytes() == \
+        _copilot_costs(_pairwise_costs(cfg, *one), u2p[0]).tobytes()
 
 
 def test_copilot_costs_ignore_own_cell_entries():

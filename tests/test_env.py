@@ -26,7 +26,7 @@ from cellpilot import (
     substream,
     total_costs,
 )
-from cellpilot.contamination import _pairwise_costs
+from cellpilot.contamination import _copilot_pair_costs, _pairwise_costs
 from cellpilot.env import _BLOCK, TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import csv_text
 from conftest import make_world, small_config, traced_peak
@@ -103,6 +103,17 @@ def test_calibration_working_set():
     assert traced_peak(lambda: calibrate_thresholds(
         full.config, full.env, substream(0, "thresholds"), pairwise=pairwise)) \
         < 2 ** 20
+
+
+def test_positions_calibration_working_set():
+    # the full preset's 1000 samples on redrawn positions, scored _BLOCK
+    # drops at a time from their co-pilot pairs alone: about 0.4 MiB at its
+    # peak, 0.7 MiB when each block's whole pair-cost matrices were built
+    full = presets()["full"]
+    opts = dataclasses.replace(full.env, redraw="positions")
+    assert opts.threshold_samples == 1000
+    assert traced_peak(lambda: calibrate_thresholds(
+        full.config, opts, substream(0, "thresholds"))) < 2 ** 19
 
 
 def test_calibration_refuses_samples_above_the_byte_cap():
@@ -406,7 +417,7 @@ def test_make_env_deterministic():
 def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
     full = presets()["full"]
     opts = dataclasses.replace(full.env, redraw=redraw)
-    worlds, blocks = [], []
+    worlds, blocks, copilot_blocks = [], [], []
 
     def counting(world):
         worlds.append(world)
@@ -416,15 +427,24 @@ def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
         blocks.append(gains.shape[:-3])
         return _pairwise_costs(config, gains, *links)
 
+    def counting_copilot(config, links, *maps):
+        copilot_blocks.append(links[0].shape[:-3])
+        return _copilot_pair_costs(config, links, *maps)
+
     monkeypatch.setattr(cellpilot.env, "pairwise_cost_matrix", counting)
     monkeypatch.setattr(cellpilot.env, "_pairwise_costs", counting_block)
+    monkeypatch.setattr(cellpilot.env, "_copilot_pair_costs", counting_copilot)
     env = make_env(full.config, opts, 5)
     assert sum(w is env.worlds.world for w in worlds) == 1
-    # the calibration of "positions" scores a fresh world per sample, in
-    # blocks of drops: count the worlds, the block kernel's leading sizes
+    # the calibration of "positions" scores a fresh world per sample from
+    # its co-pilot pairs alone, in leading blocks of at most _BLOCK drops
+    # and a last, smaller one, and builds no pair-cost matrix
     per_sample = opts.threshold_samples if redraw == "positions" else 0
-    assert len(worlds) == 1 and all(len(shape) == 1 for shape in blocks)
-    assert sum(shape[0] for shape in blocks) == per_sample
+    sizes = [shape[0] for shape in copilot_blocks]
+    assert len(worlds) == 1 and blocks == []
+    assert all(len(shape) == 1 for shape in copilot_blocks)
+    assert sum(sizes) == per_sample
+    assert all(size == _BLOCK for size in sizes[:-1]) and sizes[-1:] <= [_BLOCK]
     monkeypatch.undo()
     assert np.array_equal(env.worlds.pairwise, pairwise_cost_matrix(env.worlds.world))
     th = calibrate_thresholds(full.config, opts, substream(5, "thresholds"),

@@ -292,6 +292,43 @@ def test_run_without_a_finished_method_raises(tmp_path, monkeypatch):
     assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
 
 
+def test_failed_write_leaves_the_earlier_run_whole(tmp_path, monkeypatch):
+    # a rerun whose write of file k fails stages its files in a directory
+    # that goes again: the earlier run keeps every byte, manifest included.
+    # A rename that fails after the earlier run went leaves no manifest
+    # that lists a file it did not write
+    earlier = run_experiment(_tiny_preset(methods=("random", "spr_like"), total_steps=10),
+                             1, out_dir=tmp_path / "run")
+    before = {f.name: f.read_bytes() for f in earlier.iterdir()}
+    assert len(before) == 6
+    for step in ("write_text", "replace"):
+        for k in range(len(before)):
+            owner = Path if step == "write_text" else harness.os
+            real, calls = getattr(owner, step), []
+
+            def failing(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == k + 1:
+                    raise OSError(f"{step} {k}")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, step, failing)
+            with pytest.raises(OSError, match=f"{step} {k}"):
+                run_experiment(_tiny_preset(methods=("random", "spr_like"), total_steps=10),
+                               2, out_dir=earlier)
+            monkeypatch.undo()
+            left = {f.name: f.read_bytes() for f in earlier.iterdir()}
+            assert all(f.is_file() for f in earlier.iterdir())
+            if step == "write_text":
+                assert left == before, k
+            else:
+                assert "manifest.json" not in left, k
+                earlier = run_experiment(
+                    _tiny_preset(methods=("random", "spr_like"), total_steps=10),
+                    1, out_dir=earlier)
+                assert {f.name: f.read_bytes() for f in earlier.iterdir()} == before
+
+
 def _positions_preset(methods=("random", "spr_like", "exhaustive")):
     # K=3, so spr_like's pilot count differs from the other maps'
     return dataclasses.replace(

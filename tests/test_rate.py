@@ -288,6 +288,25 @@ def test_filter_view_matches_gather(L, K, M):
     assert (est @ filt).tobytes() == (est @ np.ascontiguousarray(filt)).tobytes()
 
 
+@pytest.mark.parametrize("links", [1, 2, 5])
+@pytest.mark.parametrize("L, K, M", [(1, 1, 8), (3, 3, 64), (7, 4, 100)])
+def test_filter_blocks_keep_their_bytes(monkeypatch, L, K, M, links):
+    # the lag power sums over blocks of `links` links' tables (one link:
+    # less than one link's bytes) give the filters of one pass over all
+    R = math.ceil(math.sqrt(M))
+    link_bytes = (R + -(-M // R)) * QUAD_POINTS * 16
+    monkeypatch.setattr(rate, "_BLOCK_BYTES", links * link_bytes - (links == 1))
+    bundle = make_world(small_config(L=L, K=K, M=M), seed=L + K)
+    assert rate._filters(bundle).tobytes() == _gathered_filters(bundle).tobytes()
+
+
+def test_filters_working_set():
+    # full scale: the lag tables of 6 links at a time hold about 1.4 MiB at
+    # the peak, 5.0 MiB when one pass took all 28 links' tables
+    world = make_world(small_config(L=7, K=4, M=100), seed=5)
+    assert traced_peak(lambda: rate._filters(world)) < 1.5 * 2 ** 20
+
+
 # --------------------------------------------------------------- rate: API
 
 def _identity_pilots(L, K):
