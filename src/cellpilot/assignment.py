@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -224,19 +225,44 @@ def spr_like_assignment(
     user of stable rank r near -> far in cell l gets pilot r if central,
     else r + l * edge_per_cell: edge users hold pilots >= central_per_cell.
     """
+    return _spr_like_maps(bundle.drop.positions, bundle.layout.bs_positions, edge_ratio)
+
+
+def _spr_like_maps(positions: np.ndarray, bs_positions: np.ndarray,
+                   edge_ratio: float = 1.0 / 3.0) -> tuple[np.ndarray, OverheadReport]:
+    """spr_like_assignment of drops (..., L, K, 2) in one array pass: each
+    drop's (..., L, K) map is the one it gets alone, and the report is
+    every drop's."""
     if edge_ratio < 0:
         raise ValueError("edge_ratio must be non-negative")
-    L, K = bundle.drop.shape
+    L, K = positions.shape[-3:-1]
     n_edge = min(K, int(round(K * edge_ratio / (1.0 + edge_ratio))))
     n_central = K - n_edge
-    offset = bundle.drop.positions - bundle.layout.bs_positions[:, None]
-    order = np.argsort(np.hypot(offset[..., 0], offset[..., 1]), axis=1,
+    offset = positions - bs_positions[:, None]
+    order = np.argsort(np.hypot(offset[..., 0], offset[..., 1]), axis=-1,
                        kind="stable")
-    rank = np.argsort(order, axis=1)
+    rank = np.argsort(order, axis=-1)
     user_to_pilot = rank + (rank >= n_central) * np.arange(L)[:, None] * n_edge
     return user_to_pilot, OverheadReport(
         base_pilots=K, required_pilots=n_central + L * n_edge,
         edge_per_cell=n_edge, central_per_cell=n_central)
+
+
+def _pilot_to_user(user_to_pilot: np.ndarray, n_pilots: int) -> np.ndarray:
+    """The (..., L, n_pilots) inverse of user -> pilot maps (..., L, K) whose
+    cells put their users on distinct pilots: -1 where a cell holds no
+    user on a pilot."""
+    out = np.full(user_to_pilot.shape[:-1] + (n_pilots,), -1)
+    np.put_along_axis(out, user_to_pilot, np.arange(user_to_pilot.shape[-1]), axis=-1)
+    return out
+
+
+def _spr_like_files(user_to_pilot: np.ndarray, report: OverheadReport) -> dict:
+    """spr_like's run files: its map under an "n_pilots N" line, then its
+    OverheadReport line."""
+    return {"assignment_spr_like.txt":
+            f"n_pilots {report.required_pilots}\n" + _rows_text(user_to_pilot),
+            "overhead_spr_like.txt": f"{report}\n"}
 
 
 def baseline_assignment(
@@ -260,10 +286,7 @@ def baseline_assignment(
     if name == "spr_like":
         u2p, report = spr_like_assignment(bundle)
         n_pilots = report.required_pilots
-
-        def files():
-            return {f"assignment_{name}.txt": f"n_pilots {n_pilots}\n" + _rows_text(u2p),
-                    "overhead_spr_like.txt": f"{report}\n"}
+        files = functools.partial(_spr_like_files, u2p, report)
     else:
         if name == "random":
             assign = random_assignment(*bundle.drop.shape, rng)

@@ -9,12 +9,12 @@ kernel drives the assignment search.
 Two kernels compute every cost: _pair_costs, one broadcasting envelope
 cost that serves pair_cost (one pair), _pairwise_costs (all pairs of any
 number of drops in one pass, with pairwise_cost_matrix its one-drop call)
-and _copilot_pair_costs (only the co-pilot pairs of a block of drops
-under permutation maps, for the threshold calibration on redrawn
-positions) alike, and _copilot_costs, the sum of a pair-cost matrix over
-co-pilot partners behind total_costs, extended_user_costs and the
-calibration on one world. Its partner mask, _copilot_mask, also picks the
-rate benchmark's co-users.
+and _copilot_pair_costs (only the co-pilot pairs of a block of drops,
+one map per drop, for the threshold calibration and the random and
+spr_like baselines on redrawn positions) alike, and _copilot_costs, the
+sum of a pair-cost matrix over co-pilot partners behind total_costs,
+extended_user_costs and the calibration on one world. Its partner mask,
+_copilot_mask, also picks the rate benchmark's co-users.
 """
 
 from __future__ import annotations
@@ -211,25 +211,29 @@ def _copilot_pair_costs(config: SystemConfig, links, user_to_pilot, pilot_to_use
     for bit, from each user's co-pilot pairs alone.
 
     links are `_links`' (..., L, L, K) arrays of a block of drops, and
-    user_to_pilot and pilot_to_user (..., L, K) one map per drop, inverse
-    to each other: every map row must be a permutation, so each other cell
-    l holds exactly one user on user (j, a)'s pilot, p2u[l, u2p[j, a]].
+    user_to_pilot (..., L, K) and pilot_to_user (..., L, P) one map per
+    drop, inverse to each other: each cell puts its K users on distinct
+    pilots of 0..P-1, and pilot_to_user is -1 where a cell holds no user
+    on a pilot (spr_like's dedicated edge pilots). So each other cell l
+    holds at most one user on user (j, a)'s pilot, p2u[l, u2p[j, a]].
     _pair_costs scores the support BS j sees for that user, as
-    [endpoint, ..., j, a, l]; l == j scores 0, and the sum over l adds the
-    terms in _copilot_costs' order. Its masked sums over b each hold one
-    non-zero term, so no (L, K, L, K) matrix is needed.
+    [endpoint, ..., j, a, l]; l == j and a cell without such a user score
+    0, and the sum over l adds the terms in _copilot_costs' order. Its
+    masked sums over b each hold at most one non-zero term, so no
+    (L, K, L, K) matrix is needed.
     """
     gains, centers, half_widths = links
     cells = np.arange(gains.shape[-2])
     lead = np.indices(user_to_pilot.shape[:-2], sparse=True)
     lead = tuple(i[..., None, None, None] for i in lead)
-    # co[..., j, a, l]: the user of cell l on user (j, a)'s pilot
+    # co[..., j, a, l]: the user of cell l on user (j, a)'s pilot, or -1
     co = pilot_to_user[lead + (cells, user_to_pilot[..., None])]
     link = lead + (cells[:, None, None], cells, co)
     c, h = centers[link], half_widths[link]
     costs = _pair_costs(*(x[..., None] for x in _targets(*links)),
                         np.stack([c - h, c + h]), config.M, config.spacing)
     costs[..., cells, :, cells] = 0.0
+    costs[co < 0] = 0.0
     return costs.sum(axis=-1)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,13 @@ from .contamination import (
 )
 from .scenario import _fresh_worlds, _links, build_layout, drop_users, fresh_world
 
-# "positions" drops costed at once: drawn and pair-costed by a WorldStream,
-# scored from their co-pilot pairs by threshold calibration. No output
-# depends on it; it is sized for memory: at full scale, blocks of 16 and 32
-# held 0.8 and 2.5 MB more peak memory than blocks of 8, and pair-costed a
-# drop no faster; calibration blocks of 64 took 12 % less time but held
-# 1.4 MB more peak memory in a `churn` benchmark run
+# "positions" drops costed at once: drawn by a WorldStream, pair-costed
+# by it when a method reads a matrix, scored from their co-pilot pairs by
+# threshold calibration and by the random and spr_like block solves, which
+# also draw smallscale random maps this many at a time. No output depends
+# on it; it is sized for memory: in `churn` benchmark runs, stream blocks
+# of 32 held 1.3 MB more peak memory than blocks of 8 (11 % less time),
+# and calibration blocks of 64 held 1.4 MB more (12 % less time)
 _BLOCK = 8
 
 # calibration maps drawn and scored at once on a reused world. No output
@@ -83,38 +83,60 @@ def _calibration_samples(config: SystemConfig, opts: EnvOptions,
 
     Redrawn worlds come as drop i and then map i, map i drawn as
     random_assignment draws it (_permuted_rows); each block of drops is
-    linked at once and scored by _copilot_pair_costs, which costs only
-    the pairs that share a pilot and builds no pair-cost matrix. On a
-    reused world one random_assignment of b*L rows draws a block's b maps,
-    the same draws as b successive L-row ones. Either way a block's maps
-    are validated and inverted once, through one PilotAssignment. Samples
-    above config._BYTES_CAP raise BudgetError before a draw.
+    linked at once. On a reused world one _permuted_rows of b*L rows draws
+    a block's b maps, the same draws as b successive random_assignment
+    calls. Either way a block's maps are validated and inverted once
+    (_block_maps) and scored in one _worst_costs call. Samples above
+    config._BYTES_CAP raise BudgetError before a draw.
     """
     n = opts.threshold_samples
     _check_bytes(8 * n, "threshold calibration's samples", "[env] threshold_samples")
     layout = build_layout(config.L, config.R)
     positions = opts.redraw == "positions"
-    if not positions:
-        C = pairwise if pairwise is not None else \
-            pairwise_cost_matrix(fresh_world(config, rng, layout))
+    C = pairwise  # read only on a reused world
+    if not positions and C is None:
+        C = pairwise_cost_matrix(fresh_world(config, rng, layout))
     block = _BLOCK if positions else _MAP_BLOCK
     samples = np.empty(n)
     for start in range(0, n, block):
         size = min(block, n - start)
-        shape = (size, config.L, config.K)
         if positions:
             draws = [(drop_users(layout, config.K, config.exclusion_radius, rng).positions,
                       _permuted_rows(config.L, config.K, rng)) for _ in range(size)]
             drops, rows = (np.stack(a) for a in zip(*draws))
-            maps = PilotAssignment(rows.reshape(-1, config.K))
-            costs = _copilot_pair_costs(config, _links(config, layout.bs_positions, drops),
-                                        maps.user_to_pilot().reshape(shape),
-                                        maps.pilot_to_user.reshape(shape))
+            links = _links(config, layout.bs_positions, drops)
         else:
-            maps = random_assignment(size * config.L, config.K, rng).user_to_pilot()
-            costs = _copilot_costs(C, maps.reshape(shape))
-        samples[start:start + size] = costs.max(axis=(1, 2))
+            rows, links = _permuted_rows(size * config.L, config.K, rng), None
+        samples[start:start + size] = _worst_costs(
+            config, *_block_maps(rows, (size, config.L, config.K)), links, C)
     return samples
+
+
+def _block_maps(rows: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(user_to_pilot, pilot_to_user) of pilot -> user permutation rows, each
+    reshaped to `shape` (b, L, K): validated and inverted at once, through
+    one PilotAssignment."""
+    maps = PilotAssignment(rows.reshape(-1, shape[-1]))
+    return maps.user_to_pilot().reshape(shape), maps.pilot_to_user.reshape(shape)
+
+
+def _worst_costs(config: SystemConfig, user_to_pilot: np.ndarray,
+                 pilot_to_user: np.ndarray, links: tuple | None,
+                 pairwise: np.ndarray | None) -> np.ndarray:
+    """The worst-user cost of each map (b, L, K) of a block, in one call.
+
+    With `links`, `_links`' arrays of b redrawn worlds, map i is scored on
+    world i from its co-pilot pairs alone (_copilot_pair_costs), which
+    builds no pair-cost matrix; pilot_to_user may hold -1 for a pilot that
+    a cell leaves unused. Without, every map is scored on the one world
+    whose matrix is `pairwise` (_copilot_costs' masked sums). Either way
+    each value is extended_user_costs' maximum for that map, bit for bit.
+    """
+    if links is not None:
+        costs = _copilot_pair_costs(config, links, user_to_pilot, pilot_to_user)
+    else:
+        costs = _copilot_costs(pairwise, user_to_pilot)
+    return costs.max(axis=(-2, -1))
 
 
 def _band_thresholds(samples: np.ndarray, opts: EnvOptions) -> RewardThresholds:
@@ -190,19 +212,24 @@ class WorldStream:
     """The world sequence of one run: every method of a seed sees the same.
 
     World 0 is drawn from the seed's world substream, and each `advance`
-    moves to the next world. "positions" redraws the user drop and its
-    pair-cost matrix; "smallscale" keeps the geometry, and only the per-step
-    channel draws differ, which the rate benchmark realizes from its own
-    streams. Every world is digested, so equal `digest()`s prove equal
-    streams.
+    moves to the next world. "positions" redraws the user drop and so its
+    pair-cost matrix; "smallscale" keeps the geometry, and only the
+    per-step channel draws differ, which the rate benchmark realizes from
+    its own streams. Every world is digested, so equal `digest()`s prove
+    equal streams.
 
-    "positions" worlds after world 0 are drawn and pair-costed _BLOCK at
-    a time (see scenario._fresh_worlds and contamination._pairwise_costs),
-    so the generator runs up to _BLOCK - 1 drops ahead of the stream; each
-    world and its pair-cost matrix are those of successive fresh_world and
-    pairwise_cost_matrix calls. A failed drop raises its ConfigError from
-    the `advance` that draws its block, which draws nothing, so every later
-    `advance` raises it again.
+    "positions" worlds after world 0 are drawn _BLOCK at a time (see
+    scenario._fresh_worlds), so the generator runs up to _BLOCK - 1 drops
+    ahead of the stream; each world is that of successive fresh_world
+    calls. The stream keeps the current block's worlds and link arrays
+    (`block`). A world's pair-cost matrix is built only when `pairwise` is
+    read: world 0's by pairwise_cost_matrix, and on the first read in a
+    later block every world of it by one _pairwise_costs call, each kept
+    as its own copy (so a matrix kept pins no block), the bytes of
+    pairwise_cost_matrix. So a run whose
+    methods never read a matrix builds none. A failed drop raises its
+    ConfigError from the `advance` that draws its block, which draws
+    nothing, so every later `advance` raises it again.
     """
 
     def __init__(self, config: SystemConfig, redraw: str, seed: int):
@@ -211,18 +238,34 @@ class WorldStream:
         self.rng = substream(seed, "world")
         self.layout = build_layout(config.L, config.R)
         self.world = fresh_world(config, self.rng, self.layout)
-        self.pairwise = pairwise_cost_matrix(self.world)  # of `world`
         self.digests = [self.world.digest()]
-        self._queue = deque()  # drawn (world, matrix) pairs
+        # the current block: its worlds, their link arrays (None for world
+        # 0's), the current world's index and, once read, their matrices
+        self._worlds, self._links, self._at, self._costs = [self.world], None, 0, None
+
+    @property
+    def pairwise(self) -> np.ndarray:
+        """The pair-cost matrix of `world`, built on first read (see above)."""
+        if self._costs is None:
+            self._costs = ([pairwise_cost_matrix(self.world)] if self._links is None else
+                           [C.copy() for C in _pairwise_costs(self.config, *self._links)])
+        return self._costs[self._at]
+
+    def block(self) -> tuple[list, tuple]:
+        """The current world and the rest of its "positions" block, after
+        the first `advance`: (worlds, their `_links` arrays, one leading row
+        per world). A method may solve them at once, as the next worlds."""
+        return self._worlds[self._at:], tuple(a[self._at:] for a in self._links)
 
     def advance(self):
         if self.redraw == "positions":
-            if not self._queue:
-                worlds, links = _fresh_worlds(self.config, self.rng, self.layout, _BLOCK)
-                # each world keeps a copy of its matrix, so none pins the block
-                costs = _pairwise_costs(self.config, *links)
-                self._queue.extend((w, C.copy()) for w, C in zip(worlds, costs))
-            self.world, self.pairwise = self._queue.popleft()
+            if self._at + 1 < len(self._worlds):
+                self._at += 1
+            else:
+                self._worlds, self._links = _fresh_worlds(
+                    self.config, self.rng, self.layout, _BLOCK)
+                self._at, self._costs = 0, None
+            self.world = self._worlds[self._at]
         self.digests.append(self.world.digest())
 
     def digest(self) -> str:

@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import tempfile
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .assignment import baseline_assignment
+from .assignment import (_permuted_rows, _pilot_to_user, _spr_like_files, _spr_like_maps,
+                         baseline_assignment)
 from .config import (
     PACKAGE_VERSION,
     ConfigError,
@@ -31,7 +35,7 @@ from .config import (
     _one_blas_thread,
     substream,
 )
-from .env import TRAJECTORY_FIELDS, WorldStream, make_env
+from .env import _BLOCK, TRAJECTORY_FIELDS, WorldStream, _block_maps, _worst_costs, make_env
 from .qnn import TRAINING_LOG_FIELDS, Learner
 from .rate import _check_map, min_rate, moving_average
 
@@ -135,8 +139,14 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
 
     The stream is drl's env's, or one of the same seed without drl. Each
     step advances it once, through drl's Learner.step or directly, then
-    scores every baseline still running on its world and pair-cost matrix,
-    each with its own substream(seed, "baseline", name). Each evaluation
+    scores every baseline still running on its world, each with its own
+    substream(seed, "baseline", name). A baseline takes the step's
+    solution from its last _solve_block call and calls it again when none
+    is left: random and spr_like solve a block of steps at once, whose
+    worlds they score without reading a pair-cost matrix when positions
+    are redrawn, so a block solve that raises fails that method at the
+    block's first step. Each step's row is what a baseline_assignment on
+    that step's world would give. Each evaluation
     step every-1, 2*every-1, ... then ends with one min_rate call on
     substream(seed, "rate", t), which rates the pilot map of every method
     still running on the step's world (no call, once every method has
@@ -151,7 +161,7 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     `files`: drl its assignment_drl.txt, drl_training_log.csv and
     drl_trajectory.csv (the TRAINING_LOG_FIELDS and TRAJECTORY_FIELDS
     columns of its Learner.rows, one record per step) and plot_reward.csv;
-    exhaustive and spr_like the files of their last baseline_assignment;
+    exhaustive and spr_like the files of their last step's solution;
     random none.
     """
     cfg, redraw, every = preset.config, preset.env.redraw, preset.rate.eval_every
@@ -166,7 +176,8 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
             del runs["drl"]
     rngs = {name: substream(master_seed, "baseline", name)
             for name in runs if name != "drl"}
-    solved = {}  # baseline name -> its last baseline_assignment
+    solved = {}  # baseline name -> its solution of the step
+    ahead = {name: deque() for name in rngs}  # its solutions of the steps to come
     try:
         worlds = (learner.env.worlds if learner is not None
                   else WorldStream(cfg, redraw, master_seed))
@@ -185,12 +196,10 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
                     del runs["drl"]
             for name in [name for name in runs if name in rngs]:
                 try:
-                    # random draws anew; exhaustive and spr_like solve and
-                    # score a world once
-                    if t == 0 or redraw == "positions" or name == "random":
-                        solved[name] = baseline_assignment(
-                            name, worlds.world, rngs[name], worlds.pairwise,
-                            allow_long_run=long_run)
+                    if not ahead[name]:
+                        ahead[name] = _solve_block(name, worlds, rngs[name],
+                                                   preset.total_steps - t, long_run)
+                    solved[name] = ahead[name].popleft()
                     runs[name].cost_rows.append((t, solved[name][2]))
                 except Exception as exc:  # record and go on with the others
                     failures[name] = exc
@@ -226,6 +235,48 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
         elif name != "random":  # a run keeps no file of its last random draw
             res.files = solved[name][3]()
     return runs
+
+
+def _solve_block(name: str, worlds: WorldStream, rng: np.random.Generator,
+                 left: int, long_run: bool) -> deque:
+    """Baseline `name`'s solutions for this step and up to left - 1 more,
+    each the (user_to_pilot, n_pilots, cost, files) that baseline_assignment
+    gives on that step's world, drawn from `rng` in step order.
+
+    exhaustive, and spr_like on "smallscale", solve the current world
+    through baseline_assignment; on "smallscale" the world never changes,
+    so that one solution serves every step left. Otherwise n maps are
+    solved at once, n = min(_BLOCK, left) on "smallscale" and on
+    "positions" one per world of the current one and the rest of its
+    WorldStream.block, up to `left`: random's as one _permuted_rows of n*L
+    rows (the draws of n random_assignment calls), validated and inverted
+    once, spr_like's in one _spr_like_maps pass. They are scored in one
+    _worst_costs call, from the block's link arrays on "positions", which
+    reads no pair-cost matrix.
+    """
+    cfg = worlds.config
+    positions = worlds.redraw == "positions"
+    if name == "exhaustive" or name == "spr_like" and not positions:
+        solution = baseline_assignment(name, worlds.world, rng, worlds.pairwise,
+                                       allow_long_run=long_run)
+        return deque([solution] * (1 if positions else left))
+    if positions:
+        block, links = worlds.block()
+        n, C = min(len(block), left), None
+        block, links = block[:n], tuple(a[:n] for a in links)
+    else:
+        n, links, C = min(_BLOCK, left), None, worlds.pairwise
+    if name == "random":
+        u2p, p2u = _block_maps(_permuted_rows(n * cfg.L, cfg.K, rng), (n, cfg.L, cfg.K))
+        n_pilots, files = cfg.K, itertools.repeat(None)  # a run writes no random map
+    else:
+        u2p, report = _spr_like_maps(np.stack([w.drop.positions for w in block]),
+                                     worlds.layout.bs_positions)
+        n_pilots = report.required_pilots
+        p2u = _pilot_to_user(u2p, n_pilots)
+        files = (functools.partial(_spr_like_files, m, report) for m in u2p)
+    costs = _worst_costs(cfg, u2p, p2u, links, C).tolist()
+    return deque(zip(u2p, itertools.repeat(n_pilots), costs, files))
 
 
 def _config_dict(preset: ExperimentPreset) -> dict:

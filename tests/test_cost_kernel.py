@@ -31,6 +31,7 @@ from cellpilot import (
     spr_like_assignment,
     total_costs,
 )
+from cellpilot.assignment import _pilot_to_user, _spr_like_maps
 from cellpilot.contamination import (
     _copilot_costs,
     _copilot_pair_costs,
@@ -381,6 +382,38 @@ def test_copilot_pair_costs_match_the_pair_cost_matrix(preset, changes):
         p2u = np.stack([random_assignment(cfg.L, cfg.K, rng).pilot_to_user
                         for _ in range(count)])
         u2p = np.argsort(p2u, axis=-1)
+        want = _copilot_costs(_pairwise_costs(cfg, *links), u2p)
+        got = _copilot_pair_costs(cfg, links, u2p, p2u)
+        assert got.shape == want.shape == (count, cfg.L, cfg.K)
+        assert got.tobytes() == want.tobytes(), count
+    one = tuple(a[0] for a in links)
+    assert _copilot_pair_costs(cfg, one, u2p[0], p2u[0]).tobytes() == \
+        _copilot_costs(_pairwise_costs(cfg, *one), u2p[0]).tobytes()
+
+
+@pytest.mark.parametrize("edge_ratio", [0.0, 1.0 / 3.0, 1.0, 1e9])
+@pytest.mark.parametrize("preset, changes", [
+    ("full", {}), ("desk", {}), ("desk", {"L": 1}), ("desk", {"L": 2, "K": 5, "M": 8}),
+])
+def test_copilot_pair_costs_match_on_spr_like_maps(preset, changes, edge_ratio):
+    # spr_like's maps leave each dedicated edge pilot unheld in every other
+    # cell (-1 in pilot_to_user; at edge_ratio 1e9 every user is an edge
+    # user): blocks of 1, 7, 8 and 11 drops, each map the one its drop gets
+    # alone, and one drop without a leading axis still give the masked sums
+    # of the whole matrix, bit for bit
+    cfg = dataclasses.replace(presets()[preset].config, **changes)
+    layout = build_layout(cfg.L, cfg.R)
+    rng = np.random.default_rng(cfg.L * 10 + cfg.K)
+    for count in (1, 7, 8, 11):
+        positions = _draw_drops(layout, cfg.K, cfg.exclusion_radius, rng, count)
+        links = _links(cfg, layout.bs_positions, positions)
+        u2p, report = _spr_like_maps(positions, layout.bs_positions, edge_ratio)
+        for i in range(count):
+            world = ScenarioBundle(cfg, layout, UserDrop(positions[i]), *(a[i] for a in links))
+            alone, alone_report = spr_like_assignment(world, edge_ratio)
+            assert u2p[i].tobytes() == alone.tobytes() and report == alone_report, (count, i)
+        p2u = _pilot_to_user(u2p, report.required_pilots)
+        assert p2u.shape == (count, cfg.L, report.required_pilots)
         want = _copilot_costs(_pairwise_costs(cfg, *links), u2p)
         got = _copilot_pair_costs(cfg, links, u2p, p2u)
         assert got.shape == want.shape == (count, cfg.L, cfg.K)

@@ -24,7 +24,7 @@ from cellpilot import (
     run_experiment,
     substream,
 )
-from cellpilot import assignment, harness, scenario
+from cellpilot import assignment, contamination, env, harness, scenario
 from cellpilot.env import _BLOCK, TRAJECTORY_FIELDS, WorldStream
 from cellpilot.harness import SHORT_TERM_STEPS, _run_methods
 from cellpilot.qnn import TRAINING_LOG_FIELDS
@@ -421,13 +421,79 @@ def test_positions_run_draws_each_world_once(tmp_path, monkeypatch):
     assert len(streams) == 1
 
 
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("preset", ["desk", "full"])
+@pytest.mark.parametrize("redraw", ["positions", "smallscale"])
+def test_block_solves_match_per_step_baselines(redraw, preset, steps):
+    # random and spr_like solve a block of steps at once, capped by the
+    # steps left; step for step each gives the (map, n_pilots, cost) of
+    # baseline_assignment on that step's world and the same generator, and
+    # random's maps are successive random_assignment draws
+    cfg = presets()[preset].config
+    for name in ("random", "spr_like"):
+        stream, ref = WorldStream(cfg, redraw, 3), WorldStream(cfg, redraw, 3)
+        rng, ref_rng, draws = (substream(3, "baseline", name) for _ in range(3))
+        ahead, costs = [], []
+        for t in range(steps):
+            stream.advance()
+            ref.advance()
+            if not ahead:
+                ahead = harness._solve_block(name, stream, rng, steps - t, False)
+                # on "smallscale" spr_like's one solution serves every step left
+                cap = steps - t if (redraw, name) == ("smallscale", "spr_like") else _BLOCK
+                assert 1 <= len(ahead) <= min(steps - t, cap)
+            u2p, n_pilots, cost, files = ahead.popleft()
+            want = assignment.baseline_assignment(name, ref.world, ref_rng, ref.pairwise)
+            assert (u2p.shape, u2p.tobytes()) == (want[0].shape, want[0].tobytes()), (name, t)
+            assert (n_pilots, cost) == want[1:3] and type(cost) is float, (name, t)
+            if name == "random":
+                drawn = assignment.random_assignment(cfg.L, cfg.K, draws)
+                assert np.array_equal(u2p, drawn.user_to_pilot()), t
+            else:
+                assert files() == want[3](), t
+            costs.append((t, cost))
+        assert not ahead
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # and the harness's rows are those solutions
+        preset_run = dataclasses.replace(
+            presets()[preset], methods=(name,), total_steps=steps,
+            env=EnvOptions(redraw=redraw, threshold_samples=30),
+            rate=RateOptions(n_mc=1, eval_every=steps + 1, paths=5))
+        assert _run_methods((name,), preset_run, 3, False, {})[name].cost_rows == costs
+
+
+def test_positions_baselines_build_no_pair_cost_matrix(tmp_path, monkeypatch):
+    # random and spr_like score every block from its co-pilot pairs; drl
+    # reads world 0's matrix, then each block's, built once when it enters
+    # the block: 30 steps enter the blocks of worlds 1-8, 9-16, 17-24 and 25-32.
+    # The spy sits on every binding the package calls the pair-cost kernel by
+    real, calls = contamination._pairwise_costs, []
+
+    def counting(config, gains, *links):
+        calls.append(gains.shape[:-3])  # the leading drop axes, () for one drop
+        return real(config, gains, *links)
+
+    for module in (contamination, env):
+        monkeypatch.setattr(module, "_pairwise_costs", counting)
+    free = run_experiment(_positions_preset(("random", "spr_like")), 4,
+                          out_dir=tmp_path / "free")
+    assert calls == []
+    with_drl = run_experiment(_positions_preset(("random", "spr_like", "drl")), 4,
+                              out_dir=tmp_path / "drl")
+    assert calls == [()] + [(_BLOCK,)] * 4
+    for name in ("results.csv", "costs.csv"):
+        rows = [line for line in (with_drl / name).read_text().splitlines()
+                if not line.startswith("drl,")]
+        assert rows == (free / name).read_text().splitlines(), name
+
+
 def test_stream_failure_fails_every_baseline(tmp_path, monkeypatch):
-    # the world stream raises at step 7: no baseline finishes, so the run
+    # the world stream raises at step 11: no baseline finishes, so the run
     # raises the stream's error and writes no file
     real = WorldStream.advance
 
     def advance(self):
-        if len(self.digests) == 8:  # world 0 and one per step so far
+        if len(self.digests) == 12:  # world 0 and one per step so far
             raise ConfigError("could not place user 1 in cell 0")
         real(self)
 
@@ -436,45 +502,48 @@ def test_stream_failure_fails_every_baseline(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="could not place user 1 in cell 0"):
         run_experiment(_positions_preset(("random", "spr_like")), 4, out_dir=out)
     assert not out.exists()
-    # a baseline that failed before keeps its own error
-    real_assign, calls = harness.baseline_assignment, []
+    # a baseline that failed before keeps its own error: spr_like's block
+    # solve of step 8, its second block's first step, raises
+    real_solve, calls = harness._solve_block, []
 
-    def failing(name, *args, **kwargs):
+    def failing(name, *args):
         calls.append(name)
-        if name == "spr_like" and calls.count(name) == 3:
+        if name == "spr_like" and calls.count(name) == 2:
             raise RuntimeError("spr_like")
-        return real_assign(name, *args, **kwargs)
+        return real_solve(name, *args)
 
-    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    monkeypatch.setattr(harness, "_solve_block", failing)
     failures = {}
     assert _run_methods(("random", "spr_like"), _positions_preset(), 4, False,
                         failures) == {}
     assert {name: str(exc) for name, exc in failures.items()} == {
         "spr_like": "spr_like", "random": "could not place user 1 in cell 0"}
-    assert calls.count("random") == 7
+    assert calls.count("random") == 2  # the blocks of steps 0 and 8
 
 
 def test_no_rate_pass_once_every_method_failed(monkeypatch):
-    # the last method fails on evaluation step 9: nothing is left to score,
-    # so no rate pass runs and no rate channels are drawn
-    real_assign, calls = harness.baseline_assignment, []
+    # the last method fails on evaluation step 8, where its second block
+    # of maps is drawn: nothing is left to score, so no rate pass runs and
+    # no rate channels are drawn
+    real_solve, calls = harness._solve_block, []
 
-    def failing(name, *args, **kwargs):
+    def failing(name, *args):
         calls.append(name)
-        if len(calls) == 10:
+        if len(calls) == 2:
             raise RuntimeError(name)
-        return real_assign(name, *args, **kwargs)
+        return real_solve(name, *args)
 
     def rate_pass(world, maps, *args):
         scored.append(list(maps))
         return min_rate(world, maps, *args)
 
     scored = []
-    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    monkeypatch.setattr(harness, "_solve_block", failing)
     monkeypatch.setattr(harness, "min_rate", rate_pass)
+    preset = dataclasses.replace(_tiny_preset(methods=("random",)),
+                                 rate=RateOptions(n_mc=2, eval_every=_BLOCK + 1, paths=5))
     failures = {}
-    assert _run_methods(("random",), _tiny_preset(methods=("random",)), 4, False,
-                        failures) == {}
+    assert _run_methods(("random",), preset, 4, False, failures) == {}
     assert {name: str(exc) for name, exc in failures.items()} == {"random": "random"}
     assert scored == []
 
@@ -593,14 +662,15 @@ def test_refused_map_leaves_one_rate_pass_per_step(tmp_path, monkeypatch):
 def test_rate_pass_error_fails_every_running_method(tmp_path, monkeypatch):
     # the one min_rate call of evaluation step 19 raises: every method
     # still running, drl included, fails with its error, spr_like keeps the
-    # one it raised at step 12, and the run raises it and writes no file
-    real_assign, solves, calls = harness.baseline_assignment, [], []
+    # one its block solve raised at step 16, and the run raises it and
+    # writes no file
+    real_solve, solves, calls = harness._solve_block, [], []
 
-    def failing(name, *args, **kwargs):
+    def failing(name, *args):
         solves.append(name)
-        if name == "spr_like" and solves.count(name) == 13:
+        if name == "spr_like" and solves.count(name) == 3:
             raise RuntimeError("spr_like")
-        return real_assign(name, *args, **kwargs)
+        return real_solve(name, *args)
 
     def rate_pass(world, maps, *args):
         calls.append(len(maps))
@@ -608,7 +678,7 @@ def test_rate_pass_error_fails_every_running_method(tmp_path, monkeypatch):
             raise BudgetError("rate pass")
         return min_rate(world, maps, *args)
 
-    monkeypatch.setattr(harness, "baseline_assignment", failing)
+    monkeypatch.setattr(harness, "_solve_block", failing)
     monkeypatch.setattr(harness, "min_rate", rate_pass)
     methods = ("random", "spr_like", "exhaustive", "drl")
     failures = {}
