@@ -73,8 +73,8 @@ def cmd_baseline(args) -> None:
     print(f"{args.method} baseline (seed {args.seed}): worst-user cost {g_max:.6g}")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_files(out, files)
+        with _output_dir(out):
+            _write_files(out, files)
         print(f"assignment written to {out / assignment_file}")
 
 

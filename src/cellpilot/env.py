@@ -108,7 +108,7 @@ def _calibration_samples(config: SystemConfig, opts: EnvOptions,
         else:
             rows, links = _permuted_rows(size * config.L, config.K, rng), None
         samples[start:start + size] = _worst_costs(
-            config, *_block_maps(rows, (size, config.L, config.K)), links, C)
+            config, [_block_maps(rows, (size, config.L, config.K))], links, C)[0]
     return samples
 
 
@@ -120,22 +120,23 @@ def _block_maps(rows: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]
     return maps.user_to_pilot().reshape(shape), maps.pilot_to_user.reshape(shape)
 
 
-def _worst_costs(config: SystemConfig, user_to_pilot: np.ndarray,
-                 pilot_to_user: np.ndarray, links: tuple | None,
+def _worst_costs(config: SystemConfig, maps, links: tuple | None,
                  pairwise: np.ndarray | None) -> np.ndarray:
-    """The worst-user cost of each map (b, L, K) of a block, in one call.
+    """The worst-user cost of every map of a block, (m, b), in one call.
 
-    With `links`, `_links`' arrays of b redrawn worlds, map i is scored on
-    world i from its co-pilot pairs alone (_copilot_pair_costs), which
-    builds no pair-cost matrix; pilot_to_user may hold -1 for a pilot that
-    a cell leaves unused. Without, every map is scored on the one world
-    whose matrix is `pairwise` (_copilot_costs' masked sums). Either way
-    each value is extended_user_costs' maximum for that map, bit for bit.
+    maps holds m (user_to_pilot (b, L, K), pilot_to_user) pairs. With
+    `links`, `_links`' arrays of b redrawn worlds, map i of each pair is
+    scored on world i from its co-pilot pairs alone, all pairs in one
+    _copilot_pair_costs pass, which builds no pair-cost matrix;
+    pilot_to_user may hold -1 for a pilot that a cell leaves unused.
+    Without, every map is scored on the one world whose matrix is
+    `pairwise` (_copilot_costs' masked sums). Either way each value is
+    extended_user_costs' maximum for that map, bit for bit.
     """
     if links is not None:
-        costs = _copilot_pair_costs(config, links, user_to_pilot, pilot_to_user)
+        costs = _copilot_pair_costs(config, links, maps)
     else:
-        costs = _copilot_costs(pairwise, user_to_pilot)
+        costs = _copilot_costs(pairwise, np.stack([u2p for u2p, _ in maps]))
     return costs.max(axis=(-2, -1))
 
 

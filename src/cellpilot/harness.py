@@ -142,11 +142,11 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     scores every baseline still running on its world, each with its own
     substream(seed, "baseline", name). A baseline takes the step's
     solution from its last _solve_block call and calls it again when none
-    is left: random and spr_like solve a block of steps at once, whose
-    worlds they score without reading a pair-cost matrix when positions
-    are redrawn, so a block solve that raises fails that method at the
-    block's first step. Each step's row is what a baseline_assignment on
-    that step's world would give. Each evaluation
+    is left: random and spr_like make the maps of a block of steps at
+    once, so a block solve that raises fails that method at the block's
+    first step. The maps of the block solves due at a step are scored
+    together, in one _score_blocks call. Each step's row is what a
+    baseline_assignment on that step's world would give. Each evaluation
     step every-1, 2*every-1, ... then ends with one min_rate call on
     substream(seed, "rate", t), which rates the pilot map of every method
     still running on the step's world (no call, once every method has
@@ -154,8 +154,9 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
     would refuse, moves to `failures` with its exception and stops; the
     others go on. An error of the stream, which is any that drl raises
     before the stream advanced (a drop that cannot be placed raises from
-    the advance that draws its block), or of the min_rate call fails every
-    method still running, as a stream or a rate pass of its own would.
+    the advance that draws its block), of the joint scoring or of the
+    min_rate call fails every method still running, as a stream or a rate
+    pass of its own would.
 
     Each method that finishes holds its run files as name -> text in
     `files`: drl its assignment_drl.txt, drl_training_log.csv and
@@ -194,16 +195,18 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
                         raise
                     failures["drl"] = exc
                     del runs["drl"]
-            for name in [name for name in runs if name in rngs]:
+            due = {}  # each baseline's _solve_block of the step, if it needs one
+            for name in [name for name in runs if name in rngs and not ahead[name]]:
                 try:
-                    if not ahead[name]:
-                        ahead[name] = _solve_block(name, worlds, rngs[name],
-                                                   preset.total_steps - t, long_run)
-                    solved[name] = ahead[name].popleft()
-                    runs[name].cost_rows.append((t, solved[name][2]))
+                    due[name] = _solve_block(name, worlds, rngs[name],
+                                             preset.total_steps - t, long_run)
                 except Exception as exc:  # record and go on with the others
                     failures[name] = exc
                     del runs[name]
+            ahead.update(_score_blocks(worlds, due))
+            for name in [name for name in runs if name in rngs]:
+                solved[name] = ahead[name].popleft()
+                runs[name].cost_rows.append((t, solved[name][2]))
             if t % every == every - 1 and runs:
                 maps = {name: (learner.env.assignment.user_to_pilot(), cfg.K)
                         if name == "drl" else solved[name][:2] for name in runs}
@@ -238,21 +241,22 @@ def _run_methods(methods, preset: ExperimentPreset, master_seed: int,
 
 
 def _solve_block(name: str, worlds: WorldStream, rng: np.random.Generator,
-                 left: int, long_run: bool) -> deque:
-    """Baseline `name`'s solutions for this step and up to left - 1 more,
-    each the (user_to_pilot, n_pilots, cost, files) that baseline_assignment
-    gives on that step's world, drawn from `rng` in step order.
+                 left: int, long_run: bool):
+    """Baseline `name`'s maps for this step and up to left - 1 more, drawn
+    from `rng` in step order; _score_blocks turns them into solutions, each
+    the (user_to_pilot, n_pilots, cost, files) that baseline_assignment
+    gives on that step's world.
 
     exhaustive, and spr_like on "smallscale", solve the current world
-    through baseline_assignment; on "smallscale" the world never changes,
-    so that one solution serves every step left. Otherwise n maps are
-    solved at once, n = min(_BLOCK, left) on "smallscale" and on
-    "positions" one per world of the current one and the rest of its
-    WorldStream.block, up to `left`: random's as one _permuted_rows of n*L
-    rows (the draws of n random_assignment calls), validated and inverted
-    once, spr_like's in one _spr_like_maps pass. They are scored in one
-    _worst_costs call, from the block's link arrays on "positions", which
-    reads no pair-cost matrix.
+    through baseline_assignment and return the solutions as a deque; on
+    "smallscale" the world never changes, so that one solution serves
+    every step left. Otherwise n maps are made at once, n = min(_BLOCK,
+    left) on "smallscale" and on "positions" one per world of the current
+    one and the rest of its WorldStream.block, up to `left`: random's as
+    one _permuted_rows of n*L rows (the draws of n random_assignment
+    calls), validated and inverted once, spr_like's in one _spr_like_maps
+    pass. They are returned unscored, as (user_to_pilot (n, L, K),
+    pilot_to_user, n_pilots, files).
     """
     cfg = worlds.config
     positions = worlds.redraw == "positions"
@@ -260,23 +264,33 @@ def _solve_block(name: str, worlds: WorldStream, rng: np.random.Generator,
         solution = baseline_assignment(name, worlds.world, rng, worlds.pairwise,
                                        allow_long_run=long_run)
         return deque([solution] * (1 if positions else left))
-    if positions:
-        block, links = worlds.block()
-        n, C = min(len(block), left), None
-        block, links = block[:n], tuple(a[:n] for a in links)
-    else:
-        n, links, C = min(_BLOCK, left), None, worlds.pairwise
+    n = min(len(worlds.block()[0]) if positions else _BLOCK, left)
     if name == "random":
         u2p, p2u = _block_maps(_permuted_rows(n * cfg.L, cfg.K, rng), (n, cfg.L, cfg.K))
-        n_pilots, files = cfg.K, itertools.repeat(None)  # a run writes no random map
-    else:
-        u2p, report = _spr_like_maps(np.stack([w.drop.positions for w in block]),
-                                     worlds.layout.bs_positions)
-        n_pilots = report.required_pilots
-        p2u = _pilot_to_user(u2p, n_pilots)
-        files = (functools.partial(_spr_like_files, m, report) for m in u2p)
-    costs = _worst_costs(cfg, u2p, p2u, links, C).tolist()
-    return deque(zip(u2p, itertools.repeat(n_pilots), costs, files))
+        return u2p, p2u, cfg.K, itertools.repeat(None)  # a run writes no random map
+    u2p, report = _spr_like_maps(np.stack([w.drop.positions for w in worlds.block()[0][:n]]),
+                                 worlds.layout.bs_positions)
+    files = (functools.partial(_spr_like_files, m, report) for m in u2p)
+    return u2p, _pilot_to_user(u2p, report.required_pilots), report.required_pilots, files
+
+
+def _score_blocks(worlds: WorldStream, due: dict) -> dict:
+    """`due`, name -> _solve_block return, with every return a deque of
+    solutions. The unscored maps, which all cover the same n steps, are
+    scored in one _worst_costs call: on "positions" from the link arrays
+    of the stream's block, which reads no pair-cost matrix, so the
+    block's targets and nulls are computed once for every method."""
+    blocks = {name: maps for name, maps in due.items() if not isinstance(maps, deque)}
+    if not blocks:
+        return due
+    n = len(next(iter(blocks.values()))[0])
+    links = (tuple(a[:n] for a in worlds.block()[1])
+             if worlds.redraw == "positions" else None)
+    costs = _worst_costs(worlds.config, [maps[:2] for maps in blocks.values()], links,
+                         worlds.pairwise if links is None else None).tolist()
+    for (name, (u2p, _, n_pilots, files)), block_costs in zip(blocks.items(), costs):
+        due[name] = deque(zip(u2p, itertools.repeat(n_pilots), block_costs, files))
+    return due
 
 
 def _config_dict(preset: ExperimentPreset) -> dict:

@@ -372,6 +372,20 @@ def test_failed_command_removes_the_directories_it_made(tmp_path, command):
     assert kept.is_dir() and not any(kept.iterdir())
 
 
+def test_failed_baseline_write_removes_the_directories_it_made(tmp_path, ini,
+                                                               monkeypatch):
+    # the write of `baseline --out` fails (exit 2): the directories of the
+    # nested --out that it made go again, and the one it found stays
+    def failing(out_dir, files):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("cellpilot.cli._write_files", failing)
+    code, _, stderr = _run(["baseline", "--method", "random", "--config", ini,
+                            "--out", str(tmp_path / "a" / "b")])
+    assert code == 2 and stderr == "error: disk full\n"
+    assert tmp_path.is_dir() and not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "baseline", "experiment"])
 def test_unwritable_output_exit_code(tmp_path, ini, command):
     # an output path through a regular file is an error line and exit 2,

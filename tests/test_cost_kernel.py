@@ -383,11 +383,11 @@ def test_copilot_pair_costs_match_the_pair_cost_matrix(preset, changes):
                         for _ in range(count)])
         u2p = np.argsort(p2u, axis=-1)
         want = _copilot_costs(_pairwise_costs(cfg, *links), u2p)
-        got = _copilot_pair_costs(cfg, links, u2p, p2u)
-        assert got.shape == want.shape == (count, cfg.L, cfg.K)
-        assert got.tobytes() == want.tobytes(), count
+        got = _copilot_pair_costs(cfg, links, [(u2p, p2u)])
+        assert got.shape == (1,) + want.shape == (1, count, cfg.L, cfg.K)
+        assert got[0].tobytes() == want.tobytes(), count
     one = tuple(a[0] for a in links)
-    assert _copilot_pair_costs(cfg, one, u2p[0], p2u[0]).tobytes() == \
+    assert _copilot_pair_costs(cfg, one, [(u2p[0], p2u[0])])[0].tobytes() == \
         _copilot_costs(_pairwise_costs(cfg, *one), u2p[0]).tobytes()
 
 
@@ -398,13 +398,14 @@ def test_copilot_pair_costs_match_the_pair_cost_matrix(preset, changes):
 def test_copilot_pair_costs_match_on_spr_like_maps(preset, changes, edge_ratio):
     # spr_like's maps leave each dedicated edge pilot unheld in every other
     # cell (-1 in pilot_to_user; at edge_ratio 1e9 every user is an edge
-    # user): blocks of 1, 7, 8 and 11 drops, each map the one its drop gets
-    # alone, and one drop without a leading axis still give the masked sums
-    # of the whole matrix, bit for bit
+    # user): blocks of 1, 3, 7, 8 and 11 drops, each map the one its drop
+    # gets alone, and one drop without a leading axis still give the masked
+    # sums of the whole matrix, bit for bit. One call scores a random map
+    # set (K pilots) beside them, and each slice is also its one-map call
     cfg = dataclasses.replace(presets()[preset].config, **changes)
     layout = build_layout(cfg.L, cfg.R)
     rng = np.random.default_rng(cfg.L * 10 + cfg.K)
-    for count in (1, 7, 8, 11):
+    for count in (1, 3, 7, 8, 11):
         positions = _draw_drops(layout, cfg.K, cfg.exclusion_radius, rng, count)
         links = _links(cfg, layout.bs_positions, positions)
         u2p, report = _spr_like_maps(positions, layout.bs_positions, edge_ratio)
@@ -414,13 +415,21 @@ def test_copilot_pair_costs_match_on_spr_like_maps(preset, changes, edge_ratio):
             assert u2p[i].tobytes() == alone.tobytes() and report == alone_report, (count, i)
         p2u = _pilot_to_user(u2p, report.required_pilots)
         assert p2u.shape == (count, cfg.L, report.required_pilots)
-        want = _copilot_costs(_pairwise_costs(cfg, *links), u2p)
-        got = _copilot_pair_costs(cfg, links, u2p, p2u)
-        assert got.shape == want.shape == (count, cfg.L, cfg.K)
-        assert got.tobytes() == want.tobytes(), count
+        rand_p2u = np.stack([random_assignment(cfg.L, cfg.K, rng).pilot_to_user
+                             for _ in range(count)])
+        maps = [(np.argsort(rand_p2u, axis=-1), rand_p2u), (u2p, p2u)]
+        C = _pairwise_costs(cfg, *links)
+        got = _copilot_pair_costs(cfg, links, maps)
+        assert got.shape == (2, count, cfg.L, cfg.K)
+        for i, m in enumerate(maps):
+            want = _copilot_costs(C, m[0])
+            assert got[i].tobytes() == want.tobytes(), (count, i)
+            assert _copilot_pair_costs(cfg, links, [m])[0].tobytes() == want.tobytes()
     one = tuple(a[0] for a in links)
-    assert _copilot_pair_costs(cfg, one, u2p[0], p2u[0]).tobytes() == \
-        _copilot_costs(_pairwise_costs(cfg, *one), u2p[0]).tobytes()
+    got = _copilot_pair_costs(cfg, one, [(m[0][0], m[1][0]) for m in maps])
+    for i, m in enumerate(maps):
+        assert got[i].tobytes() == \
+            _copilot_costs(_pairwise_costs(cfg, *one), m[0][0]).tobytes(), i
 
 
 def test_copilot_costs_ignore_own_cell_entries():

@@ -427,9 +427,10 @@ def test_make_env_builds_the_pair_cost_matrix_once(monkeypatch, redraw):
         blocks.append(gains.shape[:-3])
         return _pairwise_costs(config, gains, *links)
 
-    def counting_copilot(config, links, *maps):
+    def counting_copilot(config, links, maps):
+        assert len(maps) == 1  # the calibration scores one map per drop
         copilot_blocks.append(links[0].shape[:-3])
-        return _copilot_pair_costs(config, links, *maps)
+        return _copilot_pair_costs(config, links, maps)
 
     monkeypatch.setattr(cellpilot.env, "pairwise_cost_matrix", counting)
     monkeypatch.setattr(cellpilot.env, "_pairwise_costs", counting_block)

@@ -424,12 +424,13 @@ def test_positions_run_draws_each_world_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("steps", [1, 7, 8, 9, 17])
 @pytest.mark.parametrize("preset", ["desk", "full"])
 @pytest.mark.parametrize("redraw", ["positions", "smallscale"])
-def test_block_solves_match_per_step_baselines(redraw, preset, steps):
+def test_block_solves_match_per_step_baselines(redraw, preset, steps, monkeypatch):
     # random and spr_like solve a block of steps at once, capped by the
     # steps left; step for step each gives the (map, n_pilots, cost) of
     # baseline_assignment on that step's world and the same generator, and
     # random's maps are successive random_assignment draws
     cfg = presets()[preset].config
+    rows = {}
     for name in ("random", "spr_like"):
         stream, ref = WorldStream(cfg, redraw, 3), WorldStream(cfg, redraw, 3)
         rng, ref_rng, draws = (substream(3, "baseline", name) for _ in range(3))
@@ -438,7 +439,8 @@ def test_block_solves_match_per_step_baselines(redraw, preset, steps):
             stream.advance()
             ref.advance()
             if not ahead:
-                ahead = harness._solve_block(name, stream, rng, steps - t, False)
+                due = {name: harness._solve_block(name, stream, rng, steps - t, False)}
+                ahead = harness._score_blocks(stream, due)[name]
                 # on "smallscale" spr_like's one solution serves every step left
                 cap = steps - t if (redraw, name) == ("smallscale", "spr_like") else _BLOCK
                 assert 1 <= len(ahead) <= min(steps - t, cap)
@@ -454,12 +456,30 @@ def test_block_solves_match_per_step_baselines(redraw, preset, steps):
             costs.append((t, cost))
         assert not ahead
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # and the harness's rows are those solutions
+        rows[name] = costs
+    # and the harness's rows are those solutions, for each method alone and
+    # for both together, whose maps of a "positions" block are scored in one
+    # call: the joint pass couples neither method's rows to the other's
+    real, scored = harness._worst_costs, []
+
+    def spy(config, maps, *args):
+        scored.append(len(maps))
+        return real(config, maps, *args)
+
+    monkeypatch.setattr(harness, "_worst_costs", spy)
+    for methods in (("random",), ("spr_like",), ("random", "spr_like")):
         preset_run = dataclasses.replace(
-            presets()[preset], methods=(name,), total_steps=steps,
+            presets()[preset], methods=methods, total_steps=steps,
             env=EnvOptions(redraw=redraw, threshold_samples=30),
             rate=RateOptions(n_mc=1, eval_every=steps + 1, paths=5))
-        assert _run_methods((name,), preset_run, 3, False, {})[name].cost_rows == costs
+        runs = _run_methods(methods, preset_run, 3, False, {})
+        assert {name: runs[name].cost_rows for name in methods} == \
+            {name: rows[name] for name in methods}, methods
+    blocks = -(-steps // _BLOCK)  # the stream's blocks the steps enter
+    if redraw == "positions":
+        assert scored == [1] * 2 * blocks + [2] * blocks
+    else:  # only random solves in blocks; spr_like solves the one world
+        assert scored == [1] * 2 * blocks
 
 
 def test_positions_baselines_build_no_pair_cost_matrix(tmp_path, monkeypatch):
